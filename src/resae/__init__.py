@@ -23,7 +23,7 @@ from .evaluation import (
     rmse_and_nrmse,
     roc_auc,
 )
-from .matrix import Matrix, Rng, StandardizeStats, elementwise, matmul, standardize_fit_apply
+from .matrix import Matrix, Rng, StandardizeStats, standardize_fit_apply
 from .network import (
     Network,
     NetworkSpec,

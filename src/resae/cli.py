@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -115,12 +118,19 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return _merge(DEFAULT_CONFIG, {})
     try:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -151,12 +161,21 @@ def build_dataset(cfg: dict):
     raise ConfigError(f"unknown dataset source {d['source']!r}")
 
 
+@contextmanager
+def _section(name: str):
+    """Report a ValueError raised while building one config section as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name} config: {exc}") from None
+
+
 def build_spec(cfg: dict, dataset) -> NetworkSpec:
     n = cfg["network"]
     residual = n["residual"]
     if not isinstance(residual, str):
         residual = int(residual)
-    try:
+    with _section("network"):
         spec = make_spec(dataset, n["nnode"],
                          acts=n["activation"],
                          output_activation=n["output_activation"],
@@ -168,14 +187,12 @@ def build_spec(cfg: dict, dataset) -> NetworkSpec:
                          elu_alpha=float(n["elu_alpha"]),
                          dropout_placement=n["dropout_placement"])
         spec.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid network config: {exc}") from None
     return spec
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
     t = cfg["training"]
-    try:
+    with _section("training"):
         tc = TrainConfig(batch_size=int(t["batch_size"]),
                          max_epochs=int(t["max_epochs"]),
                          learning_rate=float(t["learning_rate"]),
@@ -188,37 +205,29 @@ def build_train_config(cfg: dict) -> TrainConfig:
                          seed=int(t["seed"]),
                          shuffle=bool(t["shuffle"]))
         tc.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid training config: {exc}") from None
     return tc
 
 
 def build_regularizer(cfg: dict) -> Regularizer:
     reg = Regularizer(kind=cfg["loss"]["regularizer"],
                       coefficient=float(cfg["loss"]["coefficient"]))
-    try:
+    with _section("loss"):
         reg.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid loss config: {exc}") from None
     return reg
 
 
 def build_loss(cfg: dict, dataset, spec: NetworkSpec) -> LossSpec:
-    return default_loss_for(dataset.task, spec.output_option,
+    loss = default_loss_for(dataset.task, spec.output_option,
                             float(cfg["loss"]["reconstruction_weight"]))
+    with _section("loss"):
+        loss.validate()
+    return loss
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _prepare_out_dir(cfg: dict, override: str | None) -> Path:
-    out = Path(override) if override else Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    cfg["out_dir"] = str(out)
-    return out
 
 
 def _apply_overrides(cfg: dict, args) -> None:
@@ -260,23 +269,60 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+@dataclass
+class _Run:
+    """A validated command set-up: what every training command needs."""
+
+    cfg: dict
+    out: Path
+    dataset: data_mod.Dataset
+    spec: NetworkSpec
+    train_cfg: TrainConfig
+    regularizer: Regularizer
+    loss: LossSpec
+
+
+def _grid_axes(cfg: dict) -> dict:
+    axes = {k: v for k, v in cfg["grid"].items() if v}
+    if not axes:
+        raise ConfigError("grid config is empty: set at least one of batch_sizes, "
+                          "nnodes, activations, output_options")
+    return axes
+
+
+def _set_up(args) -> _Run:
+    """Load, override and validate the config, then echo it as config.json.
+
+    Every part is built before anything is written, so a config error
+    leaves no artifacts behind.
+    """
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    out = _prepare_out_dir(cfg, args.out)
+    out = Path(args.out) if args.out else Path(cfg["out_dir"])
+    cfg["out_dir"] = str(out)
     dataset = build_dataset(cfg)
     spec = build_spec(cfg, dataset)
-    train_cfg = build_train_config(cfg)
-    regularizer = build_regularizer(cfg)
-    loss = build_loss(cfg, dataset, spec)
+    run = _Run(cfg, out, dataset, spec, build_train_config(cfg),
+               build_regularizer(cfg), build_loss(cfg, dataset, spec))
+    if args.command != "train" and int(cfg["n_seeds"]) < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {cfg['n_seeds']}")
+    if args.command == "grid":
+        _grid_axes(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
+    return run
+
+
+def cmd_train(args) -> int:
+    run = _set_up(args)
+    cfg, out, dataset, train_cfg = run.cfg, run.out, run.dataset, run.train_cfg
     _write_json(out / "dataset.json", dataset.manifest())
 
     split_idx = data_mod.split(dataset, seed=train_cfg.seed, stratify=cfg["stratify"])
-    parameter_count = build_network(spec, rng=0).count_parameters()
+    parameter_count = build_network(run.spec, rng=0).count_parameters()
     try:
-        model = train_model(dataset, split_idx, spec, train_cfg,
-                            regularizer=regularizer, loss=loss)
+        model = train_model(dataset, split_idx, run.spec, train_cfg,
+                            regularizer=run.regularizer, loss=run.loss)
     except TrainingDiverged as exc:
         _write_json(out / "metrics.json", {
             "config": cfg, "converged": False, "seed": train_cfg.seed,
@@ -304,71 +350,34 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    out = _prepare_out_dir(cfg, args.out)
-    dataset = build_dataset(cfg)
-    spec = build_spec(cfg, dataset)
-    train_cfg = build_train_config(cfg)
-    _write_json(out / "config.json", cfg)
-    report = compare(dataset, spec, train_cfg, n_seeds=int(cfg["n_seeds"]),
-                     regularizer=build_regularizer(cfg),
-                     loss=build_loss(cfg, dataset, spec),
-                     stratify=cfg["stratify"])
-    payload = report.to_dict()
-    payload["config"] = cfg
-    _write_json(out / "report.json", payload)
-    report.write_runs_csv(out / "runs.csv")
-    print(f"comparison artifacts in {out}")
-    return 0
-
-
-def cmd_grid(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    out = _prepare_out_dir(cfg, args.out)
-    dataset = build_dataset(cfg)
-    spec = build_spec(cfg, dataset)
-    train_cfg = build_train_config(cfg)
-    grid_axes = {k: v for k, v in cfg["grid"].items() if v}
-    if not grid_axes:
-        raise ConfigError("grid config is empty: set at least one of batch_sizes, "
-                          "nnodes, activations, output_options")
-    _write_json(out / "config.json", cfg)
-    result = grid_search(dataset, spec, train_cfg, grid_axes,
-                         n_seeds=int(cfg["n_seeds"]),
-                         regularizer=build_regularizer(cfg),
-                         loss=build_loss(cfg, dataset, spec),
-                         stratify=cfg["stratify"])
+def cmd_sweep(args) -> int:
+    """compare, grid and sensitivity: one sweep of (variant, seed) jobs on shared splits."""
+    run = _set_up(args)
+    cfg, out = run.cfg, run.out
+    sweep_args = (run.dataset, run.spec, run.train_cfg)
+    options = dict(n_seeds=int(cfg["n_seeds"]), regularizer=run.regularizer,
+                   loss=run.loss, stratify=cfg["stratify"])
+    if args.command == "compare":
+        result = compare(*sweep_args, **options)
+        tables = {"runs.csv": result.write_runs_csv}
+        done = f"comparison artifacts in {out}"
+    elif args.command == "grid":
+        axes = _grid_axes(cfg)
+        result = grid_search(*sweep_args, axes, **options)
+        tables = {"grid.csv": result.write_cells_csv}
+        if set(axes) == {"batch_sizes"}:
+            tables["curve.csv"] = result.write_curve_csv
+        done = f"grid artifacts in {out}; best cell: {result.best().label}"
+    else:
+        result = residual_sensitivity(*sweep_args, **options)
+        tables = {"sensitivity.csv": result.write_csv}
+        done = f"sensitivity artifacts in {out}"
     payload = result.to_dict()
     payload["config"] = cfg
     _write_json(out / "report.json", payload)
-    result.write_cells_csv(out / "grid.csv")
-    if set(grid_axes) == {"batch_sizes"}:
-        result.write_curve_csv(out / "curve.csv")
-    print(f"grid artifacts in {out}; best cell: {result.best().label}")
-    return 0
-
-
-def cmd_sensitivity(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    out = _prepare_out_dir(cfg, args.out)
-    dataset = build_dataset(cfg)
-    spec = build_spec(cfg, dataset)
-    train_cfg = build_train_config(cfg)
-    _write_json(out / "config.json", cfg)
-    result = residual_sensitivity(dataset, spec, train_cfg,
-                                  n_seeds=int(cfg["n_seeds"]),
-                                  regularizer=build_regularizer(cfg),
-                                  loss=build_loss(cfg, dataset, spec),
-                                  stratify=cfg["stratify"])
-    payload = result.to_dict()
-    payload["config"] = cfg
-    _write_json(out / "report.json", payload)
-    result.write_csv(out / "sensitivity.csv")
-    print(f"sensitivity artifacts in {out}")
+    for name, write in tables.items():
+        write(out / name)
+    print(done)
     return 0
 
 
@@ -398,9 +407,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_text in (
             ("train", cmd_train, "train one network and write model/history/metrics"),
-            ("compare", cmd_compare, "residual vs regular arms over shared seeds"),
-            ("grid", cmd_grid, "factorial grid search ranked by validation metric"),
-            ("sensitivity", cmd_sensitivity, "sweep the number of outermost shortcuts")):
+            ("compare", cmd_sweep, "residual vs regular arms over shared seeds"),
+            ("grid", cmd_sweep, "factorial grid search ranked by validation metric"),
+            ("sensitivity", cmd_sweep, "sweep the number of outermost shortcuts")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (defaults used if omitted)")
         p.add_argument("--out", help="output directory (overrides config out_dir)")

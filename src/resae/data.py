@@ -124,10 +124,9 @@ def _is_missing(value: str) -> bool:
 
 def _try_float(value: str) -> float | None:
     try:
-        v = float(value)
+        return float(value)
     except ValueError:
         return None
-    return v if np.isfinite(v) else None
 
 
 def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[str]]:
@@ -155,9 +154,10 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
     Columns whose every non-missing cell parses as a number are numeric; all
     others are categorical and one-hot encoded (sorted category order, names
     "col=value").  Cells matching MISSING_MARKERS ("", NA, ?, ...) count as
-    missing: any row containing one is dropped and counted.  Classification
-    targets are label-encoded; numeric targets can instead be binned with
-    `target_bins` (inclusive upper bounds).
+    missing: any row containing one is dropped and counted.  An infinite
+    value in a numeric column is an error naming the column and row.
+    Classification targets are label-encoded; numeric targets can instead be
+    binned with `target_bins` (inclusive upper bounds).
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"task must be regression or classification, got {task!r}")
@@ -188,6 +188,10 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
         parsed = [None if _is_missing(c) else _try_float(c) for c in cells]
         present = [p for p, c in zip(parsed, cells) if not _is_missing(c)]
         if present and all(p is not None for p in present):
+            for row, value in enumerate(parsed, start=1):
+                if value is not None and not np.isfinite(value):
+                    raise ValueError(f"{path}: numeric column {name!r} has the non-finite "
+                                     f"value {cells[row - 1]!r} in data row {row}")
             numeric_cols[name] = parsed
 
     keep = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -111,6 +112,11 @@ def classification_metrics(y: np.ndarray, probabilities: np.ndarray
     return accuracy, cross_entropy, auc
 
 
+def _headline(task: str) -> str:
+    """The ranking metric: R^2 for regression, accuracy for classification."""
+    return "r2" if task == "regression" else "accuracy"
+
+
 @dataclass
 class Metrics:
     r2: float | None = None
@@ -124,8 +130,7 @@ class Metrics:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
     def headline(self, task: str) -> float:
-        """The ranking metric: R^2 for regression, accuracy for classification."""
-        return self.r2 if task == "regression" else self.accuracy
+        return getattr(self, _headline(task))
 
 
 def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) -> Metrics:
@@ -140,7 +145,7 @@ def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# Comparison harness
+# The shared sweep: (variant, seed) jobs on shared splits
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -182,7 +187,35 @@ def _train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpe
                      test=evaluate_model(model, dataset, split_idx.test))
 
 
-def _mean_and_range(values: list[float]) -> dict:
+def _seeds(cfg: TrainConfig, n_seeds: int) -> list[int]:
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    return [cfg.seed + i for i in range(n_seeds)]
+
+
+def _sweep(dataset: Dataset, variants: list[tuple[str, NetworkSpec, TrainConfig]],
+           seeds: list[int], regularizer: Regularizer | None, loss: LossSpec | None,
+           stratify: bool) -> list[list[RunResult]]:
+    """Train each (label, spec, cfg) variant once per seed; returns each
+    variant's runs in seed order.
+
+    Each seed's split is built once and shared by every variant, and the
+    seed also fixes the initial weights, so variants differ only in their
+    spec and train config.  Every variant is validated before any training.
+    """
+    for _, spec, cfg in variants:
+        spec.validate()
+        cfg.validate()
+    splits = {seed: split(dataset, seed=seed, stratify=stratify) for seed in seeds}
+    return [[_train_and_score(dataset, splits[seed], spec, cfg, regularizer, loss, seed, label)
+             for seed in seeds]
+            for label, spec, cfg in variants]
+
+
+def _converged_stats(runs: list[RunResult], part: str, metric: str) -> dict:
+    """Mean, range and count of one metric over the converged runs."""
+    values = [getattr(getattr(r, part), metric) for r in runs if r.converged]
+    values = [v for v in values if v is not None]
     if not values:
         return {"mean": None, "min": None, "max": None, "n": 0}
     return {"mean": float(np.mean(values)), "min": float(min(values)),
@@ -197,11 +230,20 @@ def _summarize(runs: list[RunResult], task: str) -> dict:
                  "n_non_convergent": sum(not r.converged for r in runs)}
     for part in ("validation", "test"):
         for f in fields:
-            values = [getattr(getattr(r, part), f) for r in runs
-                      if r.converged and getattr(getattr(r, part), f) is not None]
-            out[f"{part}_{f}"] = _mean_and_range(values)
+            out[f"{part}_{f}"] = _converged_stats(runs, part, f)
     return out
 
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# Comparison harness
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ComparisonReport:
@@ -216,8 +258,7 @@ class ComparisonReport:
         return [r for r in self.runs if r.arm == arm]
 
     def mean_test_headline(self, arm: str) -> float | None:
-        key = "test_r2" if self.task == "regression" else "test_accuracy"
-        return self.summary[arm][key]["mean"]
+        return self.summary[arm][f"test_{_headline(self.task)}"]["mean"]
 
     def to_dict(self) -> dict:
         return {
@@ -229,18 +270,13 @@ class ComparisonReport:
         }
 
     def write_runs_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "arm", "converged", "parameter_count",
-                             "split", "metric", "value"])
-            for run in self.runs:
-                for part in ("validation", "test"):
-                    metrics = getattr(run, part)
-                    if metrics is None:
-                        continue
-                    for name, value in metrics.to_dict().items():
-                        writer.writerow([run.seed, run.arm, run.converged,
-                                         run.parameter_count, part, name, value])
+        _write_csv(path, ["seed", "arm", "converged", "parameter_count",
+                          "split", "metric", "value"],
+                   ([run.seed, run.arm, run.converged, run.parameter_count,
+                     part, name, value]
+                    for run in self.runs
+                    for part in ("validation", "test") if getattr(run, part) is not None
+                    for name, value in getattr(run, part).to_dict().items()))
 
 
 def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int = 5,
@@ -251,22 +287,15 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
     A non-finite training loss marks that arm non-convergent for the seed;
     summaries average over the converged runs only and count the failures.
     """
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    seeds = [cfg.seed + i for i in range(n_seeds)]
-    runs = []
-    for seed in seeds:
-        split_idx = split(dataset, seed=seed, stratify=stratify)
-        for arm, residual in (("residual", "full"), ("regular", "off")):
-            arm_spec = replace(spec, residual=residual)
-            runs.append(_train_and_score(dataset, split_idx, arm_spec, cfg,
-                                         regularizer, loss, seed, arm))
-    report = ComparisonReport(task=dataset.task, seeds=seeds, runs=runs)
-    report.summary = {
-        "residual": _summarize(report.arm_runs("residual"), dataset.task),
-        "regular": _summarize(report.arm_runs("regular"), dataset.task),
-    }
-    return report
+    seeds = _seeds(cfg, n_seeds)
+    residual, regular = _sweep(dataset, [("residual", replace(spec, residual="full"), cfg),
+                                         ("regular", replace(spec, residual="off"), cfg)],
+                               seeds, regularizer, loss, stratify)
+    runs = [run for pair in zip(residual, regular) for run in pair]   # seed-major
+    return ComparisonReport(task=dataset.task, seeds=seeds, runs=runs, summary={
+        "residual": _summarize(residual, dataset.task),
+        "regular": _summarize(regular, dataset.task),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +340,19 @@ class GridResult:
                 "ranked": [c.to_dict() for c in self.cells]}
 
     def write_cells_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "label", "batch_size", "nnode", "acts",
-                             "output_option", "mean_val_metric", "parameter_count"])
-            for rank, c in enumerate(self.cells):
-                writer.writerow([rank, c.label, c.batch_size,
-                                 " ".join(str(w) for w in c.spec.nnode),
-                                 " ".join(c.spec.act_list()), c.spec.output_option,
-                                 c.mean_val_metric, c.parameter_count])
+        _write_csv(path, ["rank", "label", "batch_size", "nnode", "acts",
+                          "output_option", "mean_val_metric", "parameter_count"],
+                   ([rank, c.label, c.batch_size, " ".join(str(w) for w in c.spec.nnode),
+                     " ".join(c.spec.act_list()), c.spec.output_option,
+                     c.mean_val_metric, c.parameter_count]
+                    for rank, c in enumerate(self.cells)))
 
     def batch_size_curve(self) -> list[tuple[int, float | None]]:
         """(batch size, mean validation metric) sorted by batch size."""
         return sorted((c.batch_size, c.mean_val_metric) for c in self.cells)
 
     def write_curve_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["batch_size", "mean_val_metric"])
-            for batch, metric in self.batch_size_curve():
-                writer.writerow([batch, metric])
+        _write_csv(path, ["batch_size", "mean_val_metric"], self.batch_size_curve())
 
 
 def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
@@ -353,27 +375,18 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     }
     if any(len(v) == 0 for v in axes.values()):
         raise ValueError("grid axes must be non-empty")
-    seeds = [cfg.seed + i for i in range(n_seeds)]
-    splits = {seed: split(dataset, seed=seed, stratify=stratify) for seed in seeds}
-
-    cells = []
-    for nnode in axes["nnodes"]:
-        for act in axes["activations"]:
-            for option in axes["output_options"]:
-                for batch in axes["batch_sizes"]:
-                    cell_spec = replace(spec, nnode=nnode, acts=act, output_option=option)
-                    label = (f"nnode={list(nnode)} act={act} out{option} batch={batch}")
-                    cell_cfg = replace(cfg, batch_size=batch)
-                    runs = [_train_and_score(dataset, splits[seed], cell_spec, cell_cfg,
-                                             regularizer, loss, seed, label)
-                            for seed in seeds]
-                    scores = [r.validation.headline(dataset.task)
-                              for r in runs if r.converged]
-                    cells.append(GridCell(
-                        label=label, spec=cell_spec, batch_size=batch,
-                        mean_val_metric=float(np.mean(scores)) if scores else None,
-                        parameter_count=runs[0].parameter_count, runs=runs))
-
+    variants = [(f"nnode={list(nnode)} act={act} out{option} batch={batch}",
+                 replace(spec, nnode=nnode, acts=act, output_option=option),
+                 replace(cfg, batch_size=batch))
+                for nnode, act, option, batch in product(
+                    axes["nnodes"], axes["activations"], axes["output_options"],
+                    axes["batch_sizes"])]
+    sweep = _sweep(dataset, variants, _seeds(cfg, n_seeds), regularizer, loss, stratify)
+    metric = _headline(dataset.task)
+    cells = [GridCell(label=label, spec=cell_spec, batch_size=cell_cfg.batch_size,
+                      mean_val_metric=_converged_stats(runs, "validation", metric)["mean"],
+                      parameter_count=runs[0].parameter_count, runs=runs)
+             for (label, cell_spec, cell_cfg), runs in zip(variants, sweep)]
     cells.sort(key=lambda c: (-(c.mean_val_metric if c.mean_val_metric is not None
                                 else -np.inf),
                               c.parameter_count, c.batch_size))
@@ -407,11 +420,9 @@ class SensitivityResult:
                 "rows": [r.to_dict() for r in self.rows]}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_shortcuts", "mean_test_r2", "mean_test_rmse"])
-            for row in self.rows:
-                writer.writerow([row.n_shortcuts, row.mean_test_r2, row.mean_test_rmse])
+        _write_csv(path, ["n_shortcuts", "mean_test_r2", "mean_test_rmse"],
+                   ([row.n_shortcuts, row.mean_test_r2, row.mean_test_rmse]
+                    for row in self.rows))
 
 
 def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
@@ -422,19 +433,13 @@ def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     total = spec.n_shortcut_pairs
     if total < 2:
         raise ValueError("sensitivity study needs at least 2 shortcut pairs")
-    seeds = [cfg.seed + i for i in range(n_seeds)]
-    splits = {seed: split(dataset, seed=seed, stratify=stratify) for seed in seeds}
-    rows = []
-    for count in range(total + 1):
-        variant = replace(spec, residual=count)
-        runs = [_train_and_score(dataset, splits[seed], variant, cfg,
-                                 regularizer, loss, seed, f"shortcuts={count}")
-                for seed in seeds]
-        r2s = [r.test.r2 for r in runs if r.converged and r.test.r2 is not None]
-        rmses = [r.test.rmse for r in runs if r.converged and r.test.rmse is not None]
-        rows.append(SensitivityRow(
-            n_shortcuts=count,
-            mean_test_r2=float(np.mean(r2s)) if r2s else None,
-            mean_test_rmse=float(np.mean(rmses)) if rmses else None,
-            runs=runs))
-    return SensitivityResult(rows=rows)
+    counts = range(total + 1)
+    sweep = _sweep(dataset, [(f"shortcuts={count}", replace(spec, residual=count), cfg)
+                             for count in counts],
+                   _seeds(cfg, n_seeds), regularizer, loss, stratify)
+    return SensitivityResult(rows=[
+        SensitivityRow(n_shortcuts=count,
+                       mean_test_r2=_converged_stats(runs, "test", "r2")["mean"],
+                       mean_test_rmse=_converged_stats(runs, "test", "rmse")["mean"],
+                       runs=runs)
+        for count, runs in zip(counts, sweep)])

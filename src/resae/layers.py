@@ -180,50 +180,25 @@ class DropoutLayer:
         return []
 
 
-RESIDUAL_POST_OPS = ("none", "activation", "activation_batchnorm")
-
-
 class ResidualAddNode:
-    """Identity shortcut addition: out = shallow + deep, plus an optional post-op.
+    """Identity shortcut step: adds the tensor saved under `slot` into the current one.
 
-    The post-op is one of nothing, an activation, or activation followed by
-    batch normalization.  With no post-op the backward pass hands the
-    upstream gradient to both branches unchanged.
+    The backward pass hands the upstream gradient to both branches unchanged.
     """
 
-    def __init__(self, post_op: str = "none", activation: str = "relu",
-                 width: int | None = None, alpha: float = 1.0, label: str = ""):
-        if post_op not in RESIDUAL_POST_OPS:
-            raise ValueError(f"unknown residual post-op {post_op!r}")
-        if post_op == "activation_batchnorm" and width is None:
-            raise ValueError("activation_batchnorm post-op needs the node width")
-        self.post_op = post_op
+    def __init__(self, slot: int, label: str = ""):
+        self.slot = slot
         self.label = label or "residual add"
-        self._act = Activation(activation, alpha) if post_op != "none" else None
-        self._bn = BatchNormLayer(width) if post_op == "activation_batchnorm" else None
         self._seen_forward = False
 
-    def forward(self, shallow: Matrix, deep: Matrix, train: bool = False) -> Matrix:
+    def forward(self, shallow: Matrix, deep: Matrix) -> Matrix:
         if shallow.shape != deep.shape:
             raise ValueError(f"residual shortcut shape mismatch at {self.label}: "
                              f"encode side {shallow.shape} vs decode side {deep.shape}")
-        out = shallow + deep
-        if self._act is not None:
-            out = self._act.forward(out)
-        if self._bn is not None:
-            out = self._bn.forward(out, train=train)
         self._seen_forward = True
-        return out
+        return shallow + deep
 
     def backward(self, upstream: Matrix) -> tuple[Matrix, Matrix]:
         if not self._seen_forward:
             raise RuntimeError(f"{self.label}: backward called before forward")
-        g = upstream
-        if self._bn is not None:
-            g = self._bn.backward(g)
-        if self._act is not None:
-            g = self._act.backward(g)
-        return g, g
-
-    def params(self):
-        return self._bn.params() if self._bn is not None else []
+        return upstream, upstream

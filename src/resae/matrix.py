@@ -17,41 +17,11 @@ Matrix = np.ndarray
 
 SD_FLOOR = 1e-12
 
-_ELEMENTWISE_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
 
 def _require_2d(a: Matrix, name: str) -> None:
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got "
                          f"{getattr(a, 'shape', type(a).__name__)}")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a (m x k) @ b (k x n) with explicit shape checking."""
-    _require_2d(a, "a")
-    _require_2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape} "
-                         f"(inner dimensions {a.shape[1]} != {b.shape[0]})")
-    return a @ b
-
-
-def elementwise(a: Matrix, b: Matrix, op: str) -> Matrix:
-    """Entry-by-entry add/sub/mul of two equally shaped matrices."""
-    _require_2d(a, "a")
-    _require_2d(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
-    try:
-        fn = _ELEMENTWISE_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}, expected one of "
-                         f"{sorted(_ELEMENTWISE_OPS)}") from None
-    return fn(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Network construction and whole-network forward/backward plumbing.
 
 A network is a flat list of steps executed in order.  Besides ordinary
-layers, two marker steps implement the nested shortcuts: a save step records
-the current tensor under a slot, and an add step later sums the saved tensor
-into the running one.  The encoder saves the input and every pre-code layer;
-the mirrored decoder adds them back innermost-first, finishing with the
-input-level shortcut, then the output head.
+layers, two steps implement the nested shortcuts: a save marker records the
+current tensor under a slot, and a ResidualAddNode later sums the saved
+tensor into the running one.  The encoder saves the input and every
+pre-code layer; the mirrored decoder adds them back innermost-first,
+finishing with the input-level shortcut, then the output head.
 
 Shortcuts are identity maps: switching them off or truncating them removes
-only the marker steps, never a parameterized layer, so the parameter set of
-the residual and regular variants of one spec is identical.
+only the save and add steps, never a parameterized layer, so the parameter
+set of the residual and regular variants of one spec is identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .layers import (
     ACTIVATION_KINDS,
-    RESIDUAL_POST_OPS,
     Activation,
     BatchNormLayer,
     DenseLayer,
@@ -29,6 +28,8 @@ from .layers import (
     ResidualAddNode,
 )
 from .matrix import Matrix, Rng
+
+RESIDUAL_POST_OPS = ("none", "activation", "activation_batchnorm")
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,6 @@ class _Save:
         self.slot = slot
 
 
-class _Add:
-    """Marker step: add the tensor saved under `slot` into the current one."""
-
-    def __init__(self, slot: int, node: ResidualAddNode):
-        self.slot = slot
-        self.node = node
-
-
 @dataclass(frozen=True)
 class ShortcutPair:
     """One wiring-table entry; slot 0 is the outermost (input-level) pair."""
@@ -209,8 +202,8 @@ class Network:
         for i, step in enumerate(self.steps):
             if isinstance(step, _Save):
                 saved[step.slot] = cur
-            elif isinstance(step, _Add):
-                cur = step.node.forward(saved[step.slot], cur, train=train)
+            elif isinstance(step, ResidualAddNode):
+                cur = step.forward(saved[step.slot], cur)
             elif isinstance(step, DenseLayer):
                 cur = step.forward(cur)
             elif isinstance(step, Activation):
@@ -240,8 +233,8 @@ class Network:
         slot_grads: dict[int, Matrix] = {}
         for i in range(len(self.steps) - 1, -1, -1):
             step = self.steps[i]
-            if isinstance(step, _Add):
-                d_shallow, d_deep = step.node.backward(g)
+            if isinstance(step, ResidualAddNode):
+                d_shallow, d_deep = step.backward(g)
                 if trace is not None:
                     trace[("add", step.slot)] = d_shallow
                 if step.slot in slot_grads:
@@ -264,15 +257,11 @@ class Network:
         """(name, layer) for every state-carrying layer, in execution order."""
         idx = 0
         for step in self.steps:
-            holder = step.node if isinstance(step, _Add) else step
-            if isinstance(holder, DenseLayer):
-                yield f"L{idx:03d}.dense", holder
+            if isinstance(step, DenseLayer):
+                yield f"L{idx:03d}.dense", step
                 idx += 1
-            elif isinstance(holder, BatchNormLayer):
-                yield f"L{idx:03d}.bn", holder
-                idx += 1
-            elif isinstance(holder, ResidualAddNode) and holder.params():
-                yield f"L{idx:03d}.addbn", holder
+            elif isinstance(step, BatchNormLayer):
+                yield f"L{idx:03d}.bn", step
                 idx += 1
 
     def parameters(self) -> list[Param]:
@@ -285,22 +274,33 @@ class Network:
     def count_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        """The live trainable arrays plus batch-norm running stats, by name."""
+        arrays = {p.name: p.value for p in self.parameters()}
+        for name, holder in self._named_stateful():
+            if isinstance(holder, BatchNormLayer):
+                arrays[f"{name}.running_mean"] = holder.running_mean
+                arrays[f"{name}.running_var"] = holder.running_var
+        return arrays
+
     def get_state(self) -> dict[str, np.ndarray]:
         """Copy of all trainable arrays plus batch-norm running stats."""
-        state = {p.name: p.value.copy() for p in self.parameters()}
-        for name, holder in self._named_stateful():
-            if isinstance(holder, BatchNormLayer):
-                state[f"{name}.running_mean"] = holder.running_mean.copy()
-                state[f"{name}.running_var"] = holder.running_var.copy()
-        return state
+        return {name: arr.copy() for name, arr in self._state_arrays().items()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            p.value[...] = state[p.name]
-        for name, holder in self._named_stateful():
-            if isinstance(holder, BatchNormLayer):
-                holder.running_mean[...] = state[f"{name}.running_mean"]
-                holder.running_var[...] = state[f"{name}.running_var"]
+        """Load a get_state() dict; every name and shape must match this network."""
+        arrays = self._state_arrays()
+        unknown = sorted(set(state) - set(arrays))
+        if unknown:
+            raise ValueError(f"state has parameters this network lacks: {unknown}")
+        for name, arr in arrays.items():
+            if name not in state:
+                raise ValueError(f"state is missing parameter {name!r}")
+            if np.shape(state[name]) != arr.shape:
+                raise ValueError(f"parameter {name!r} has shape {np.shape(state[name])}, "
+                                 f"network expects {arr.shape}")
+        for name, arr in arrays.items():
+            arr[...] = state[name]
 
     # -- structure --------------------------------------------------------------
 
@@ -323,7 +323,7 @@ class Network:
         for step in self.steps:
             if isinstance(step, _Save):
                 rows.append({"kind": "save", "slot": step.slot})
-            elif isinstance(step, _Add):
+            elif isinstance(step, ResidualAddNode):
                 rows.append({"kind": "add", "slot": step.slot})
             elif isinstance(step, DenseLayer):
                 rows.append({"kind": "dense", "in": step.n_in, "out": step.n_out})
@@ -362,7 +362,7 @@ class Network:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            json.dump(self.to_dict(), fh, allow_nan=False)
 
     @classmethod
     def load_json(cls, path) -> "Network":
@@ -437,10 +437,9 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
         slot = j + 1
         if slot < keep:
             add_pos[slot] = len(steps)
-            steps.append(_Add(slot, ResidualAddNode(
-                post_op="none",
-                label=f"shortcut slot {slot} (encode width {pair_width[slot]} "
-                      f"<-> decode width {width})")))
+            steps.append(ResidualAddNode(
+                slot, label=f"shortcut slot {slot} (encode width {pair_width[slot]} "
+                            f"<-> decode width {width})"))
         post_op(acts[j], width)
         if spec.dropout_placement == "all" and spec.dropout_rate > 0.0:
             steps.append(DropoutLayer(spec.dropout_rate))
@@ -449,9 +448,8 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     dense_block(width, spec.nfea, acts[0])
     if keep > 0:
         add_pos[0] = len(steps)
-        steps.append(_Add(0, ResidualAddNode(
-            post_op="none",
-            label=f"shortcut slot 0 (input width {spec.nfea} <-> decode width {spec.nfea})")))
+        steps.append(ResidualAddNode(
+            0, label=f"shortcut slot 0 (input width {spec.nfea} <-> decode width {spec.nfea})"))
     post_op(acts[0], spec.nfea)
 
     # output head

@@ -204,21 +204,6 @@ class TrainConfig:
             return SgdMomentum(self.momentum)
         return Adam(self.adam_beta1, self.adam_beta2, self.adam_epsilon)
 
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "momentum": self.momentum,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
-        }
-
 
 @dataclass
 class TrainHistory:

@@ -168,3 +168,25 @@ class TestSensitivityCommand:
         assert [row["n_shortcuts"] for row in report["rows"]] == [0, 1, 2]
         csv_lines = (tmp_path / "run" / "sensitivity.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_exits_2(self, tmp_path, number):
+        path = tmp_path / "bad.json"
+        path.write_text('{"training": {"learning_rate": %s}, "out_dir": "%s"}'
+                        % (number, tmp_path / "run"))
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "run" / "config.json").exists()
+
+    @pytest.mark.parametrize("loss", [{"regularizer": "l3"}, {"reconstruction_weight": -1.0}])
+    @pytest.mark.parametrize("command", ["train", "compare", "grid", "sensitivity"])
+    def test_config_error_writes_no_artifacts(self, tmp_path, command, loss):
+        cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [16]}, loss=loss)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert not (tmp_path / "run" / "config.json").exists()
+
+    def test_zero_seeds_exits_2_before_writing(self, tmp_path):
+        cfg = tiny_train_config(tmp_path, n_seeds=0)
+        assert main(["sensitivity", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "run" / "config.json").exists()

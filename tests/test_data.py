@@ -103,6 +103,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no usable rows"):
             load_csv(p, ["y"], "regression")
 
+    def test_infinite_cell_in_numeric_column_is_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,y\n1,2,1\n2,4,2\n3,inf,3\n4,5,4\n")
+        with pytest.raises(ValueError, match=r"column 'b'.*'inf'.*row 3"):
+            load_csv(p, ["y"], "regression")
+
+    def test_infinite_label_in_categorical_column_stays_a_category(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("b,y\nlow,1\ninf,2\n")
+        ds = load_csv(p, ["y"], "regression")
+        assert ds.feature_names == ["b=inf", "b=low"]
+
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")

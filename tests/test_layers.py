@@ -263,61 +263,31 @@ class TestDropout:
 
 class TestResidualAdd:
     def test_zero_deep_branch_is_identity(self):
-        node = ResidualAddNode()
+        node = ResidualAddNode(slot=0)
         x = np.random.default_rng(0).normal(size=(3, 4))
         np.testing.assert_array_equal(node.forward(x, np.zeros((3, 4))), x)
 
     def test_direct_sum(self):
-        node = ResidualAddNode()
+        node = ResidualAddNode(slot=0)
         out = node.forward(np.array([[1.0, 2.0]]), np.array([[0.5, -0.5]]))
         np.testing.assert_array_equal(out, [[1.5, 1.5]])
 
-    def test_activation_post_op(self):
-        node = ResidualAddNode(post_op="activation", activation="relu")
-        out = node.forward(np.array([[-1.0, 2.0]]), np.zeros((1, 2)))
-        np.testing.assert_array_equal(out, [[0.0, 2.0]])
-
     def test_backward_none_is_bit_identical_passthrough(self):
-        node = ResidualAddNode()
+        node = ResidualAddNode(slot=0)
         node.forward(np.ones((2, 3)), np.ones((2, 3)))
         g = np.random.default_rng(1).normal(size=(2, 3))
         d_shallow, d_deep = node.backward(g)
         assert d_shallow is g and d_deep is g
 
     def test_backward_zero_upstream(self):
-        node = ResidualAddNode()
+        node = ResidualAddNode(slot=0)
         node.forward(np.ones((2, 2)), np.ones((2, 2)))
         d_shallow, d_deep = node.backward(np.zeros((2, 2)))
         np.testing.assert_array_equal(d_shallow, np.zeros((2, 2)))
         np.testing.assert_array_equal(d_deep, np.zeros((2, 2)))
 
-    def test_relu_post_op_matches_finite_differences_away_from_kinks(self):
-        rng = np.random.default_rng(2)
-        shallow = rng.normal(size=(4, 3)) + 0.5
-        deep = rng.normal(size=(4, 3))
-        # keep every sum comfortably away from the relu kink
-        sums = shallow + deep
-        deep[np.abs(sums) < 0.2] += 0.5
-        up = rng.normal(size=(4, 3))
-        node = ResidualAddNode(post_op="activation", activation="relu")
-
-        def loss():
-            return float((node.forward(shallow, deep) * up).sum())
-
-        node.forward(shallow, deep)
-        d_shallow, d_deep = node.backward(up)
-        np.testing.assert_allclose(d_shallow, numeric_grad(loss, shallow), rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(d_deep, numeric_grad(loss, deep), rtol=1e-6, atol=1e-6)
-
-    def test_activation_batchnorm_post_op_has_bn_params(self):
-        node = ResidualAddNode(post_op="activation_batchnorm", activation="elu", width=3)
-        assert {name for name, _, _ in node.params()} == {"gamma", "beta"}
-        out = node.forward(np.random.default_rng(3).normal(size=(8, 3)),
-                           np.random.default_rng(4).normal(size=(8, 3)), train=True)
-        assert np.abs(out.mean(axis=0)).max() < 1e-6
-
     def test_shape_mismatch_names_pair(self):
-        node = ResidualAddNode(label="encode width 16 <-> decode width 8")
+        node = ResidualAddNode(slot=1, label="encode width 16 <-> decode width 8")
         with pytest.raises(ValueError, match="encode width 16"):
             node.forward(np.zeros((2, 16)), np.zeros((2, 8)))
 

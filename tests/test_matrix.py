@@ -1,74 +1,7 @@
 import numpy as np
 import pytest
 
-from resae.matrix import Rng, StandardizeStats, elementwise, matmul, standardize_fit_apply
-
-
-def triple_loop_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        out = matmul(np.eye(2), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [4.0]])
-
-    def test_direct_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        np.testing.assert_allclose(matmul(a, b), triple_loop_matmul(a, b),
-                                   rtol=0, atol=1e-12)
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_identity_associativity_exact(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 2))
-        np.testing.assert_array_equal(matmul(matmul(a, np.eye(6)), b), matmul(a, b))
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-class TestElementwise:
-    def test_add_zero_is_identity(self):
-        a = np.array([[1.0, -2.0], [0.5, 3.0]])
-        np.testing.assert_array_equal(elementwise(a, np.zeros_like(a), "add"), a)
-
-    def test_mul(self):
-        out = elementwise(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), "mul")
-        np.testing.assert_array_equal(out, [[3.0, 8.0]])
-
-    def test_self_subtraction_is_zero(self):
-        a = np.random.default_rng(1).normal(size=(3, 4))
-        np.testing.assert_array_equal(elementwise(a, a, "sub"), np.zeros((3, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            elementwise(np.zeros((2, 2)), np.zeros((2, 3)), "add")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown elementwise op"):
-            elementwise(np.zeros((2, 2)), np.zeros((2, 2)), "div")
+from resae.matrix import Rng, StandardizeStats, standardize_fit_apply
 
 
 def splitmix_oracle(seed, n):

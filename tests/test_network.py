@@ -239,6 +239,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match="serialized network"):
             Network.from_dict({"format": "something-else"})
 
+    def test_set_state_rejects_wrong_shape(self):
+        net = build_network(NetworkSpec(nfea=4, nnode=(5, 3), k=1), rng=2)
+        state = net.get_state()
+        state["L000.dense.W"] = np.zeros((1, 1))
+        with pytest.raises(ValueError, match=r"'L000.dense.W'.*\(1, 1\).*\(5, 4\)"):
+            net.set_state(state)
+
+    def test_set_state_rejects_missing_and_unknown_names(self):
+        net = build_network(NetworkSpec(nfea=4, nnode=(5, 3), k=1), rng=2)
+        before = net.get_state()
+        missing = dict(before)
+        del missing["L001.bn.running_var"]
+        with pytest.raises(ValueError, match="missing parameter 'L001.bn.running_var'"):
+            net.set_state(missing)
+        with pytest.raises(ValueError, match="L999.dense.W"):
+            net.set_state({**before, "L999.dense.W": np.zeros((5, 4))})
+        # a rejected state leaves the network untouched
+        for name, arr in net.get_state().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_from_dict_rejects_weights_of_wrong_shape(self):
+        doc = build_network(NetworkSpec(nfea=4, nnode=(5, 3), k=1), rng=2).to_dict()
+        doc["weights"]["L000.dense.W"] = {"shape": [1, 1], "data": [0.5]}
+        with pytest.raises(ValueError, match="L000.dense.W"):
+            Network.from_dict(doc)
+
 
 def test_identical_seeds_give_identical_initial_weights_across_variants():
     spec = NetworkSpec(nfea=5, nnode=(8, 4), k=1)
