@@ -1,9 +1,10 @@
 """Command-line entry points for reproducible experiment runs.
 
-Every command reads one JSON config document, fills in all defaults, and
-echoes the fully resolved config into the output directory, so a run can be
-re-executed exactly from its own artifacts.  Exit codes: 0 success, 2 usage
-or config error, 3 training failed with a non-finite loss.
+Every command reads one JSON config document, fills in all defaults, checks
+each value's JSON type without coercing it, and echoes the fully resolved
+config into the output directory, so a run can be re-executed exactly from
+its own artifacts.  Exit codes: 0 success, 2 usage or config error, 3
+training failed with a non-finite loss.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -71,19 +72,7 @@ DEFAULT_CONFIG = {
         "elu_alpha": 1.0,
         "dropout_placement": "code",
     },
-    "training": {
-        "batch_size": 100,
-        "max_epochs": 300,
-        "learning_rate": 0.001,
-        "optimizer": "adam",
-        "momentum": 0.9,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_epsilon": 1e-8,
-        "early_stop_patience": 50,
-        "seed": 1,
-        "shuffle": True,
-    },
+    "training": asdict(TrainConfig(seed=1)),   # the section is TrainConfig's fields
     "loss": {
         "reconstruction_weight": 1.0,
         "regularizer": "none",
@@ -140,88 +129,107 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               list: ((list,), "a list")}
+
+
+def _checked(value, kind: type, name: str):
+    """The config value `name` as kind, if its JSON type fits: bool takes only
+    true/false, int only integers, float any number; a boolean is never a
+    number, and null fits no kind."""
+    types, expected = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _list_of(value, kind: type, name: str) -> list:
+    return [_checked(v, kind, f"{name}[{i}]") for i, v in enumerate(_checked(value, list, name))]
+
+
+def _names(value, name: str) -> str | list[str]:
+    if isinstance(value, str):
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a string or a list of strings, "
+                          f"got {json.dumps(value)}")
+    return _list_of(value, str, name)
+
+
 def build_dataset(cfg: dict):
     d = cfg["dataset"]
     if d["source"] == "simulate":
-        return data_mod.generate_simulated(n=int(d["n"]), seed=int(d["seed"]),
-                                           noise_sd=float(d["noise_sd"]))
+        return data_mod.generate_simulated(n=_checked(d["n"], int, "dataset.n"),
+                                           seed=_checked(d["seed"], int, "dataset.seed"),
+                                           noise_sd=_checked(d["noise_sd"], float,
+                                                             "dataset.noise_sd"))
     if d["source"] == "csv":
         if not d["path"]:
             raise ConfigError("dataset.path is required for source=csv")
-        return data_mod.load_csv(d["path"], d["targets"], d["task"],
+        return data_mod.load_csv(_checked(d["path"], str, "dataset.path"),
+                                 _names(d["targets"], "dataset.targets"), d["task"],
                                  stratify_column=d["stratify_column"],
-                                 target_bins=d["target_bins"],
-                                 delimiter=d["delimiter"])
+                                 target_bins=None if d["target_bins"] is None else
+                                 _list_of(d["target_bins"], float, "dataset.target_bins"),
+                                 delimiter=_checked(d["delimiter"], str, "dataset.delimiter"))
     if d["source"] == "spatial-field":
         pair = data_mod.generate_spatial_field(
-            n=int(d["n"]), seed=int(d["seed"]),
-            correlation_length=float(d["correlation_length"]),
-            n_bumps=int(d["n_bumps"]), noise_sd=float(d["spatial_noise_sd"]))
-        return pair.with_coordinates if d["with_coordinates"] else pair.plain
+            n=_checked(d["n"], int, "dataset.n"), seed=_checked(d["seed"], int, "dataset.seed"),
+            correlation_length=_checked(d["correlation_length"], float,
+                                        "dataset.correlation_length"),
+            n_bumps=_checked(d["n_bumps"], int, "dataset.n_bumps"),
+            noise_sd=_checked(d["spatial_noise_sd"], float, "dataset.spatial_noise_sd"))
+        return (pair.with_coordinates
+                if _checked(d["with_coordinates"], bool, "dataset.with_coordinates")
+                else pair.plain)
     raise ConfigError(f"unknown dataset source {d['source']!r}")
 
 
-@contextmanager
-def _section(name: str):
-    """Report a ValueError raised while building one config section as a ConfigError."""
+def _validated(section: str, part):
+    """part, once its validate() passes; a ValueError there becomes a ConfigError."""
     try:
-        yield
+        part.validate()
     except ValueError as exc:
-        raise ConfigError(f"invalid {name} config: {exc}") from None
+        raise ConfigError(f"invalid {section} config: {exc}") from None
+    return part
 
 
 def build_spec(cfg: dict, dataset) -> NetworkSpec:
     n = cfg["network"]
     residual = n["residual"]
-    if not isinstance(residual, str):
-        residual = int(residual)
-    with _section("network"):
-        spec = make_spec(dataset, n["nnode"],
-                         acts=n["activation"],
-                         output_activation=n["output_activation"],
-                         dropout_rate=float(n["dropout_rate"]),
-                         residual=residual,
-                         residual_post_op=n["residual_post_op"],
-                         output_option=int(n["output_option"]),
-                         use_batchnorm=bool(n["batchnorm"]),
-                         elu_alpha=float(n["elu_alpha"]),
-                         dropout_placement=n["dropout_placement"])
-        spec.validate()
-    return spec
+    if residual not in ("full", "off"):
+        residual = _checked(residual, int, 'network.residual, if not "full" or "off",')
+    return _validated("network", make_spec(
+        dataset, _list_of(n["nnode"], int, "network.nnode"),
+        acts=_names(n["activation"], "network.activation"),
+        output_activation=n["output_activation"],
+        dropout_rate=_checked(n["dropout_rate"], float, "network.dropout_rate"),
+        residual=residual,
+        residual_post_op=n["residual_post_op"],
+        output_option=_checked(n["output_option"], int, "network.output_option"),
+        use_batchnorm=_checked(n["batchnorm"], bool, "network.batchnorm"),
+        elu_alpha=_checked(n["elu_alpha"], float, "network.elu_alpha"),
+        dropout_placement=n["dropout_placement"]))
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["training"]
-    with _section("training"):
-        tc = TrainConfig(batch_size=int(t["batch_size"]),
-                         max_epochs=int(t["max_epochs"]),
-                         learning_rate=float(t["learning_rate"]),
-                         optimizer=t["optimizer"],
-                         momentum=float(t["momentum"]),
-                         adam_beta1=float(t["adam_beta1"]),
-                         adam_beta2=float(t["adam_beta2"]),
-                         adam_epsilon=float(t["adam_epsilon"]),
-                         early_stop_patience=int(t["early_stop_patience"]),
-                         seed=int(t["seed"]),
-                         shuffle=bool(t["shuffle"]))
-        tc.validate()
-    return tc
+    """Each of TrainConfig's fields, read from the training section as its annotated type."""
+    return _validated("training", TrainConfig(**{
+        key: _checked(cfg["training"][key], kind, f"training.{key}")
+        for key, kind in get_type_hints(TrainConfig).items()}))
 
 
 def build_regularizer(cfg: dict) -> Regularizer:
-    reg = Regularizer(kind=cfg["loss"]["regularizer"],
-                      coefficient=float(cfg["loss"]["coefficient"]))
-    with _section("loss"):
-        reg.validate()
-    return reg
+    return _validated("loss", Regularizer(
+        kind=cfg["loss"]["regularizer"],
+        coefficient=_checked(cfg["loss"]["coefficient"], float, "loss.coefficient")))
 
 
 def build_loss(cfg: dict, dataset, spec: NetworkSpec) -> LossSpec:
-    loss = default_loss_for(dataset.task, spec.output_option,
-                            float(cfg["loss"]["reconstruction_weight"]))
-    with _section("loss"):
-        loss.validate()
-    return loss
+    return _validated("loss", default_loss_for(
+        dataset.task, spec.output_option,
+        _checked(cfg["loss"]["reconstruction_weight"], float, "loss.reconstruction_weight")))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -280,10 +288,23 @@ class _Run:
     train_cfg: TrainConfig
     regularizer: Regularizer
     loss: LossSpec
+    n_seeds: int
+    stratify: bool
 
 
 def _grid_axes(cfg: dict) -> dict:
-    axes = {k: v for k, v in cfg["grid"].items() if v}
+    """The grid axes that are set, every value checked: nnodes are lists of
+    integers, activations strings, and the other axes integers."""
+    axes = {}
+    for key, values in cfg["grid"].items():
+        if values is None or values == []:
+            continue
+        name = f"grid.{key}"
+        if key == "nnodes":
+            axes[key] = [_list_of(v, int, f"{name}[{i}]")
+                         for i, v in enumerate(_checked(values, list, name))]
+        else:
+            axes[key] = _list_of(values, str if key == "activations" else int, name)
     if not axes:
         raise ConfigError("grid config is empty: set at least one of batch_sizes, "
                           "nnodes, activations, output_options")
@@ -303,9 +324,11 @@ def _set_up(args) -> _Run:
     dataset = build_dataset(cfg)
     spec = build_spec(cfg, dataset)
     run = _Run(cfg, out, dataset, spec, build_train_config(cfg),
-               build_regularizer(cfg), build_loss(cfg, dataset, spec))
-    if args.command != "train" and int(cfg["n_seeds"]) < 1:
-        raise ConfigError(f"n_seeds must be >= 1, got {cfg['n_seeds']}")
+               build_regularizer(cfg), build_loss(cfg, dataset, spec),
+               _checked(cfg["n_seeds"], int, "n_seeds"),
+               _checked(cfg["stratify"], bool, "stratify"))
+    if args.command != "train" and run.n_seeds < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
     if args.command == "grid":
         _grid_axes(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,7 +341,7 @@ def cmd_train(args) -> int:
     cfg, out, dataset, train_cfg = run.cfg, run.out, run.dataset, run.train_cfg
     _write_json(out / "dataset.json", dataset.manifest())
 
-    split_idx = data_mod.split(dataset, seed=train_cfg.seed, stratify=cfg["stratify"])
+    split_idx = data_mod.split(dataset, seed=train_cfg.seed, stratify=run.stratify)
     parameter_count = build_network(run.spec, rng=0).count_parameters()
     try:
         model = train_model(dataset, split_idx, run.spec, train_cfg,
@@ -355,8 +378,8 @@ def cmd_sweep(args) -> int:
     run = _set_up(args)
     cfg, out = run.cfg, run.out
     sweep_args = (run.dataset, run.spec, run.train_cfg)
-    options = dict(n_seeds=int(cfg["n_seeds"]), regularizer=run.regularizer,
-                   loss=run.loss, stratify=cfg["stratify"])
+    options = dict(n_seeds=run.n_seeds, regularizer=run.regularizer,
+                   loss=run.loss, stratify=run.stratify)
     if args.command == "compare":
         result = compare(*sweep_args, **options)
         tables = {"runs.csv": result.write_runs_csv}

@@ -129,9 +129,6 @@ class Metrics:
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
-    def headline(self, task: str) -> float:
-        return getattr(self, _headline(task))
-
 
 def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) -> Metrics:
     """Score a fitted model on the given dataset rows, in original units."""

@@ -1,7 +1,11 @@
-"""Layer forward/backward passes: dense, activations, batch norm, dropout,
-and the residual addition node.
+"""Network steps: dense, activations, batch norm, dropout, and the two ends
+of an identity shortcut.
 
-Conventions: batches are (n, width) float64 matrices; each layer caches what
+Every step has one interface: forward(x, train=False, rng=None) returns its
+output, backward(upstream) returns the gradient with respect to its input,
+and summary() returns its row of a serialized network's layer list.
+
+Conventions: batches are (n, width) float64 matrices; each step caches what
 its backward pass needs during forward; backward writes parameter gradients
 into preallocated arrays so optimizer references stay valid.
 """
@@ -52,7 +56,7 @@ class Activation:
         self.alpha = float(alpha)
         self._z: Matrix | None = None
 
-    def forward(self, z: Matrix) -> Matrix:
+    def forward(self, z: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
         self._z = z
         return activation_forward(self.kind, z, self.alpha)
 
@@ -61,8 +65,8 @@ class Activation:
             raise RuntimeError("activation backward called before forward")
         return activation_backward(self.kind, self._z, upstream, self.alpha)
 
-    def params(self):
-        return []
+    def summary(self) -> dict:
+        return {"kind": "activation", "fn": self.kind, "alpha": self.alpha}
 
 
 class DenseLayer:
@@ -86,7 +90,7 @@ class DenseLayer:
         self.W[...] = rng.normal(self.n_out, self.n_in, sd=scale)
         self.b[...] = 0.0
 
-    def forward(self, x: Matrix) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"dense layer expects (n, {self.n_in}) input, got "
                              f"{x.shape}; weights are {self.W.shape}")
@@ -102,6 +106,9 @@ class DenseLayer:
 
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
+
+    def summary(self) -> dict:
+        return {"kind": "dense", "in": self.n_in, "out": self.n_out}
 
 
 class BatchNormLayer:
@@ -119,7 +126,7 @@ class BatchNormLayer:
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    def forward(self, x: Matrix, train: bool) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
         if x.shape[1] != self.width:
             raise ValueError(f"batchnorm expects width {self.width}, got {x.shape}")
         if not train:
@@ -153,6 +160,9 @@ class BatchNormLayer:
     def params(self):
         return [("gamma", self.gamma, self.dgamma), ("beta", self.beta, self.dbeta)]
 
+    def summary(self) -> dict:
+        return {"kind": "batchnorm", "width": self.width}
+
 
 class DropoutLayer:
     """Inverted dropout: train-mode masks scale by 1/(1-rate), inference is identity."""
@@ -163,7 +173,7 @@ class DropoutLayer:
         self.rate = float(rate)
         self._mask: Matrix | None = None
 
-    def forward(self, x: Matrix, train: bool, rng: Rng) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
         if not train or self.rate == 0.0:
             self._mask = None
             return x
@@ -176,29 +186,60 @@ class DropoutLayer:
             return upstream
         return upstream * self._mask
 
-    def params(self):
-        return []
+    def summary(self) -> dict:
+        return {"kind": "dropout", "rate": self.rate}
+
+
+class ShortcutSave:
+    """Encode end of an identity shortcut: keeps its input as tensor for the add step.
+
+    The add step's backward runs first and sets grad; this step's backward
+    adds the encode-path gradient in, so grad ends as the save point's total.
+    A new forward pass drops the last pass's grad.
+    """
+
+    def __init__(self, slot: int, width: int):
+        self.slot = slot
+        self.width = width
+        self.tensor: Matrix | None = None
+        self.grad: Matrix | None = None
+
+    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+        self.tensor, self.grad = x, None
+        return x
+
+    def backward(self, upstream: Matrix) -> Matrix:
+        self.grad = self.grad + upstream
+        return self.grad
+
+    def summary(self) -> dict:
+        return {"kind": "save", "slot": self.slot}
 
 
 class ResidualAddNode:
-    """Identity shortcut step: adds the tensor saved under `slot` into the current one.
+    """Decode end of an identity shortcut: adds the tensor kept by `save`.
 
-    The backward pass hands the upstream gradient to both branches unchanged.
+    Backward hands the upstream gradient to the save step and passes it on
+    down the deep branch unchanged.
     """
 
-    def __init__(self, slot: int, label: str = ""):
-        self.slot = slot
-        self.label = label or "residual add"
-        self._seen_forward = False
+    def __init__(self, save: ShortcutSave, label: str = ""):
+        self.save = save
+        self.slot = save.slot
+        self.label = label or f"shortcut slot {save.slot}"
 
-    def forward(self, shallow: Matrix, deep: Matrix) -> Matrix:
+    def forward(self, deep: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+        shallow = self.save.tensor
         if shallow.shape != deep.shape:
             raise ValueError(f"residual shortcut shape mismatch at {self.label}: "
                              f"encode side {shallow.shape} vs decode side {deep.shape}")
-        self._seen_forward = True
         return shallow + deep
 
-    def backward(self, upstream: Matrix) -> tuple[Matrix, Matrix]:
-        if not self._seen_forward:
+    def backward(self, upstream: Matrix) -> Matrix:
+        if self.save.tensor is None:
             raise RuntimeError(f"{self.label}: backward called before forward")
-        return upstream, upstream
+        self.save.grad = upstream
+        return upstream
+
+    def summary(self) -> dict:
+        return {"kind": "add", "slot": self.slot}

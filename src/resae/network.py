@@ -1,11 +1,12 @@
 """Network construction and whole-network forward/backward plumbing.
 
-A network is a flat list of steps executed in order.  Besides ordinary
-layers, two steps implement the nested shortcuts: a save marker records the
-current tensor under a slot, and a ResidualAddNode later sums the saved
-tensor into the running one.  The encoder saves the input and every
-pre-code layer; the mirrored decoder adds them back innermost-first,
-finishing with the input-level shortcut, then the output head.
+A network is a flat list of steps executed in order, each with the same
+forward/backward/summary interface.  Two steps implement each nested
+shortcut: a ShortcutSave keeps the current tensor, and a ResidualAddNode
+later sums that tensor into the running one.  The encoder saves the input
+and every pre-code layer; the mirrored decoder adds them back
+innermost-first, finishing with the input-level shortcut, then the output
+head.
 
 Shortcuts are identity maps: switching them off or truncating them removes
 only the save and add steps, never a parameterized layer, so the parameter
@@ -15,7 +16,7 @@ set of the residual and regular variants of one spec is identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .layers import (
     DenseLayer,
     DropoutLayer,
     ResidualAddNode,
+    ShortcutSave,
 )
 from .matrix import Matrix, Rng
 
@@ -100,20 +102,7 @@ class NetworkSpec:
                              f"got {self.dropout_placement!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "nfea": self.nfea,
-            "nnode": list(self.nnode),
-            "k": self.k,
-            "acts": list(self.act_list()),
-            "output_activation": self.output_activation,
-            "dropout_rate": self.dropout_rate,
-            "residual": self.residual,
-            "residual_post_op": self.residual_post_op,
-            "output_option": self.output_option,
-            "use_batchnorm": self.use_batchnorm,
-            "elu_alpha": self.elu_alpha,
-            "dropout_placement": self.dropout_placement,
-        }
+        return {**asdict(self), "nnode": list(self.nnode), "acts": list(self.act_list())}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
@@ -137,20 +126,12 @@ class NetworkSpec:
         )
 
 
-class _Save:
-    """Marker step: remember the current tensor under `slot`."""
-
-    def __init__(self, slot: int):
-        self.slot = slot
-
-
 @dataclass(frozen=True)
 class ShortcutPair:
     """One wiring-table entry; slot 0 is the outermost (input-level) pair."""
 
     slot: int
     width: int
-    save_index: int
     add_index: int
 
 
@@ -183,10 +164,12 @@ class Param:
 class Network:
     """A realized layer graph with residual wiring and per-layer state."""
 
-    def __init__(self, spec: NetworkSpec, steps: list, shortcuts: list[ShortcutPair], rng: Rng):
+    def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
         self.spec = spec
         self.steps = steps
-        self.shortcuts = shortcuts   # ordered outermost first
+        self.shortcuts = sorted(   # ordered outermost first
+            (ShortcutPair(step.slot, step.save.width, i) for i, step in enumerate(steps)
+             if isinstance(step, ResidualAddNode)), key=lambda pair: pair.slot)
         self.rng = rng
 
     # -- forward / backward -------------------------------------------------
@@ -198,22 +181,8 @@ class Network:
             raise ValueError(f"forward expects (n, {self.spec.nfea}) input, got {x.shape}")
         train = mode == "train"
         cur = x
-        saved: dict[int, Matrix] = {}
         for i, step in enumerate(self.steps):
-            if isinstance(step, _Save):
-                saved[step.slot] = cur
-            elif isinstance(step, ResidualAddNode):
-                cur = step.forward(saved[step.slot], cur)
-            elif isinstance(step, DenseLayer):
-                cur = step.forward(cur)
-            elif isinstance(step, Activation):
-                cur = step.forward(cur)
-            elif isinstance(step, BatchNormLayer):
-                cur = step.forward(cur, train=train)
-            elif isinstance(step, DropoutLayer):
-                cur = step.forward(cur, train=train, rng=self.rng)
-            else:  # pragma: no cover - builder invariant
-                raise TypeError(f"unknown step {step!r}")
+            cur = step.forward(cur, train, self.rng)
             if trace is not None:
                 trace[i] = cur
         if self.spec.output_option == 2:
@@ -225,30 +194,21 @@ class Network:
         """Backpropagate from the head; fills every parameter's grad buffer.
 
         Shortcut branches accumulate additively: the add step hands the
-        upstream gradient to both its deep branch and its saved slot, and
-        the save step merges the slot gradient back into the encode path.
+        upstream gradient to both its deep branch and its save step, and the
+        save step merges it back into the encode path.  A trace dict gets
+        the gradient with respect to each step i's input under i, and per
+        shortcut slot the gradient at the add and at the save step.
         Returns the gradient with respect to the network input.
         """
         g = head_gradient
-        slot_grads: dict[int, Matrix] = {}
         for i in range(len(self.steps) - 1, -1, -1):
-            step = self.steps[i]
-            if isinstance(step, ResidualAddNode):
-                d_shallow, d_deep = step.backward(g)
-                if trace is not None:
-                    trace[("add", step.slot)] = d_shallow
-                if step.slot in slot_grads:
-                    slot_grads[step.slot] = slot_grads[step.slot] + d_shallow
-                else:
-                    slot_grads[step.slot] = d_shallow
-                g = d_deep
-            elif isinstance(step, _Save):
-                if step.slot in slot_grads:
-                    g = g + slot_grads.pop(step.slot)
-                if trace is not None:
-                    trace[("save", step.slot)] = g
-            else:
-                g = step.backward(g)
+            g = self.steps[i].backward(g)
+            if trace is not None:
+                trace[i] = g
+        if trace is not None:
+            for pair in self.shortcuts:
+                trace[("add", pair.slot)] = trace[pair.add_index]
+                trace[("save", pair.slot)] = self.steps[pair.add_index].save.grad
         return g
 
     # -- parameters -----------------------------------------------------------
@@ -319,21 +279,7 @@ class Network:
     # -- serialization -------------------------------------------------------------
 
     def layer_summary(self) -> list[dict]:
-        rows = []
-        for step in self.steps:
-            if isinstance(step, _Save):
-                rows.append({"kind": "save", "slot": step.slot})
-            elif isinstance(step, ResidualAddNode):
-                rows.append({"kind": "add", "slot": step.slot})
-            elif isinstance(step, DenseLayer):
-                rows.append({"kind": "dense", "in": step.n_in, "out": step.n_out})
-            elif isinstance(step, Activation):
-                rows.append({"kind": "activation", "fn": step.kind, "alpha": step.alpha})
-            elif isinstance(step, BatchNormLayer):
-                rows.append({"kind": "batchnorm", "width": step.width})
-            elif isinstance(step, DropoutLayer):
-                rows.append({"kind": "dropout", "rate": step.rate})
-        return rows
+        return [step.summary() for step in self.steps]
 
     def to_dict(self) -> dict:
         state = self.get_state()
@@ -389,9 +335,7 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     n_layers = len(spec.nnode)
     keep = spec.residual_count()   # slots 0..keep-1 stay wired
     steps: list = []
-    save_pos: dict[int, int] = {}
-    add_pos: dict[int, int] = {}
-    pair_width: dict[int, int] = {0: spec.nfea}
+    saves: list[ShortcutSave] = []   # indexed by slot
 
     def dense_block(n_in: int, n_out: int, act: str) -> None:
         layer = DenseLayer(n_in, n_out)
@@ -408,9 +352,18 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
         if spec.residual_post_op == "activation_batchnorm":
             steps.append(BatchNormLayer(width))
 
-    if keep > 0:
-        save_pos[0] = len(steps)
-        steps.append(_Save(0))
+    def save(width: int) -> None:
+        if len(saves) < keep:
+            saves.append(ShortcutSave(len(saves), width))
+            steps.append(saves[-1])
+
+    def add(slot: int, width: int) -> None:
+        if slot < keep:
+            steps.append(ResidualAddNode(saves[slot], label=(
+                f"shortcut slot {slot} (encode width {saves[slot].width} "
+                f"<-> decode width {width})")))
+
+    save(spec.nfea)
 
     # encoder
     width = spec.nfea
@@ -418,11 +371,7 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
         dense_block(width, w, acts[i])
         width = w
         if i < n_layers - 1:
-            slot = i + 1
-            pair_width[slot] = w
-            if slot < keep:
-                save_pos[slot] = len(steps)
-                steps.append(_Save(slot))
+            save(w)
             if spec.dropout_placement == "all" and spec.dropout_rate > 0.0:
                 steps.append(DropoutLayer(spec.dropout_rate))
         else:
@@ -434,22 +383,14 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     for j in range(n_layers - 2, -1, -1):
         dense_block(width, spec.nnode[j], acts[j])
         width = spec.nnode[j]
-        slot = j + 1
-        if slot < keep:
-            add_pos[slot] = len(steps)
-            steps.append(ResidualAddNode(
-                slot, label=f"shortcut slot {slot} (encode width {pair_width[slot]} "
-                            f"<-> decode width {width})"))
+        add(j + 1, width)
         post_op(acts[j], width)
         if spec.dropout_placement == "all" and spec.dropout_rate > 0.0:
             steps.append(DropoutLayer(spec.dropout_rate))
 
     # final decode layer back to the input width, then the input-level shortcut
     dense_block(width, spec.nfea, acts[0])
-    if keep > 0:
-        add_pos[0] = len(steps)
-        steps.append(ResidualAddNode(
-            0, label=f"shortcut slot 0 (input width {spec.nfea} <-> decode width {spec.nfea})"))
+    add(0, spec.nfea)
     post_op(acts[0], spec.nfea)
 
     # output head
@@ -458,14 +399,7 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     head.init_weights(rng, spec.output_activation)
     steps.append(head)
     steps.append(Activation(spec.output_activation, spec.elu_alpha))
-
-    shortcuts = [ShortcutPair(slot=s, width=pair_width[s],
-                              save_index=save_pos[s], add_index=add_pos[s])
-                 for s in sorted(save_pos)]
-    if sorted(save_pos) != sorted(add_pos) or len(shortcuts) != keep:
-        raise RuntimeError(f"builder wiring bookkeeping failed: saves {sorted(save_pos)}, "
-                           f"adds {sorted(add_pos)}, expected {keep} pairs")
-    return Network(spec, steps, shortcuts, rng)
+    return Network(spec, steps, rng)
 
 
 def build_residual_network(spec: NetworkSpec, rng: Rng | int) -> Network:

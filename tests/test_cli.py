@@ -190,3 +190,23 @@ class TestConfigErrors:
         cfg = tiny_train_config(tmp_path, n_seeds=0)
         assert main(["sensitivity", "--config", str(cfg)]) == 2
         assert not (tmp_path / "run" / "config.json").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("train", {"training": {"shuffle": "false"}}, "training.shuffle"),
+        ("train", {"training": {"batch_size": 32.9}}, "training.batch_size"),
+        ("train", {"training": {"seed": True}}, "training.seed"),
+        ("train", {"network": {"batchnorm": "no"}}, "network.batchnorm"),
+        ("train", {"network": {"output_option": 1.7}}, "network.output_option"),
+        ("train", {"network": {"nnode": [8.9, 4]}}, "network.nnode[0]"),
+        ("train", {"network": {"residual": 1.5}}, "network.residual"),
+        ("train", {"network": {"activation": None}}, "network.activation"),
+        ("train", {"dataset": {"n": None}}, "dataset.n"),
+        ("grid", {"grid": {"batch_sizes": [None]}, "n_seeds": 1}, "grid.batch_sizes[0]"),
+        ("grid", {"grid": {"nnodes": [[8, 4.5]]}, "n_seeds": 1}, "grid.nnodes[0][1]"),
+    ])
+    def test_wrong_json_type_exits_2_naming_key(self, tmp_path, capsys, command, override, key):
+        cfg = tiny_train_config(tmp_path, **override)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and " must be " in err
+        assert not (tmp_path / "run" / "config.json").exists()

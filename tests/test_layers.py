@@ -9,10 +9,12 @@ from resae.layers import (
     DenseLayer,
     DropoutLayer,
     ResidualAddNode,
+    ShortcutSave,
     activation_backward,
     activation_forward,
 )
 from resae.matrix import Rng
+from resae.network import NetworkSpec, build_network
 
 
 def numeric_grad(fn, x, h=1e-5):
@@ -261,35 +263,84 @@ class TestDropout:
             DropoutLayer(1.0)
 
 
+def shortcut(width, shallow, label=""):
+    """A save step that has kept `shallow`, and the add step paired with it."""
+    save = ShortcutSave(slot=0, width=width)
+    save.forward(shallow)
+    return save, ResidualAddNode(save, label=label)
+
+
 class TestResidualAdd:
     def test_zero_deep_branch_is_identity(self):
-        node = ResidualAddNode(slot=0)
         x = np.random.default_rng(0).normal(size=(3, 4))
-        np.testing.assert_array_equal(node.forward(x, np.zeros((3, 4))), x)
+        _, node = shortcut(4, x)
+        np.testing.assert_array_equal(node.forward(np.zeros((3, 4))), x)
 
     def test_direct_sum(self):
-        node = ResidualAddNode(slot=0)
-        out = node.forward(np.array([[1.0, 2.0]]), np.array([[0.5, -0.5]]))
+        _, node = shortcut(2, np.array([[1.0, 2.0]]))
+        out = node.forward(np.array([[0.5, -0.5]]))
         np.testing.assert_array_equal(out, [[1.5, 1.5]])
 
     def test_backward_none_is_bit_identical_passthrough(self):
-        node = ResidualAddNode(slot=0)
-        node.forward(np.ones((2, 3)), np.ones((2, 3)))
+        save, node = shortcut(3, np.ones((2, 3)))
+        node.forward(np.ones((2, 3)))
         g = np.random.default_rng(1).normal(size=(2, 3))
-        d_shallow, d_deep = node.backward(g)
-        assert d_shallow is g and d_deep is g
+        assert node.backward(g) is g
+        assert save.grad is g
 
     def test_backward_zero_upstream(self):
-        node = ResidualAddNode(slot=0)
-        node.forward(np.ones((2, 2)), np.ones((2, 2)))
-        d_shallow, d_deep = node.backward(np.zeros((2, 2)))
-        np.testing.assert_array_equal(d_shallow, np.zeros((2, 2)))
+        save, node = shortcut(2, np.ones((2, 2)))
+        node.forward(np.ones((2, 2)))
+        d_deep = node.backward(np.zeros((2, 2)))
+        d_shallow = save.backward(np.zeros((2, 2)))
         np.testing.assert_array_equal(d_deep, np.zeros((2, 2)))
+        np.testing.assert_array_equal(d_shallow, np.zeros((2, 2)))
 
     def test_shape_mismatch_names_pair(self):
-        node = ResidualAddNode(slot=1, label="encode width 16 <-> decode width 8")
+        _, node = shortcut(16, np.zeros((2, 16)), label="encode width 16 <-> decode width 8")
         with pytest.raises(ValueError, match="encode width 16"):
-            node.forward(np.zeros((2, 16)), np.zeros((2, 8)))
+            node.forward(np.zeros((2, 8)))
+
+
+def _dense(n_in, n_out):
+    return {"kind": "dense", "in": n_in, "out": n_out}
+
+
+def _act(fn="elu"):
+    return {"kind": "activation", "fn": fn, "alpha": 1.0}
+
+
+def _bn(width):
+    return {"kind": "batchnorm", "width": width}
+
+
+def _save(slot):
+    return {"kind": "save", "slot": slot}
+
+
+def _add(slot):
+    return {"kind": "add", "slot": slot}
+
+
+# nfea 3, nnode (4, 2), dropout 0.25 at the code layer, default post-op
+# (activation + batch norm after each shortcut addition), every shortcut on
+FULL_ROWS = [
+    _save(0), _dense(3, 4), _act(), _bn(4),
+    _save(1), _dense(4, 2), _act(), _bn(2), {"kind": "dropout", "rate": 0.25},
+    _dense(2, 4), _act(), _bn(4), _add(1), _act(), _bn(4),
+    _dense(4, 3), _act(), _bn(3), _add(0), _act(), _bn(3),
+    _dense(3, 1), _act("linear"),
+]
+
+
+@pytest.mark.parametrize("residual, rows", [
+    ("full", FULL_ROWS),
+    (1, [r for r in FULL_ROWS if r not in (_save(1), _add(1))]),
+    ("off", [r for r in FULL_ROWS if r["kind"] not in ("save", "add")]),
+])
+def test_layer_summary_rows_at_each_residual_setting(residual, rows):
+    spec = NetworkSpec(nfea=3, nnode=(4, 2), k=1, dropout_rate=0.25, residual=residual)
+    assert build_network(spec, rng=0).layer_summary() == rows
 
 
 def test_activation_layer_caches_preactivation():
