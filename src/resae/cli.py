@@ -25,9 +25,10 @@ from .evaluation import (
     compare,
     evaluate_model,
     grid_search,
+    grid_variants,
     residual_sensitivity,
 )
-from .network import NetworkSpec, build_network
+from .network import NetworkSpec, build_network, checked_json, checked_json_list
 from .training import (
     LossSpec,
     Regularizer,
@@ -129,23 +130,16 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string"),
-               list: ((list,), "a list")}
-
-
-def _checked(value, kind: type, name: str):
-    """The config value `name` as kind, if its JSON type fits: bool takes only
-    true/false, int only integers, float any number; a boolean is never a
-    number, and null fits no kind."""
-    types, expected = _JSON_KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
-    return kind(value)
+def _checked(value, kind: type, name: str, check=checked_json):
+    """The config value `name` as kind, if its JSON type fits (see checked_json)."""
+    try:
+        return check(value, kind, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _list_of(value, kind: type, name: str) -> list:
-    return [_checked(v, kind, f"{name}[{i}]") for i, v in enumerate(_checked(value, list, name))]
+    return _checked(value, kind, name, checked_json_list)
 
 
 def _names(value, name: str) -> str | list[str]:
@@ -290,6 +284,7 @@ class _Run:
     loss: LossSpec
     n_seeds: int
     stratify: bool
+    grid_axes: dict | None = None    # the grid command's checked axes
 
 
 def _grid_axes(cfg: dict) -> dict:
@@ -330,7 +325,11 @@ def _set_up(args) -> _Run:
     if args.command != "train" and run.n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
     if args.command == "grid":
-        _grid_axes(cfg)
+        run.grid_axes = _grid_axes(cfg)
+        try:   # every cell's spec and train config, each value named on error
+            grid_variants(spec, run.train_cfg, run.grid_axes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
     return run
@@ -385,10 +384,9 @@ def cmd_sweep(args) -> int:
         tables = {"runs.csv": result.write_runs_csv}
         done = f"comparison artifacts in {out}"
     elif args.command == "grid":
-        axes = _grid_axes(cfg)
-        result = grid_search(*sweep_args, axes, **options)
+        result = grid_search(*sweep_args, run.grid_axes, **options)
         tables = {"grid.csv": result.write_cells_csv}
-        if set(axes) == {"batch_sizes"}:
+        if set(run.grid_axes) == {"batch_sizes"}:
             tables["curve.csv"] = result.write_curve_csv
         done = f"grid artifacts in {out}; best cell: {result.best().label}"
     else:

@@ -136,6 +136,8 @@ def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[s
     middle class, 10 still does, 11 in the last.
     """
     bounds = [float(b) for b in upper_bounds]
+    if not bounds:
+        raise ValueError("target_bins must be non-empty: give at least one class bound")
     if sorted(bounds) != bounds:
         raise ValueError(f"bin bounds must be increasing, got {upper_bounds}")
     classes = np.zeros(len(values), dtype=np.int64)

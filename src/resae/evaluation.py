@@ -352,6 +352,42 @@ class GridResult:
         _write_csv(path, ["batch_size", "mean_val_metric"], self.batch_size_curve())
 
 
+GRID_AXES = ("nnodes", "activations", "output_options", "batch_sizes")   # product order
+
+
+def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
+                  grid: dict) -> tuple[dict, list[tuple[str, NetworkSpec, TrainConfig]]]:
+    """The grid's axes, missing ones filled from the template, and one
+    validated (label, spec, cfg) variant per cell in product order.
+
+    An invalid cell raises a ValueError naming the grid values it was built
+    from, e.g. "grid.batch_sizes[0]: batch_size must be >= 1".
+    """
+    axes = {
+        "batch_sizes": [int(b) for b in grid.get("batch_sizes", [cfg.batch_size])],
+        "nnodes": [tuple(int(w) for w in nn) for nn in grid.get("nnodes", [spec.nnode])],
+        "activations": list(grid.get("activations", [spec.acts])),
+        "output_options": [int(o) for o in grid.get("output_options", [spec.output_option])],
+    }
+    if any(len(v) == 0 for v in axes.values()):
+        raise ValueError("grid axes must be non-empty")
+    variants = []
+    for index in product(*(range(len(axes[key])) for key in GRID_AXES)):
+        nnode, act, option, batch = (axes[key][i] for key, i in zip(GRID_AXES, index))
+        cell_spec = replace(spec, nnode=nnode, acts=act, output_option=option)
+        cell_cfg = replace(cfg, batch_size=batch)
+        try:
+            cell_spec.validate()
+            cell_cfg.validate()
+        except ValueError as exc:
+            where = ", ".join(f"grid.{key}[{i}]" for key, i in zip(GRID_AXES, index)
+                              if key in grid)
+            raise ValueError(f"{where or 'grid template'}: {exc}") from None
+        variants.append((f"nnode={list(nnode)} act={act} out{option} batch={batch}",
+                         cell_spec, cell_cfg))
+    return axes, variants
+
+
 def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
                 grid: dict, n_seeds: int = 3,
                 regularizer: Regularizer | None = None,
@@ -364,20 +400,7 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     parameter count first, then the smaller batch size.  Splits and seeds
     are shared across cells.
     """
-    axes = {
-        "batch_sizes": [int(b) for b in grid.get("batch_sizes", [cfg.batch_size])],
-        "nnodes": [tuple(int(w) for w in nn) for nn in grid.get("nnodes", [spec.nnode])],
-        "activations": list(grid.get("activations", [spec.acts])),
-        "output_options": [int(o) for o in grid.get("output_options", [spec.output_option])],
-    }
-    if any(len(v) == 0 for v in axes.values()):
-        raise ValueError("grid axes must be non-empty")
-    variants = [(f"nnode={list(nnode)} act={act} out{option} batch={batch}",
-                 replace(spec, nnode=nnode, acts=act, output_option=option),
-                 replace(cfg, batch_size=batch))
-                for nnode, act, option, batch in product(
-                    axes["nnodes"], axes["activations"], axes["output_options"],
-                    axes["batch_sizes"])]
+    axes, variants = grid_variants(spec, cfg, grid)
     sweep = _sweep(dataset, variants, _seeds(cfg, n_seeds), regularizer, loss, stratify)
     metric = _headline(dataset.task)
     cells = [GridCell(label=label, spec=cell_spec, batch_size=cell_cfg.batch_size,

@@ -7,7 +7,10 @@ and summary() returns its row of a serialized network's layer list.
 
 Conventions: batches are (n, width) float64 matrices; each step caches what
 its backward pass needs during forward; backward writes parameter gradients
-into preallocated arrays so optimizer references stay valid.
+into preallocated arrays so optimizer references stay valid.  A layer's
+params() lists (name, value, grad) for each trainable array, and the gradient
+buffer of attribute X is attribute dX; a Network rebinds both to views of its
+one flat parameter vector.
 """
 
 from __future__ import annotations
@@ -135,27 +138,41 @@ class BatchNormLayer:
         if x.shape[0] < 2:
             raise ValueError(f"batchnorm needs a batch of at least 2 rows in "
                              f"train mode, got {x.shape[0]}")
-        mean = x.mean(axis=0, keepdims=True)
-        var = x.var(axis=0, keepdims=True)  # population variance
+        # np.mean/np.var's own arithmetic, without their wrappers: column sums
+        # divided by n, then the centred batch squared, summed and divided by n
+        n = x.shape[0]
+        mean = np.add.reduce(x, axis=0, keepdims=True) / n
+        xhat = x - mean
+        var = np.add.reduce(xhat * xhat, axis=0, keepdims=True) / n  # population variance
         self.running_mean[...] = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
         self.running_var[...] = self.momentum * self.running_var + (1.0 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (x - mean) * inv
+        xhat *= inv
         self._cache = (xhat, inv)
-        return self.gamma * xhat + self.beta
+        out = self.gamma * xhat
+        out += self.beta
+        return out
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._cache is None:
             raise RuntimeError("batchnorm backward called before a train-mode forward")
         xhat, inv = self._cache
         n = xhat.shape[0]
-        self.dgamma[...] = (upstream * xhat).sum(axis=0, keepdims=True)
-        self.dbeta[...] = upstream.sum(axis=0, keepdims=True)
+        t = upstream * xhat
+        np.add.reduce(t, axis=0, keepdims=True, out=self.dgamma)
+        np.add.reduce(upstream, axis=0, keepdims=True, out=self.dbeta)
         dxhat = upstream * self.gamma
-        # exact gradient of the train-mode forward (mean and var both depend on x)
-        return (inv / n) * (n * dxhat
-                            - dxhat.sum(axis=0, keepdims=True)
-                            - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+        # exact gradient of the train-mode forward (mean and var both depend on x):
+        # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # evaluated left to right in the buffers t and dxhat
+        col_sum = np.add.reduce(dxhat, axis=0, keepdims=True)
+        np.multiply(dxhat, xhat, out=t)
+        np.multiply(xhat, np.add.reduce(t, axis=0, keepdims=True), out=t)
+        dxhat *= n
+        dxhat -= col_sum
+        dxhat -= t
+        dxhat *= inv / n
+        return dxhat
 
     def params(self):
         return [("gamma", self.gamma, self.dgamma), ("beta", self.beta, self.dbeta)]

@@ -16,7 +16,8 @@ set of the residual and regular variants of one spec is identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,6 +33,25 @@ from .layers import (
 from .matrix import Matrix, Rng
 
 RESIDUAL_POST_OPS = ("none", "activation", "activation_batchnorm")
+
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               list: ((list,), "a list")}
+
+
+def checked_json(value, kind: type, name: str):
+    """value as kind, if its JSON type fits: bool takes only true/false, int
+    only integers, float any number; a boolean is never a number, and null
+    fits no kind.  Otherwise a ValueError names `name`."""
+    types, expected = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {expected}, got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def checked_json_list(value, kind: type, name: str) -> list:
+    return [checked_json(v, kind, f"{name}[{i}]")
+            for i, v in enumerate(checked_json(value, list, name))]
 
 
 @dataclass(frozen=True)
@@ -106,24 +126,31 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        residual = d.get("residual", "full")
-        if not isinstance(residual, str):
-            residual = int(residual)
-        acts = d.get("acts", "elu")
-        return cls(
-            nfea=int(d["nfea"]),
-            nnode=tuple(int(w) for w in d["nnode"]),
-            k=int(d["k"]),
-            acts=acts if isinstance(acts, str) else tuple(acts),
-            output_activation=d.get("output_activation", "linear"),
-            dropout_rate=float(d.get("dropout_rate", 0.1)),
-            residual=residual,
-            residual_post_op=d.get("residual_post_op", "activation_batchnorm"),
-            output_option=int(d.get("output_option", 1)),
-            use_batchnorm=bool(d.get("use_batchnorm", True)),
-            elu_alpha=float(d.get("elu_alpha", 1.0)),
-            dropout_placement=d.get("dropout_placement", "code"),
-        )
+        """Inverse of to_dict.  Each field's JSON type is checked, never
+        coerced, and a ValueError names the field; fields other than nfea,
+        nnode and k take their defaults when absent."""
+        missing = [key for key in ("nfea", "nnode", "k") if key not in d]
+        if missing:
+            raise ValueError(f"spec is missing fields {missing}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"spec has unknown fields {unknown}")
+        values = {}
+        for key, kind in get_type_hints(cls).items():
+            if key not in d:
+                continue
+            value, name = d[key], f"spec.{key}"
+            if key == "nnode":
+                values[key] = tuple(checked_json_list(value, int, name))
+            elif key == "acts":
+                values[key] = (value if isinstance(value, str)
+                               else tuple(checked_json_list(value, str, name)))
+            elif key == "residual":
+                values[key] = (value if value in ("full", "off") else
+                               checked_json(value, int, f'{name}, if not "full" or "off",'))
+            else:
+                values[key] = checked_json(value, kind, name)
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -162,7 +189,12 @@ class Param:
 
 
 class Network:
-    """A realized layer graph with residual wiring and per-layer state."""
+    """A realized layer graph with residual wiring and per-layer state.
+
+    Every trainable array and its gradient buffer is a view into one flat
+    vector, flat.value and flat.grad, laid out in parameters() order, so an
+    optimizer can step the whole network in one call.
+    """
 
     def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
         self.spec = spec
@@ -171,6 +203,24 @@ class Network:
             (ShortcutPair(step.slot, step.save.width, i) for i, step in enumerate(steps)
              if isinstance(step, ResidualAddNode)), key=lambda pair: pair.slot)
         self.rng = rng
+        self.flat = self._pack()
+
+    def _pack(self) -> Param:
+        """Copy each layer's arrays into the flat vectors and rebind each
+        attribute X and its gradient buffer dX to views of them."""
+        arrays = [(layer, name, value) for _, layer in self._named_stateful()
+                  for name, value, _ in layer.params()]
+        size = sum(value.size for _, _, value in arrays)
+        flat = Param("flat", np.empty(size), np.zeros(size))
+        offset = 0
+        for layer, name, value in arrays:
+            end = offset + value.size
+            view = flat.value[offset:end].reshape(value.shape)
+            view[...] = value
+            setattr(layer, name, view)
+            setattr(layer, "d" + name, flat.grad[offset:end].reshape(value.shape))
+            offset = end
+        return flat
 
     # -- forward / backward -------------------------------------------------
 

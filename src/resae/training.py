@@ -269,8 +269,10 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
             net.backward(head_grad)
-            regularizer.add_gradients(params)
-            optimizer.step(params, cfg.learning_rate)
+            # both updates are elementwise, so one call on the flat vector
+            # gives the same bits as one call per array
+            regularizer.add_gradients([net.flat])
+            optimizer.step([net.flat], cfg.learning_rate)
             epoch_losses.append(value)
 
         val_preds = net.forward(x_val, "infer")
@@ -434,28 +436,21 @@ def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
     _, head_grad = loss_and_head_gradient(loss, preds, targets, inputs=x,
                                           regularizer=regularizer, params=params)
     net.backward(head_grad)
-    regularizer.add_gradients(params)
-    analytic = [p.grad.copy() for p in params]
+    regularizer.add_gradients([net.flat])
+    analytic = net.flat.grad.copy()
 
-    sizes = [p.size for p in params]
-    total = sum(sizes)
-    pick = Rng(seed)
-    chosen = pick.subset(total, min(n_sample, total))
-    bounds = np.cumsum([0] + sizes)
-
+    values = net.flat.value      # every parameter entry, in parameters() order
+    chosen = Rng(seed).subset(values.size, min(n_sample, values.size))
     worst = 0.0
-    for flat_index in chosen:
-        pi = int(np.searchsorted(bounds, flat_index, side="right") - 1)
-        offset = int(flat_index - bounds[pi])
-        flat = params[pi].value.reshape(-1)
-        original = flat[offset]
-        flat[offset] = original + eps
+    for i in chosen:
+        original = values[i]
+        values[i] = original + eps
         up = evaluate()
-        flat[offset] = original - eps
+        values[i] = original - eps
         down = evaluate()
-        flat[offset] = original
+        values[i] = original
         numeric = (up - down) / (2.0 * eps)
-        a = analytic[pi].reshape(-1)[offset]
+        a = analytic[i]
         scale = max(abs(a), abs(numeric), 1e-6)
         worst = max(worst, abs(a - numeric) / scale)
 

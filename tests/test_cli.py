@@ -124,6 +124,16 @@ class TestTrain:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_empty_target_bins_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,y\n" + "".join(f"{i},{i % 7}\n" for i in range(40)))
+        cfg = tiny_train_config(tmp_path, dataset={
+            "source": "csv", "path": str(data), "targets": ["y"],
+            "task": "classification", "target_bins": []})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "target_bins must be non-empty" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "config.json").exists()
+
 
 class TestCompareCommand:
     def test_report_with_paired_runs(self, tmp_path):
@@ -158,6 +168,18 @@ class TestGridCommand:
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
         assert main(["grid", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"batch_sizes": [16, 0]}, "grid.batch_sizes[1]"),
+        ({"output_options": [3]}, "grid.output_options[0]"),
+        ({"activations": ["elu", "sigmoid"]}, "grid.activations[1]"),
+        ({"nnodes": [[8, 0]]}, "grid.nnodes[0]"),
+    ])
+    def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys, grid, key):
+        cfg = tiny_train_config(tmp_path, n_seeds=1, grid=grid)
+        assert main(["grid", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "run" / "config.json").exists()
 
 
 class TestSensitivityCommand:

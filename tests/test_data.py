@@ -154,6 +154,10 @@ class TestBinToClasses:
         with pytest.raises(ValueError):
             bin_to_classes(np.array([1.0]), [10, 8])
 
+    def test_empty_bounds_rejected(self):
+        with pytest.raises(ValueError, match="target_bins must be non-empty"):
+            bin_to_classes(np.array([1.0]), [])
+
 
 class TestSplit:
     def test_exact_proportions_at_100(self):

@@ -231,6 +231,45 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.dbeta, numeric_grad(loss, bn.beta), rtol=1e-5, atol=1e-5)
 
 
+def batchnorm_reference(bn, x, upstream):
+    """Train-mode forward and backward written with np.mean/np.var and .sum,
+    for bit-for-bit comparison with the layer."""
+    mean = x.mean(axis=0, keepdims=True)
+    var = x.var(axis=0, keepdims=True)
+    running_mean = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
+    running_var = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
+    inv = 1.0 / np.sqrt(var + bn.epsilon)
+    xhat = (x - mean) * inv
+    out = bn.gamma * xhat + bn.beta
+    n = x.shape[0]
+    dgamma = (upstream * xhat).sum(axis=0, keepdims=True)
+    dbeta = upstream.sum(axis=0, keepdims=True)
+    dxhat = upstream * bn.gamma
+    dx = (inv / n) * (n * dxhat
+                      - dxhat.sum(axis=0, keepdims=True)
+                      - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+    return out, running_mean, running_var, dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("batch", [2, 100, 1000])
+@pytest.mark.parametrize("width", [1, 4, 256])
+def test_batchnorm_is_bit_identical_to_mean_var_reference(batch, width):
+    rng = np.random.default_rng(batch * 1000 + width)
+    bn = BatchNormLayer(width)
+    bn.gamma[...] = rng.normal(size=(1, width))
+    bn.beta[...] = rng.normal(size=(1, width))
+    bn.running_mean[...] = rng.normal(size=(1, width))
+    bn.running_var[...] = rng.uniform(0.5, 2.0, size=(1, width))
+    x = rng.normal(loc=3.0, scale=2.5, size=(batch, width))
+    upstream = rng.normal(size=(batch, width))
+    expected = batchnorm_reference(bn, x, upstream)
+    out = bn.forward(x, train=True)
+    dx = bn.backward(upstream)
+    for got, want in zip((out, bn.running_mean, bn.running_var, dx, bn.dgamma, bn.dbeta),
+                         expected):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestDropout:
     def test_infer_is_identity(self):
         layer = DropoutLayer(0.4)

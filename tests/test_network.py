@@ -265,6 +265,79 @@ class TestSerialization:
         with pytest.raises(ValueError, match="L000.dense.W"):
             Network.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("use_batchnorm", "false", "spec.use_batchnorm must be true or false"),
+        ("use_batchnorm", 0, "spec.use_batchnorm must be true or false"),
+        ("nfea", 4.0, "spec.nfea must be an integer"),
+        ("k", True, "spec.k must be an integer"),
+        ("nnode", [5, "3"], r"spec.nnode\[1\] must be an integer"),
+        ("nnode", 5, "spec.nnode must be a list"),
+        ("acts", ["elu", None], r"spec.acts\[1\] must be a string"),
+        ("dropout_rate", "0.1", "spec.dropout_rate must be a number"),
+        ("residual", "2", "spec.residual, if not \"full\" or \"off\", must be an integer"),
+        ("residual", 1.0, "spec.residual, if not \"full\" or \"off\", must be an integer"),
+        ("output_option", None, "spec.output_option must be an integer"),
+        ("dropout_placement", ["all"], "spec.dropout_placement must be a string"),
+    ])
+    def test_from_dict_rejects_hand_edited_spec_types(self, field, value, message):
+        doc = json.loads(json.dumps(
+            build_network(NetworkSpec(nfea=4, nnode=(5, 3), k=1), rng=2).to_dict()))
+        doc["spec"][field] = value
+        with pytest.raises(ValueError, match=message):
+            Network.from_dict(doc)
+
+    def test_spec_from_dict_reports_missing_and_unknown_fields(self):
+        d = NetworkSpec(nfea=4, nnode=(5, 3), k=1).to_dict()
+        assert NetworkSpec.from_dict(d) == NetworkSpec(nfea=4, nnode=(5, 3), k=1,
+                                                       acts=("elu", "elu"))
+        assert NetworkSpec.from_dict({"nfea": 4, "nnode": [5], "k": 1}) == \
+            NetworkSpec(nfea=4, nnode=(5,), k=1)
+        del d["k"]
+        with pytest.raises(ValueError, match=r"missing fields \['k'\]"):
+            NetworkSpec.from_dict(d)
+        with pytest.raises(ValueError, match=r"unknown fields \['use_batchnrom'\]"):
+            NetworkSpec.from_dict({**d, "k": 1, "use_batchnrom": False})
+
+
+def _assert_params_view_flat(net):
+    flat = net.flat
+    offset = 0
+    for p in net.parameters():
+        assert np.shares_memory(p.value, flat.value) and np.shares_memory(p.grad, flat.grad)
+        np.testing.assert_array_equal(p.value.ravel(), flat.value[offset:offset + p.size])
+        offset += p.size
+    assert offset == flat.value.size == flat.grad.size == net.count_parameters()
+
+
+class TestFlatParameters:
+    spec = NetworkSpec(nfea=5, nnode=(8, 4), k=2)
+
+    def test_build_network_packs_every_parameter(self):
+        _assert_params_view_flat(build_network(self.spec, rng=1))
+
+    def test_from_dict_truncate_and_set_state_keep_the_views(self):
+        net = build_network(self.spec, rng=1)
+        net.forward(np.random.default_rng(0).normal(size=(6, 5)), "train")
+        loaded = Network.from_dict(json.loads(json.dumps(net.to_dict())))
+        _assert_params_view_flat(loaded)
+        np.testing.assert_array_equal(loaded.flat.value, net.flat.value)
+        cut = net.truncate_residuals(1)
+        _assert_params_view_flat(cut)
+        np.testing.assert_array_equal(cut.flat.value, net.flat.value)
+        other = build_network(self.spec, rng=2)
+        other.set_state(net.get_state())
+        _assert_params_view_flat(other)
+        np.testing.assert_array_equal(other.flat.value, net.flat.value)
+
+    def test_backward_fills_the_flat_gradient(self):
+        net = build_network(self.spec, rng=3)
+        x = np.random.default_rng(4).normal(size=(6, 5))
+        preds = net.forward(x, "train")
+        net.backward(np.ones_like(preds.head))
+        assert np.abs(net.flat.grad).sum() > 0.0
+        np.testing.assert_array_equal(
+            net.flat.grad, np.concatenate([p.grad.ravel() for p in net.parameters()]))
+
 
 def test_identical_seeds_give_identical_initial_weights_across_variants():
     spec = NetworkSpec(nfea=5, nnode=(8, 4), k=1)

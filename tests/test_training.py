@@ -209,6 +209,26 @@ class TestOptimizers:
         assert p.value[0, 0] == pytest.approx(w, rel=1e-12)
 
 
+@pytest.mark.parametrize("make_optimizer", [Adam, lambda: SgdMomentum(0.9)],
+                         ids=["adam", "sgd"])
+def test_flat_step_is_bit_identical_to_per_array_steps(make_optimizer):
+    from resae.network import Network
+    spec = NetworkSpec(nfea=5, nnode=(8, 4), k=2, dropout_placement="all")
+    net = build_network(spec, rng=6)
+    clone = Network.from_dict(net.to_dict())
+    flat_opt, per_array_opt = make_optimizer(), make_optimizer()
+    rng = np.random.default_rng(7)
+    for _ in range(2):    # the second step exercises momentum and Adam's bias correction
+        preds = net.forward(rng.normal(size=(10, 5)), "train")
+        net.backward(rng.normal(size=preds.head.shape))
+        for p, q in zip(net.parameters(), clone.parameters()):
+            q.grad[...] = p.grad
+        flat_opt.step([net.flat], lr=0.01)
+        per_array_opt.step(clone.parameters(), lr=0.01)
+        for p, q in zip(net.parameters(), clone.parameters()):
+            np.testing.assert_array_equal(p.value, q.value)
+
+
 def tiny_linear_dataset(n=160, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
