@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -21,28 +21,32 @@ import numpy as np
 
 from . import data as data_mod
 from .evaluation import (
+    GRID_AXES,
     NRMSE_DEFINITION,
     compare,
-    evaluate_model,
     grid_search,
     grid_variants,
     residual_sensitivity,
+    train_and_score,
 )
-from .network import NetworkSpec, build_network, checked_json, checked_json_list
+from .matrix import checked_json, checked_json_list, checked_names
+from .network import NetworkSpec
 from .training import (
     LossSpec,
     Regularizer,
     TrainConfig,
     TrainingDiverged,
+    dataset_dims,
     default_loss_for,
-    make_spec,
-    train_model,
 )
 
 
 class ConfigError(ValueError):
     pass
 
+
+# NetworkSpec field -> network-section key, for the two whose names differ
+NETWORK_KEYS = {"acts": "activation", "use_batchnorm": "batchnorm"}
 
 DEFAULT_CONFIG = {
     "dataset": {
@@ -61,17 +65,10 @@ DEFAULT_CONFIG = {
         "spatial_noise_sd": 0.5,
         "with_coordinates": True,
     },
-    "network": {
+    "network": {   # nnode, then NetworkSpec's own defaults; nfea and k come from the data
         "nnode": [32, 16, 8, 4],
-        "activation": "elu",
-        "output_activation": "linear",
-        "dropout_rate": 0.1,
-        "residual": "full",
-        "residual_post_op": "activation_batchnorm",
-        "output_option": 1,
-        "batchnorm": True,
-        "elu_alpha": 1.0,
-        "dropout_placement": "code",
+        **{NETWORK_KEYS.get(f.name, f.name): f.default
+           for f in fields(NetworkSpec) if f.default is not MISSING},
     },
     "training": asdict(TrainConfig(seed=1)),   # the section is TrainConfig's fields
     "loss": {
@@ -81,23 +78,19 @@ DEFAULT_CONFIG = {
     },
     "n_seeds": 5,
     "stratify": False,
-    "grid": {
-        "batch_sizes": None,
-        "nnodes": None,
-        "activations": None,
-        "output_options": None,
-    },
+    "grid": dict.fromkeys(GRID_AXES),   # every axis unset
     "out_dir": "runs/out",
 }
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
+    """defaults with override's values; a default JSON object takes only an object."""
     out = {}
     for key, default in defaults.items():
         if key in override:
             value = override[key]
-            if isinstance(default, dict) and isinstance(value, dict):
-                out[key] = _merge(default, value, f"{path}{key}.")
+            if isinstance(default, dict):
+                out[key] = _merge(default, _checked(value, dict, path + key), f"{path}{key}.")
             else:
                 out[key] = value
         else:
@@ -130,25 +123,17 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _checked(value, kind: type, name: str, check=checked_json):
-    """The config value `name` as kind, if its JSON type fits (see checked_json)."""
+def _read(check, *args, prefix: str = ""):
+    """check(*args); its ValueError, which names the config key, becomes a ConfigError."""
     try:
-        return check(value, kind, name)
+        return check(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _list_of(value, kind: type, name: str) -> list:
-    return _checked(value, kind, name, checked_json_list)
-
-
-def _names(value, name: str) -> str | list[str]:
-    if isinstance(value, str):
-        return value
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a string or a list of strings, "
-                          f"got {json.dumps(value)}")
-    return _list_of(value, str, name)
+def _checked(value, kind: type, name: str):
+    """The config value `name` as kind, if its JSON type fits (see checked_json)."""
+    return _read(checked_json, value, kind, name)
 
 
 def build_dataset(cfg: dict):
@@ -162,10 +147,12 @@ def build_dataset(cfg: dict):
         if not d["path"]:
             raise ConfigError("dataset.path is required for source=csv")
         return data_mod.load_csv(_checked(d["path"], str, "dataset.path"),
-                                 _names(d["targets"], "dataset.targets"), d["task"],
+                                 _read(checked_names, d["targets"], "dataset.targets"),
+                                 d["task"],
                                  stratify_column=d["stratify_column"],
                                  target_bins=None if d["target_bins"] is None else
-                                 _list_of(d["target_bins"], float, "dataset.target_bins"),
+                                 _read(checked_json_list, d["target_bins"], float,
+                                       "dataset.target_bins"),
                                  delimiter=_checked(d["delimiter"], str, "dataset.delimiter"))
     if d["source"] == "spatial-field":
         pair = data_mod.generate_spatial_field(
@@ -182,29 +169,15 @@ def build_dataset(cfg: dict):
 
 def _validated(section: str, part):
     """part, once its validate() passes; a ValueError there becomes a ConfigError."""
-    try:
-        part.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid {section} config: {exc}") from None
+    _read(part.validate, prefix=f"invalid {section} config: ")
     return part
 
 
 def build_spec(cfg: dict, dataset) -> NetworkSpec:
-    n = cfg["network"]
-    residual = n["residual"]
-    if residual not in ("full", "off"):
-        residual = _checked(residual, int, 'network.residual, if not "full" or "off",')
-    return _validated("network", make_spec(
-        dataset, _list_of(n["nnode"], int, "network.nnode"),
-        acts=_names(n["activation"], "network.activation"),
-        output_activation=n["output_activation"],
-        dropout_rate=_checked(n["dropout_rate"], float, "network.dropout_rate"),
-        residual=residual,
-        residual_post_op=n["residual_post_op"],
-        output_option=_checked(n["output_option"], int, "network.output_option"),
-        use_batchnorm=_checked(n["batchnorm"], bool, "network.batchnorm"),
-        elu_alpha=_checked(n["elu_alpha"], float, "network.elu_alpha"),
-        dropout_placement=n["dropout_placement"]))
+    """The network section, read by NetworkSpec.from_dict, with nfea and k from the data."""
+    return _validated("network", _read(NetworkSpec.from_dict,
+                                       {**cfg["network"], **dataset_dims(dataset)},
+                                       "network", NETWORK_KEYS))
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
@@ -238,17 +211,14 @@ def _apply_overrides(cfg: dict, args) -> None:
     if getattr(args, "n_seeds", None) is not None:
         cfg["n_seeds"] = args.n_seeds
     residual = getattr(args, "residual", None)
-    if residual is not None:
-        if residual == "on":
-            cfg["network"]["residual"] = "full"
-        elif residual == "off":
-            cfg["network"]["residual"] = "off"
-        else:
-            try:
-                cfg["network"]["residual"] = int(residual)
-            except ValueError:
-                raise ConfigError(f"--residual must be on, off, or an integer, "
-                                  f"got {residual!r}") from None
+    if residual in ("on", "off"):
+        cfg["network"]["residual"] = "full" if residual == "on" else "off"
+    elif residual is not None:
+        try:
+            cfg["network"]["residual"] = int(residual)
+        except ValueError:
+            raise ConfigError(f"--residual must be on, off, or an integer, "
+                              f"got {residual!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +258,9 @@ class _Run:
 
 
 def _grid_axes(cfg: dict) -> dict:
-    """The grid axes that are set, every value checked: nnodes are lists of
-    integers, activations strings, and the other axes integers."""
-    axes = {}
-    for key, values in cfg["grid"].items():
-        if values is None or values == []:
-            continue
-        name = f"grid.{key}"
-        if key == "nnodes":
-            axes[key] = [_list_of(v, int, f"{name}[{i}]")
-                         for i, v in enumerate(_checked(values, list, name))]
-        else:
-            axes[key] = _list_of(values, str if key == "activations" else int, name)
+    """The grid axes that are set (grid_variants checks their values)."""
+    axes = {key: values for key, values in cfg["grid"].items()
+            if values is not None and values != []}
     if not axes:
         raise ConfigError("grid config is empty: set at least one of batch_sizes, "
                           "nnodes, activations, output_options")
@@ -314,7 +275,7 @@ def _set_up(args) -> _Run:
     """
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    out = Path(args.out) if args.out else Path(cfg["out_dir"])
+    out = Path(args.out) if args.out else Path(_checked(cfg["out_dir"], str, "out_dir"))
     cfg["out_dir"] = str(out)
     dataset = build_dataset(cfg)
     spec = build_spec(cfg, dataset)
@@ -326,10 +287,8 @@ def _set_up(args) -> _Run:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
     if args.command == "grid":
         run.grid_axes = _grid_axes(cfg)
-        try:   # every cell's spec and train config, each value named on error
-            grid_variants(spec, run.train_cfg, run.grid_axes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # every cell's spec and train config, each value named on error
+        _read(grid_variants, spec, run.train_cfg, run.grid_axes)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
     return run
@@ -341,33 +300,25 @@ def cmd_train(args) -> int:
     _write_json(out / "dataset.json", dataset.manifest())
 
     split_idx = data_mod.split(dataset, seed=train_cfg.seed, stratify=run.stratify)
-    parameter_count = build_network(run.spec, rng=0).count_parameters()
-    try:
-        model = train_model(dataset, split_idx, run.spec, train_cfg,
-                            regularizer=run.regularizer, loss=run.loss)
-    except TrainingDiverged as exc:
-        _write_json(out / "metrics.json", {
-            "config": cfg, "converged": False, "seed": train_cfg.seed,
-            "parameter_count": parameter_count, "diagnostic": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
+    result, model = train_and_score(dataset, split_idx, run.spec, train_cfg,
+                                    run.regularizer, run.loss)
+    metrics = {"config": cfg, "converged": result.converged, "seed": result.seed,
+               "parameter_count": result.parameter_count}
+    if model is None:
+        _write_json(out / "metrics.json", {**metrics, "diagnostic": result.diagnostic})
+        print(f"error: {result.diagnostic}", file=sys.stderr)
         return 3
 
     model.history.to_csv(out / "history.csv")
-    payload = model.to_dict()
-    payload["config"] = cfg
-    _write_json(out / "model.json", payload)
-    metrics = {
-        "config": cfg,
-        "converged": True,
-        "seed": train_cfg.seed,
-        "parameter_count": model.network.count_parameters(),
+    _write_json(out / "model.json", {**model.to_dict(), "config": cfg})
+    _write_json(out / "metrics.json", {
+        **metrics,
         "best_epoch": model.history.best_epoch,
         "epochs_run": len(model.history),
         "definitions": {"nrmse": NRMSE_DEFINITION},
-        "validation": evaluate_model(model, dataset, split_idx.validation).to_dict(),
-        "test": evaluate_model(model, dataset, split_idx.test).to_dict(),
-    }
-    _write_json(out / "metrics.json", metrics)
+        "validation": result.validation.to_dict(),
+        "test": result.test.to_dict(),
+    })
     print(f"run artifacts in {out}")
     return 0
 
@@ -393,9 +344,7 @@ def cmd_sweep(args) -> int:
         result = residual_sensitivity(*sweep_args, **options)
         tables = {"sensitivity.csv": result.write_csv}
         done = f"sensitivity artifacts in {out}"
-    payload = result.to_dict()
-    payload["config"] = cfg
-    _write_json(out / "report.json", payload)
+    _write_json(out / "report.json", {**result.to_dict(), "config": cfg})
     for name, write in tables.items():
         write(out / name)
     print(done)

@@ -13,6 +13,8 @@ import numpy as np
 
 from .matrix import Matrix, Rng
 
+TASKS = ("regression", "classification")
+
 # Uniform sampling ranges for the eight simulated inputs.  They span several
 # scales, keep every term of the response within one order of magnitude of
 # the others, and keep x5 strictly positive for the power term.
@@ -36,7 +38,7 @@ class Dataset:
     targets: Matrix                   # (n, k); class indices for classification
     feature_names: list[str]
     target_names: list[str]
-    task: str                         # "regression" | "classification"
+    task: str                         # one of TASKS
     n_classes: int | None = None
     stratify: np.ndarray | None = None   # per-row labels
     n_dropped: int = 0
@@ -161,7 +163,7 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
     Classification targets are label-encoded; numeric targets can instead be
     binned with `target_bins` (inclusive upper bounds).
     """
-    if task not in ("regression", "classification"):
+    if task not in TASKS:
         raise ValueError(f"task must be regression or classification, got {task!r}")
     if isinstance(target_columns, str):
         target_columns = [target_columns]
@@ -273,11 +275,6 @@ class SplitIndices:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"train": [int(i) for i in self.train],
-                "validation": [int(i) for i in self.validation],
-                "test": [int(i) for i in self.test]}
 
 
 def _split_three(indices: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,12 +9,13 @@ AUC by trapezoid over the ROC curve (ties contribute diagonal segments).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
 from .data import Dataset, SplitIndices, split
+from .matrix import checked_json, checked_json_list
 from .network import NetworkSpec, build_network
 from .training import (
     FittedModel,
@@ -63,25 +64,15 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     neg = int((labels == 0).sum())
     if pos == 0 or neg == 0:
         raise ValueError("roc_auc needs both classes present")
+    if not np.isfinite(scores).all():
+        raise ValueError("roc_auc needs finite scores")
     order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    l = labels[order]
-    area = 0.0
-    tpr_prev = fpr_prev = 0.0
-    tp = fp = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            tp += int(l[j] == 1)
-            fp += int(l[j] == 0)
-            j += 1
-        tpr, fpr = tp / pos, fp / neg
-        area += (fpr - fpr_prev) * (tpr + tpr_prev) / 2.0
-        tpr_prev, fpr_prev = tpr, fpr
-        i = j
-    return area
+    s, l = scores[order], labels[order]
+    ends = np.append(s[1:] != s[:-1], True)   # the last row of each run of tied scores
+    tpr = np.append(0.0, np.cumsum(l == 1)[ends] / pos)
+    fpr = np.append(0.0, np.cumsum(l == 0)[ends] / neg)
+    # trapezoids summed one by one in sweep order
+    return float(np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1])
 
 
 def classification_metrics(y: np.ndarray, probabilities: np.ndarray
@@ -156,32 +147,28 @@ class RunResult:
     diagnostic: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "arm": self.arm,
-            "converged": self.converged,
-            "parameter_count": self.parameter_count,
-            "validation": self.validation.to_dict() if self.validation else None,
-            "test": self.test.to_dict() if self.test else None,
-            "diagnostic": self.diagnostic,
-        }
+        return {**asdict(self),
+                "validation": self.validation.to_dict() if self.validation else None,
+                "test": self.test.to_dict() if self.test else None}
 
 
-def _train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec,
-                     cfg: TrainConfig, regularizer: Regularizer | None,
-                     loss: LossSpec | None, seed: int, arm: str) -> RunResult:
+def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec,
+                    cfg: TrainConfig, regularizer: Regularizer | None = None,
+                    loss: LossSpec | None = None,
+                    arm: str = "train") -> tuple[RunResult, FittedModel | None]:
+    """One job: train with cfg's seed on the split, then score the
+    validation and test rows.  Returns the run and the fitted model; on a
+    non-finite loss the model is None and the run carries the diagnostic."""
     parameter_count = build_network(spec, rng=0).count_parameters()
-    run_cfg = replace(cfg, seed=seed)
     try:
-        model = train_model(dataset, split_idx, spec, run_cfg,
-                            regularizer=regularizer, loss=loss)
+        model = train_model(dataset, split_idx, spec, cfg, regularizer=regularizer, loss=loss)
     except TrainingDiverged as exc:
-        return RunResult(seed=seed, arm=arm, converged=False,
-                         parameter_count=parameter_count, diagnostic=str(exc))
-    return RunResult(seed=seed, arm=arm, converged=True,
+        return RunResult(seed=cfg.seed, arm=arm, converged=False,
+                         parameter_count=parameter_count, diagnostic=str(exc)), None
+    return RunResult(seed=cfg.seed, arm=arm, converged=True,
                      parameter_count=parameter_count,
                      validation=evaluate_model(model, dataset, split_idx.validation),
-                     test=evaluate_model(model, dataset, split_idx.test))
+                     test=evaluate_model(model, dataset, split_idx.test)), model
 
 
 def _seeds(cfg: TrainConfig, n_seeds: int) -> list[int]:
@@ -204,7 +191,8 @@ def _sweep(dataset: Dataset, variants: list[tuple[str, NetworkSpec, TrainConfig]
         spec.validate()
         cfg.validate()
     splits = {seed: split(dataset, seed=seed, stratify=stratify) for seed in seeds}
-    return [[_train_and_score(dataset, splits[seed], spec, cfg, regularizer, loss, seed, label)
+    return [[train_and_score(dataset, splits[seed], spec, replace(cfg, seed=seed),
+                             regularizer, loss, label)[0]
              for seed in seeds]
             for label, spec, cfg in variants]
 
@@ -360,15 +348,24 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
     """The grid's axes, missing ones filled from the template, and one
     validated (label, spec, cfg) variant per cell in product order.
 
-    An invalid cell raises a ValueError naming the grid values it was built
-    from, e.g. "grid.batch_sizes[0]: batch_size must be >= 1".
+    Each value's JSON type is checked (nnodes are lists of integers,
+    activations strings, the other axes integers), and an unknown axis, a
+    wrong type or an invalid cell is a ValueError naming the grid values,
+    e.g. "grid.nnodes[0][1] must be an integer" or
+    "grid.batch_sizes[0]: batch_size must be >= 1".
     """
-    axes = {
-        "batch_sizes": [int(b) for b in grid.get("batch_sizes", [cfg.batch_size])],
-        "nnodes": [tuple(int(w) for w in nn) for nn in grid.get("nnodes", [spec.nnode])],
-        "activations": list(grid.get("activations", [spec.acts])),
-        "output_options": [int(o) for o in grid.get("output_options", [spec.output_option])],
-    }
+    axes = {"batch_sizes": [cfg.batch_size], "nnodes": [spec.nnode],
+            "activations": [spec.acts], "output_options": [spec.output_option]}
+    for key, values in grid.items():
+        if key not in axes:
+            raise ValueError(f"grid.{key} is not a grid axis; the axes are "
+                             f"{', '.join(GRID_AXES)}")
+        if key == "nnodes":
+            axes[key] = [tuple(checked_json_list(nnode, int, f"grid.nnodes[{i}]"))
+                         for i, nnode in enumerate(checked_json(values, list, "grid.nnodes"))]
+        else:
+            axes[key] = checked_json_list(values, str if key == "activations" else int,
+                                          f"grid.{key}")
     if any(len(v) == 0 for v in axes.values()):
         raise ValueError("grid axes must be non-empty")
     variants = []

@@ -1,4 +1,5 @@
-"""Numeric core: dense float64 matrices, a deterministic RNG, and column standardization.
+"""Numeric core: dense float64 matrices, a deterministic RNG, column
+standardization, and the checked reading of JSON values.
 
 Every batch, weight and gradient in this package is a 2-D float64 numpy array
 with rows = samples and columns = features.  The helpers here add the shape
@@ -7,6 +8,7 @@ checking and the reproducibility guarantees the rest of the code relies on.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +24,57 @@ def _require_2d(a: Matrix, name: str) -> None:
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got "
                          f"{getattr(a, 'shape', type(a).__name__)}")
+
+
+# ---------------------------------------------------------------------------
+# Checked JSON values: configs and saved documents are read, never coerced
+# ---------------------------------------------------------------------------
+
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               list: ((list,), "a list"), dict: ((dict,), "a JSON object")}
+
+
+def checked_json(value, kind: type, name: str):
+    """value as kind, if its JSON type fits: bool takes only true/false, int
+    only integers, float any number; a boolean is never a number, and null
+    fits no kind.  Otherwise a ValueError names `name`."""
+    types, expected = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {expected}, got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def checked_json_list(value, kind: type, name: str) -> list:
+    return [checked_json(v, kind, f"{name}[{i}]")
+            for i, v in enumerate(checked_json(value, list, name))]
+
+
+def checked_names(value, name: str) -> str | tuple[str, ...]:
+    """A string, or a list of strings (one name per layer or column) as a tuple."""
+    if isinstance(value, list):
+        return tuple(checked_json_list(value, str, name))
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string or a list of strings, "
+                         f"got {json.dumps(value, default=repr)}")
+    return value
+
+
+def checked_entry(doc: dict, key: str, kind: type, name: str):
+    """doc[key] as kind (see checked_json); a missing key is a ValueError
+    naming it too.  kind np.ndarray reads a list of finite numbers as a
+    float64 vector."""
+    if key not in doc:
+        raise ValueError(f"{name} is missing")
+    if kind is not np.ndarray:
+        return checked_json(doc[key], kind, name)
+    values = checked_json(doc[key], list, name)
+    if not set(map(type, values)) <= {int, float}:   # one pass in C, else name the entry
+        checked_json_list(values, float, name)
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must hold finite numbers only")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +206,18 @@ class StandardizeStats:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StandardizeStats":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64).reshape(1, -1),
-            sd=np.asarray(d["sd"], dtype=np.float64).reshape(1, -1),
-            constant_columns=tuple(d.get("constant_columns", ())),
-        )
+    def from_dict(cls, d: dict, name: str = "stats") -> "StandardizeStats":
+        """Inverse of to_dict; a ValueError names the first bad field.  Every
+        sd must be at least SD_FLOOR, as fitted ones are."""
+        d = checked_json(d, dict, name)
+        mean = checked_entry(d, "mean", np.ndarray, f"{name}.mean")
+        sd = checked_entry(d, "sd", np.ndarray, f"{name}.sd")
+        small = np.flatnonzero(sd < SD_FLOOR)
+        if small.size:
+            raise ValueError(f"{name}.sd[{small[0]}] must be >= {SD_FLOOR}, "
+                             f"got {float(sd[small[0]])!r}")
+        return cls(mean=mean.reshape(1, -1), sd=sd.reshape(1, -1), constant_columns=tuple(
+            checked_json_list(d.get("constant_columns", []), int, f"{name}.constant_columns")))
 
 
 def standardize_fit_apply(x: Matrix,

@@ -15,7 +15,6 @@ set of the residual and regular variants of one spec is identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_type_hints
 
@@ -30,29 +29,9 @@ from .layers import (
     ResidualAddNode,
     ShortcutSave,
 )
-from .matrix import Matrix, Rng
+from .matrix import Matrix, Rng, checked_entry, checked_json, checked_json_list, checked_names
 
 RESIDUAL_POST_OPS = ("none", "activation", "activation_batchnorm")
-
-_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string"),
-               list: ((list,), "a list")}
-
-
-def checked_json(value, kind: type, name: str):
-    """value as kind, if its JSON type fits: bool takes only true/false, int
-    only integers, float any number; a boolean is never a number, and null
-    fits no kind.  Otherwise a ValueError names `name`."""
-    types, expected = _JSON_KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        raise ValueError(f"{name} must be {expected}, got {json.dumps(value, default=repr)}")
-    return kind(value)
-
-
-def checked_json_list(value, kind: type, name: str) -> list:
-    return [checked_json(v, kind, f"{name}[{i}]")
-            for i, v in enumerate(checked_json(value, list, name))]
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -125,31 +104,35 @@ class NetworkSpec:
         return {**asdict(self), "nnode": list(self.nnode), "acts": list(self.act_list())}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NetworkSpec":
-        """Inverse of to_dict.  Each field's JSON type is checked, never
-        coerced, and a ValueError names the field; fields other than nfea,
-        nnode and k take their defaults when absent."""
-        missing = [key for key in ("nfea", "nnode", "k") if key not in d]
+    def from_dict(cls, d: dict, where: str = "spec",
+                  keys: dict[str, str] | None = None) -> "NetworkSpec":
+        """Inverse of to_dict, and the one reader of a spec from JSON: each
+        field's JSON type is checked, never coerced, and a ValueError names
+        it as where.key.  Fields other than nfea, nnode and k default when
+        absent; keys maps a field to the document's key, where they differ."""
+        key_of = {f.name: (keys or {}).get(f.name, f.name) for f in fields(cls)}
+        missing = [key_of[f] for f in ("nfea", "nnode", "k") if key_of[f] not in d]
         if missing:
-            raise ValueError(f"spec is missing fields {missing}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+            raise ValueError(f"{where} is missing fields {missing}")
+        unknown = sorted(set(d) - set(key_of.values()))
         if unknown:
-            raise ValueError(f"spec has unknown fields {unknown}")
+            raise ValueError(f"{where} has unknown fields {unknown}")
         values = {}
-        for key, kind in get_type_hints(cls).items():
+        for field_name, kind in get_type_hints(cls).items():
+            key = key_of[field_name]
             if key not in d:
                 continue
-            value, name = d[key], f"spec.{key}"
-            if key == "nnode":
-                values[key] = tuple(checked_json_list(value, int, name))
-            elif key == "acts":
-                values[key] = (value if isinstance(value, str)
-                               else tuple(checked_json_list(value, str, name)))
-            elif key == "residual":
-                values[key] = (value if value in ("full", "off") else
-                               checked_json(value, int, f'{name}, if not "full" or "off",'))
+            value, name = d[key], f"{where}.{key}"
+            if field_name == "nnode":
+                value = tuple(checked_json_list(value, int, name))
+            elif field_name == "acts":
+                value = checked_names(value, name)
+            elif field_name == "residual":
+                if value not in ("full", "off"):
+                    value = checked_json(value, int, f'{name}, if not "full" or "off",')
             else:
-                values[key] = checked_json(value, kind, name)
+                value = checked_json(value, kind, name)
+            values[field_name] = value
         return cls(**values)
 
 
@@ -346,24 +329,21 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
+        """Inverse of to_dict.  Every field is checked, never coerced, and a
+        ValueError names the first bad one."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
-        spec = NetworkSpec.from_dict(d["spec"])
-        net = build_network(spec, rng=Rng(0))
+        net = build_network(NetworkSpec.from_dict(checked_entry(d, "spec", dict, "spec")),
+                            rng=Rng(0))
         state = {}
-        for name, entry in d["weights"].items():
-            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        for name, entry in checked_entry(d, "weights", dict, "weights").items():
+            where = f"weights.{name}"
+            entry = checked_json(entry, dict, where)
+            shape = checked_json_list(checked_entry(entry, "shape", list, f"{where}.shape"),
+                                      int, f"{where}.shape")
+            state[name] = checked_entry(entry, "data", np.ndarray, f"{where}.data").reshape(shape)
         net.set_state(state)
         return net
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, allow_nan=False)
-
-    @classmethod
-    def load_json(cls, path) -> "Network":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:

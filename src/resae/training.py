@@ -10,11 +10,12 @@ over the batch.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matrix import Matrix, Rng, StandardizeStats, standardize_fit_apply
+from .data import TASKS
+from .matrix import Matrix, Rng, StandardizeStats, checked_entry, standardize_fit_apply
 from .network import Network, NetworkSpec, Param, Predictions, build_network
 
 LOSS_KINDS = ("mse", "mse_reconstruction", "cross_entropy")
@@ -105,7 +106,7 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
             rr = preds.reconstruction - inputs
             value += w * float((rr * rr).sum()) / (2.0 * n)
             head_grad[:, k:] = w * rr / n
-    elif loss.kind == "cross_entropy":
+    else:   # cross_entropy, the one kind left after validate()
         classes = np.asarray(targets, dtype=np.int64).ravel()
         if classes.shape[0] != n or classes.min() < 0 or classes.max() >= k:
             raise ValueError(f"cross entropy expects class indices in [0, {k}), "
@@ -118,8 +119,6 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
         grad = p.copy()
         grad[np.arange(n), classes] -= 1.0
         head_grad[:, :k] = grad / n
-    else:  # pragma: no cover - validate() rejects earlier
-        raise ValueError(loss.kind)
 
     if regularizer is not None and params is not None:
         value += regularizer.value(params)
@@ -312,11 +311,15 @@ def default_loss_for(task: str, output_option: int,
     return LossSpec("mse", reconstruction_weight)
 
 
+def dataset_dims(dataset) -> dict:
+    """The spec fields an encoded dataset fixes: nfea and k."""
+    k = dataset.n_classes if dataset.task == "classification" else dataset.targets.shape[1]
+    return {"nfea": dataset.features.shape[1], "k": int(k)}
+
+
 def make_spec(dataset, nnode, **overrides) -> NetworkSpec:
     """Fill nfea and k from an encoded dataset; other fields come from overrides."""
-    k = dataset.n_classes if dataset.task == "classification" else dataset.targets.shape[1]
-    return NetworkSpec(nfea=dataset.features.shape[1], nnode=tuple(int(w) for w in nnode),
-                       k=int(k), **overrides)
+    return NetworkSpec(nnode=tuple(int(w) for w in nnode), **dataset_dims(dataset), **overrides)
 
 
 @dataclass
@@ -345,8 +348,7 @@ class FittedModel:
             "format": "resae-model",
             "version": 1,
             "task": self.task,
-            "loss": {"kind": self.loss.kind,
-                     "reconstruction_weight": self.loss.reconstruction_weight},
+            "loss": asdict(self.loss),
             "feature_stats": self.feature_stats.to_dict(),
             "target_stats": self.target_stats.to_dict() if self.target_stats else None,
             "network": self.network.to_dict(),
@@ -354,16 +356,27 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
+        """Inverse of to_dict.  Every field is checked, never coerced, and a
+        ValueError names the first bad one."""
         if d.get("format") != "resae-model":
             raise ValueError("not a serialized model document")
+        task = checked_entry(d, "task", str, "task")
+        if task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+        loss_doc = checked_entry(d, "loss", dict, "loss")
+        kind = checked_entry(loss_doc, "kind", str, "loss.kind")
+        if kind not in LOSS_KINDS:
+            raise ValueError(f"loss.kind must be one of {LOSS_KINDS}, got {kind!r}")
+        loss = LossSpec(kind, checked_entry(loss_doc, "reconstruction_weight", float,
+                                            "loss.reconstruction_weight"))
+        loss.validate()   # a negative reconstruction_weight
         return cls(
-            network=Network.from_dict(d["network"]),
-            feature_stats=StandardizeStats.from_dict(d["feature_stats"]),
-            target_stats=(StandardizeStats.from_dict(d["target_stats"])
-                          if d.get("target_stats") else None),
-            task=d["task"],
-            loss=LossSpec(d["loss"]["kind"], d["loss"]["reconstruction_weight"]),
-        )
+            network=Network.from_dict(checked_entry(d, "network", dict, "network")),
+            feature_stats=StandardizeStats.from_dict(
+                checked_entry(d, "feature_stats", dict, "feature_stats"), "feature_stats"),
+            target_stats=(None if d.get("target_stats") is None else
+                          StandardizeStats.from_dict(d["target_stats"], "target_stats")),
+            task=task, loss=loss)
 
 
 def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,

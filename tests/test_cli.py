@@ -1,9 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resae.cli import main
+from resae.cli import build_spec, load_config, main
+from resae.data import Dataset
+from resae.layers import ACTIVATION_KINDS
+from resae.network import RESIDUAL_POST_OPS, NetworkSpec
 from resae.training import FittedModel
 
 
@@ -225,6 +232,10 @@ class TestConfigErrors:
         ("train", {"dataset": {"n": None}}, "dataset.n"),
         ("grid", {"grid": {"batch_sizes": [None]}, "n_seeds": 1}, "grid.batch_sizes[0]"),
         ("grid", {"grid": {"nnodes": [[8, 4.5]]}, "n_seeds": 1}, "grid.nnodes[0][1]"),
+        ("train", {"network": {"output_activation": 5}}, "network.output_activation"),
+        ("train", {"network": {"residual_post_op": None}}, "network.residual_post_op"),
+        ("train", {"network": {"dropout_placement": ["all"]}}, "network.dropout_placement"),
+        ("grid", {"grid": {"activations": [["elu"]]}, "n_seeds": 1}, "grid.activations[0]"),
     ])
     def test_wrong_json_type_exits_2_naming_key(self, tmp_path, capsys, command, override, key):
         cfg = tiny_train_config(tmp_path, **override)
@@ -232,3 +243,62 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}") and " must be " in err
         assert not (tmp_path / "run" / "config.json").exists()
+
+    @pytest.mark.parametrize("command, section, value", [
+        *((command, section, value)
+          for command in ("train", "compare", "grid", "sensitivity")
+          for section, value in (("network", 5), ("training", []), ("loss", "l2"))),
+        ("grid", "grid", None),
+    ])
+    def test_section_of_wrong_json_type_exits_2_naming_key(self, tmp_path, capsys,
+                                                           command, section, value):
+        cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [16]})
+        doc = json.loads(cfg.read_text())
+        doc[section] = value
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"config error: {section} must be a JSON object, "
+                                           f"got {json.dumps(value)}\n")
+        assert not (tmp_path / "run" / "config.json").exists()
+
+    def test_out_dir_of_wrong_json_type_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_train_config(tmp_path, out_dir=5)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: out_dir must be a string, got 5\n"
+        assert list(tmp_path.rglob("config.json")) == [cfg]
+
+
+_ACTS = st.sampled_from(ACTIVATION_KINDS)
+
+
+@st.composite
+def network_specs(draw) -> NetworkSpec:
+    nnode = tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=4)))
+    return NetworkSpec(
+        nfea=draw(st.integers(1, 6)), nnode=nnode, k=draw(st.integers(1, 3)),
+        acts=draw(_ACTS | st.lists(_ACTS, min_size=len(nnode), max_size=len(nnode)).map(tuple)),
+        output_activation=draw(_ACTS),
+        dropout_rate=draw(st.floats(0.0, 0.99)),
+        residual=draw(st.sampled_from(["full", "off"]) | st.integers(0, len(nnode))),
+        residual_post_op=draw(st.sampled_from(RESIDUAL_POST_OPS)),
+        output_option=draw(st.sampled_from([1, 2])),
+        use_batchnorm=draw(st.booleans()),
+        elu_alpha=draw(st.floats(0.01, 10.0)),
+        dropout_placement=draw(st.sampled_from(["code", "all"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(network_specs())
+def test_network_section_written_from_a_spec_reads_back_to_that_spec(spec):
+    config_key = {"acts": "activation", "use_batchnorm": "batchnorm"}
+    section = {config_key.get(name, name): value for name, value in spec.to_dict().items()
+               if name not in ("nfea", "k")}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"network": section}))
+        cfg = load_config(str(path))
+    dataset = Dataset(features=np.zeros((10, spec.nfea)), targets=np.zeros((10, spec.k)),
+                      feature_names=[f"x{i}" for i in range(spec.nfea)],
+                      target_names=[f"y{i}" for i in range(spec.k)], task="regression")
+    assert build_spec(cfg, dataset).to_dict() == spec.to_dict()

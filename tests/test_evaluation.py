@@ -98,6 +98,11 @@ class TestAuc:
         scores = rng.uniform(0.1, 2.0, size=50)
         assert roc_auc(labels, scores) == pytest.approx(roc_auc(labels, scores ** 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite scores"):
+            roc_auc(np.array([1, 0, 1, 0]), np.array([0.9, bad, 0.4, 0.2]))
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_auc(np.ones(4), np.arange(4.0))
@@ -217,6 +222,21 @@ class TestGridSearch:
         spec = make_spec(ds, (6, 3))
         with pytest.raises(ValueError):
             grid_search(ds, spec, tiny_cfg(), {"batch_sizes": []}, n_seeds=1)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"batch_sizes": [16, 32.9]}, r"grid.batch_sizes\[1\] must be an integer, got 32.9"),
+        ({"batch_sizes": ["16"]}, r'grid.batch_sizes\[0\] must be an integer, got "16"'),
+        ({"batch_sizes": [True]}, r"grid.batch_sizes\[0\] must be an integer, got true"),
+        ({"nnodes": [[8, 4.5]]}, r"grid.nnodes\[0\]\[1\] must be an integer, got 4.5"),
+        ({"nnodes": ["84"]}, r'grid.nnodes\[0\] must be a list, got "84"'),
+        ({"batch_size": [16, 64]}, r"grid.batch_size is not a grid axis"),
+    ], ids=["float-batch", "string-batch", "boolean-batch", "float-width", "string-nnode",
+            "unknown-axis"])
+    def test_axis_value_of_wrong_json_type_or_unknown_axis_rejected(self, grid, message):
+        ds = generate_simulated(n=150, seed=0)
+        spec = make_spec(ds, (6, 3))
+        with pytest.raises(ValueError, match=message):
+            grid_search(ds, spec, tiny_cfg(), grid, n_seeds=1)
 
 
 class Testsensitivity:

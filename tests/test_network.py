@@ -227,14 +227,6 @@ class TestSerialization:
         kinds = {row["kind"] for row in doc["layers"]}
         assert {"dense", "activation", "save", "add"} <= kinds
 
-    def test_file_roundtrip(self, tmp_path):
-        net = build_network(NetworkSpec(nfea=4, nnode=(5, 3), k=1), rng=2)
-        path = tmp_path / "net.json"
-        net.save_json(path)
-        x = np.random.default_rng(1).normal(size=(4, 4))
-        np.testing.assert_array_equal(net.forward(x, "infer").head,
-                                      Network.load_json(path).forward(x, "infer").head)
-
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError, match="serialized network"):
             Network.from_dict({"format": "something-else"})

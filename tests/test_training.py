@@ -1,4 +1,6 @@
+import json
 import math
+
 import numpy as np
 import pytest
 
@@ -416,3 +418,41 @@ class TestTrainModelPipeline:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         accuracy = float((probs.argmax(axis=1) == ds.targets[sp.test].ravel()).mean())
         assert accuracy > 0.8
+
+
+def saved_model_document():
+    ds = generate_simulated(n=120, seed=3)
+    model = train_model(ds, split(ds, seed=1), make_spec(ds, (6, 3), dropout_rate=0.0),
+                        TrainConfig(batch_size=32, max_epochs=2, seed=2))
+    return json.loads(json.dumps(model.to_dict()))
+
+
+def _set_weight(doc, index, value):
+    doc["network"]["weights"]["L000.dense.W"]["data"][index] = value
+
+
+class TestModelDocument:
+    """A damaged or hand-edited model.json is a ValueError naming the field."""
+
+    def test_saved_document_loads(self):
+        doc = saved_model_document()
+        assert FittedModel.from_dict(doc).to_dict() == doc
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(task="regresion"), r"task must be one of .*'regresion'"),
+        (lambda d: d.update(loss={"kind": "mae"}), r"loss.kind must be one of .*'mae'"),
+        (lambda d: _set_weight(d, 3, "0.5"),
+         r'weights.L000.dense.W.data\[3\] must be a number, got "0.5"'),
+        (lambda d: _set_weight(d, 0, True),
+         r"weights.L000.dense.W.data\[0\] must be a number, got true"),
+        (lambda d: d["feature_stats"]["sd"].__setitem__(2, 0.0),
+         r"feature_stats.sd\[2\] must be >= 1e-12, got 0.0"),
+        (lambda d: d["network"].pop("weights"), "weights is missing"),
+        (lambda d: d.pop("feature_stats"), "feature_stats is missing"),
+    ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "zero-sd",
+            "no-weights", "no-feature-stats"])
+    def test_bad_document_rejected_naming_field(self, edit, message):
+        doc = saved_model_document()
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            FittedModel.from_dict(doc)
