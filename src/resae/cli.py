@@ -24,9 +24,11 @@ from .evaluation import (
     GRID_AXES,
     NRMSE_DEFINITION,
     compare,
+    compare_variants,
     grid_search,
     grid_variants,
     residual_sensitivity,
+    sensitivity_variants,
     train_and_score,
 )
 from .matrix import checked_json, checked_json_list, checked_names
@@ -149,11 +151,13 @@ def build_dataset(cfg: dict):
         return data_mod.load_csv(_checked(d["path"], str, "dataset.path"),
                                  _read(checked_names, d["targets"], "dataset.targets"),
                                  d["task"],
-                                 stratify_column=d["stratify_column"],
+                                 stratify_column=None if d["stratify_column"] is None else
+                                 _checked(d["stratify_column"], str, "dataset.stratify_column"),
                                  target_bins=None if d["target_bins"] is None else
                                  _read(checked_json_list, d["target_bins"], float,
                                        "dataset.target_bins"),
-                                 delimiter=_checked(d["delimiter"], str, "dataset.delimiter"))
+                                 delimiter=_read(data_mod.checked_delimiter, d["delimiter"],
+                                                 "dataset.delimiter"))
     if d["source"] == "spatial-field":
         pair = data_mod.generate_spatial_field(
             n=_checked(d["n"], int, "dataset.n"), seed=_checked(d["seed"], int, "dataset.seed"),
@@ -254,24 +258,14 @@ class _Run:
     loss: LossSpec
     n_seeds: int
     stratify: bool
-    grid_axes: dict | None = None    # the grid command's checked axes
-
-
-def _grid_axes(cfg: dict) -> dict:
-    """The grid axes that are set (grid_variants checks their values)."""
-    axes = {key: values for key, values in cfg["grid"].items()
-            if values is not None and values != []}
-    if not axes:
-        raise ConfigError("grid config is empty: set at least one of batch_sizes, "
-                          "nnodes, activations, output_options")
-    return axes
+    grid_axes: dict | None = None    # the grid axes that the grid command's config sets
 
 
 def _set_up(args) -> _Run:
     """Load, override and validate the config, then echo it as config.json.
 
-    Every part is built before anything is written, so a config error
-    leaves no artifacts behind.
+    Every part, and every variant of a sweep, is built before anything is
+    written, so a config error leaves no artifacts behind.
     """
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
@@ -283,12 +277,20 @@ def _set_up(args) -> _Run:
                build_regularizer(cfg), build_loss(cfg, dataset, spec),
                _checked(cfg["n_seeds"], int, "n_seeds"),
                _checked(cfg["stratify"], bool, "stratify"))
+    if run.stratify and dataset.stratify is None:
+        raise ConfigError("stratify is true, but the dataset has no stratify column")
     if args.command != "train" and run.n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
-    if args.command == "grid":
-        run.grid_axes = _grid_axes(cfg)
-        # every cell's spec and train config, each value named on error
+    if args.command == "compare":
+        _read(compare_variants, spec, run.train_cfg)
+    elif args.command == "grid":
+        run.grid_axes = {key: values for key, values in cfg["grid"].items()
+                         if values is not None and values != []}
+        if not run.grid_axes:
+            raise ConfigError(f"grid config is empty: set at least one of {', '.join(GRID_AXES)}")
         _read(grid_variants, spec, run.train_cfg, run.grid_axes)
+    elif args.command == "sensitivity":
+        _read(sensitivity_variants, spec, run.train_cfg, prefix="network.")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
     return run

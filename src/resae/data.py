@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import Matrix, Rng
+from .matrix import Matrix, Rng, checked_json
 
 TASKS = ("regression", "classification")
 
@@ -151,6 +151,13 @@ def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[s
     return classes, names
 
 
+def checked_delimiter(value, name: str = "delimiter") -> str:
+    """A one-character string; anything else is a ValueError naming `name`."""
+    if len(checked_json(value, str, name)) != 1:
+        raise ValueError(f"{name} must be one character, got {value!r}")
+    return value
+
+
 def load_csv(path, target_columns, task: str, stratify_column: str | None = None,
              target_bins=None, delimiter: str = ",") -> Dataset:
     """Load a header-ed CSV into a Dataset.
@@ -168,7 +175,7 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
     if isinstance(target_columns, str):
         target_columns = [target_columns]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh, delimiter=checked_delimiter(delimiter))
         try:
             header = next(reader)
         except StopIteration:

@@ -86,9 +86,8 @@ def classification_metrics(y: np.ndarray, probabilities: np.ndarray
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != classes.shape[0]:
         raise ValueError(f"probabilities must be (n, C) matching y, got {p.shape}")
-    sums = p.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-6:
-        raise ValueError("probability rows must sum to 1 within 1e-6")
+    if not (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all():   # also false for a NaN or inf row
+        raise ValueError("probability rows must be finite and sum to 1 within 1e-6")
     n = classes.shape[0]
     accuracy = float((p.argmax(axis=1) == classes).mean())
     cross_entropy = float(-np.log(np.maximum(p[np.arange(n), classes], 1e-15)).mean())
@@ -133,7 +132,7 @@ def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# The shared sweep: (variant, seed) jobs on shared splits
+# The shared sweep: (seed, variant) jobs on shared splits
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -171,30 +170,42 @@ def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec
                      test=evaluate_model(model, dataset, split_idx.test)), model
 
 
-def _seeds(cfg: TrainConfig, n_seeds: int) -> list[int]:
+@dataclass
+class Variant:
+    """One configuration that a sweep trains once per seed, and its runs; validated when made."""
+
+    label: str
+    spec: NetworkSpec
+    cfg: TrainConfig
+    runs: list[RunResult] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.spec.validate()
+        self.cfg.validate()
+
+    def mean(self, part: str, metric: str) -> float | None:
+        """Mean of one validation or test metric over the converged runs."""
+        return _converged_stats(self.runs, part, metric)["mean"]
+
+
+def _sweep(dataset: Dataset, variants: list[Variant], n_seeds: int,
+           regularizer: Regularizer | None, loss: LossSpec | None,
+           stratify: bool) -> list[RunResult]:
+    """The run table: every (seed, variant) job in seed-major order, so
+    variant i's runs, in seed order, are table[i::len(variants)].  The seeds
+    count up from the variants' shared train-config seed; each seed's split
+    is built once and shared by every variant, and the seed also fixes the
+    initial weights, so variants differ only in their spec and train config.
+    """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    return [cfg.seed + i for i in range(n_seeds)]
-
-
-def _sweep(dataset: Dataset, variants: list[tuple[str, NetworkSpec, TrainConfig]],
-           seeds: list[int], regularizer: Regularizer | None, loss: LossSpec | None,
-           stratify: bool) -> list[list[RunResult]]:
-    """Train each (label, spec, cfg) variant once per seed; returns each
-    variant's runs in seed order.
-
-    Each seed's split is built once and shared by every variant, and the
-    seed also fixes the initial weights, so variants differ only in their
-    spec and train config.  Every variant is validated before any training.
-    """
-    for _, spec, cfg in variants:
-        spec.validate()
-        cfg.validate()
-    splits = {seed: split(dataset, seed=seed, stratify=stratify) for seed in seeds}
-    return [[train_and_score(dataset, splits[seed], spec, replace(cfg, seed=seed),
-                             regularizer, loss, label)[0]
-             for seed in seeds]
-            for label, spec, cfg in variants]
+    table = []
+    for seed in range(variants[0].cfg.seed, variants[0].cfg.seed + n_seeds):
+        split_idx = split(dataset, seed=seed, stratify=stratify)
+        table += [train_and_score(dataset, split_idx, v.spec, replace(v.cfg, seed=seed),
+                                  regularizer, loss, v.label)[0]
+                  for v in variants]
+    return table
 
 
 def _converged_stats(runs: list[RunResult], part: str, metric: str) -> dict:
@@ -235,15 +246,21 @@ class ComparisonReport:
     """Paired residual/regular results over shared seeds and splits."""
 
     task: str
-    seeds: list[int]
-    runs: list[RunResult]
-    summary: dict = field(default_factory=dict)
+    runs: list[RunResult]       # the run table: per seed, the residual then the regular run
 
     def arm_runs(self, arm: str) -> list[RunResult]:
         return [r for r in self.runs if r.arm == arm]
 
+    @property
+    def seeds(self) -> list[int]:
+        return [r.seed for r in self.arm_runs("residual")]
+
+    @property
+    def summary(self) -> dict:
+        return {arm: _summarize(self.arm_runs(arm), self.task) for arm in ("residual", "regular")}
+
     def mean_test_headline(self, arm: str) -> float | None:
-        return self.summary[arm][f"test_{_headline(self.task)}"]["mean"]
+        return _converged_stats(self.arm_runs(arm), "test", _headline(self.task))["mean"]
 
     def to_dict(self) -> dict:
         return {
@@ -264,6 +281,12 @@ class ComparisonReport:
                     for name, value in getattr(run, part).to_dict().items()))
 
 
+def compare_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
+    """The two arms: spec with every shortcut on, and with every shortcut off."""
+    return [Variant("residual", replace(spec, residual="full"), cfg),
+            Variant("regular", replace(spec, residual="off"), cfg)]
+
+
 def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int = 5,
             regularizer: Regularizer | None = None, loss: LossSpec | None = None,
             stratify: bool = False) -> ComparisonReport:
@@ -272,15 +295,8 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
     A non-finite training loss marks that arm non-convergent for the seed;
     summaries average over the converged runs only and count the failures.
     """
-    seeds = _seeds(cfg, n_seeds)
-    residual, regular = _sweep(dataset, [("residual", replace(spec, residual="full"), cfg),
-                                         ("regular", replace(spec, residual="off"), cfg)],
-                               seeds, regularizer, loss, stratify)
-    runs = [run for pair in zip(residual, regular) for run in pair]   # seed-major
-    return ComparisonReport(task=dataset.task, seeds=seeds, runs=runs, summary={
-        "residual": _summarize(residual, dataset.task),
-        "regular": _summarize(regular, dataset.task),
-    })
+    return ComparisonReport(task=dataset.task, runs=_sweep(
+        dataset, compare_variants(spec, cfg), n_seeds, regularizer, loss, stratify))
 
 
 # ---------------------------------------------------------------------------
@@ -288,53 +304,43 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GridCell:
-    label: str
-    spec: NetworkSpec
-    batch_size: int
-    mean_val_metric: float | None
-    parameter_count: int
-    runs: list[RunResult]
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "nnode": list(self.spec.nnode),
-            "acts": list(self.spec.act_list()),
-            "output_option": self.spec.output_option,
-            "residual": self.spec.residual,
-            "batch_size": self.batch_size,
-            "mean_val_metric": self.mean_val_metric,
-            "parameter_count": self.parameter_count,
-            "n_non_convergent": sum(not r.converged for r in self.runs),
-        }
-
-
-@dataclass
 class GridResult:
     task: str
-    cells: list[GridCell]        # ranked best first
+    cells: list[Variant]        # ranked best first
     axes: dict
 
-    def best(self) -> GridCell:
+    def best(self) -> Variant:
         return self.cells[0]
+
+    def mean_val_metric(self, cell: Variant) -> float | None:
+        """The ranking metric: mean validation R^2 (or accuracy) over converged runs."""
+        return cell.mean("validation", _headline(self.task))
 
     def to_dict(self) -> dict:
         return {"task": self.task, "axes": self.axes,
                 "definitions": {"nrmse": NRMSE_DEFINITION},
-                "ranked": [c.to_dict() for c in self.cells]}
+                "ranked": [{"label": c.label,
+                            "nnode": list(c.spec.nnode),
+                            "acts": list(c.spec.act_list()),
+                            "output_option": c.spec.output_option,
+                            "residual": c.spec.residual,
+                            "batch_size": c.cfg.batch_size,
+                            "mean_val_metric": self.mean_val_metric(c),
+                            "parameter_count": c.runs[0].parameter_count,
+                            "n_non_convergent": sum(not r.converged for r in c.runs)}
+                           for c in self.cells]}
 
     def write_cells_csv(self, path) -> None:
         _write_csv(path, ["rank", "label", "batch_size", "nnode", "acts",
                           "output_option", "mean_val_metric", "parameter_count"],
-                   ([rank, c.label, c.batch_size, " ".join(str(w) for w in c.spec.nnode),
+                   ([rank, c.label, c.cfg.batch_size, " ".join(str(w) for w in c.spec.nnode),
                      " ".join(c.spec.act_list()), c.spec.output_option,
-                     c.mean_val_metric, c.parameter_count]
+                     self.mean_val_metric(c), c.runs[0].parameter_count]
                     for rank, c in enumerate(self.cells)))
 
     def batch_size_curve(self) -> list[tuple[int, float | None]]:
         """(batch size, mean validation metric) sorted by batch size."""
-        return sorted((c.batch_size, c.mean_val_metric) for c in self.cells)
+        return sorted((c.cfg.batch_size, self.mean_val_metric(c)) for c in self.cells)
 
     def write_curve_csv(self, path) -> None:
         _write_csv(path, ["batch_size", "mean_val_metric"], self.batch_size_curve())
@@ -344,9 +350,9 @@ GRID_AXES = ("nnodes", "activations", "output_options", "batch_sizes")   # produ
 
 
 def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
-                  grid: dict) -> tuple[dict, list[tuple[str, NetworkSpec, TrainConfig]]]:
+                  grid: dict) -> tuple[dict, list[Variant]]:
     """The grid's axes, missing ones filled from the template, and one
-    validated (label, spec, cfg) variant per cell in product order.
+    variant per cell in product order.
 
     Each value's JSON type is checked (nnodes are lists of integers,
     activations strings, the other axes integers), and an unknown axis, a
@@ -371,17 +377,14 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
     variants = []
     for index in product(*(range(len(axes[key])) for key in GRID_AXES)):
         nnode, act, option, batch = (axes[key][i] for key, i in zip(GRID_AXES, index))
-        cell_spec = replace(spec, nnode=nnode, acts=act, output_option=option)
-        cell_cfg = replace(cfg, batch_size=batch)
         try:
-            cell_spec.validate()
-            cell_cfg.validate()
+            variants.append(Variant(f"nnode={list(nnode)} act={act} out{option} batch={batch}",
+                                    replace(spec, nnode=nnode, acts=act, output_option=option),
+                                    replace(cfg, batch_size=batch)))
         except ValueError as exc:
             where = ", ".join(f"grid.{key}[{i}]" for key, i in zip(GRID_AXES, index)
                               if key in grid)
             raise ValueError(f"{where or 'grid template'}: {exc}") from None
-        variants.append((f"nnode={list(nnode)} act={act} out{option} batch={batch}",
-                         cell_spec, cell_cfg))
     return axes, variants
 
 
@@ -398,16 +401,12 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     are shared across cells.
     """
     axes, variants = grid_variants(spec, cfg, grid)
-    sweep = _sweep(dataset, variants, _seeds(cfg, n_seeds), regularizer, loss, stratify)
-    metric = _headline(dataset.task)
-    cells = [GridCell(label=label, spec=cell_spec, batch_size=cell_cfg.batch_size,
-                      mean_val_metric=_converged_stats(runs, "validation", metric)["mean"],
-                      parameter_count=runs[0].parameter_count, runs=runs)
-             for (label, cell_spec, cell_cfg), runs in zip(variants, sweep)]
-    cells.sort(key=lambda c: (-(c.mean_val_metric if c.mean_val_metric is not None
-                                else -np.inf),
-                              c.parameter_count, c.batch_size))
-    return GridResult(task=dataset.task, cells=cells, axes=axes)
+    table = _sweep(dataset, variants, n_seeds, regularizer, loss, stratify)
+    result = GridResult(task=dataset.task, axes=axes, cells=[
+        replace(v, runs=table[i::len(variants)]) for i, v in enumerate(variants)])
+    result.cells.sort(key=lambda c: (np.inf if (mean := result.mean_val_metric(c)) is None
+                                     else -mean, c.runs[0].parameter_count, c.cfg.batch_size))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +414,30 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SensitivityRow:
-    n_shortcuts: int
-    mean_test_r2: float | None
-    mean_test_rmse: float | None
-    runs: list[RunResult]
-
-    def to_dict(self) -> dict:
-        return {"n_shortcuts": self.n_shortcuts,
-                "mean_test_r2": self.mean_test_r2,
-                "mean_test_rmse": self.mean_test_rmse,
-                "n_non_convergent": sum(not r.converged for r in self.runs)}
-
-
-@dataclass
 class SensitivityResult:
-    rows: list[SensitivityRow]
+    rows: list[Variant]         # one per count of outermost shortcuts kept, 0..all
 
     def to_dict(self) -> dict:
         return {"definitions": {"nrmse": NRMSE_DEFINITION},
-                "rows": [r.to_dict() for r in self.rows]}
+                "rows": [{"n_shortcuts": r.spec.residual_count(),
+                          "mean_test_r2": r.mean("test", "r2"),
+                          "mean_test_rmse": r.mean("test", "rmse"),
+                          "n_non_convergent": sum(not run.converged for run in r.runs)}
+                         for r in self.rows]}
 
     def write_csv(self, path) -> None:
         _write_csv(path, ["n_shortcuts", "mean_test_r2", "mean_test_rmse"],
-                   ([row.n_shortcuts, row.mean_test_r2, row.mean_test_rmse]
-                    for row in self.rows))
+                   ([r.spec.residual_count(), r.mean("test", "r2"), r.mean("test", "rmse")]
+                    for r in self.rows))
+
+
+def sensitivity_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
+    """One variant per count of outermost shortcuts kept, 0..all (2 or more pairs)."""
+    if spec.n_shortcut_pairs < 2:
+        raise ValueError(f"nnode: sensitivity study needs at least 2 shortcut pairs "
+                         f"(one per width), got {list(spec.nnode)}")
+    return [Variant(f"shortcuts={count}", replace(spec, residual=count), cfg)
+            for count in range(spec.n_shortcut_pairs + 1)]
 
 
 def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
@@ -447,16 +445,7 @@ def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
                          loss: LossSpec | None = None,
                          stratify: bool = False) -> SensitivityResult:
     """Train variants keeping 0..all outermost shortcuts on shared splits."""
-    total = spec.n_shortcut_pairs
-    if total < 2:
-        raise ValueError("sensitivity study needs at least 2 shortcut pairs")
-    counts = range(total + 1)
-    sweep = _sweep(dataset, [(f"shortcuts={count}", replace(spec, residual=count), cfg)
-                             for count in counts],
-                   _seeds(cfg, n_seeds), regularizer, loss, stratify)
-    return SensitivityResult(rows=[
-        SensitivityRow(n_shortcuts=count,
-                       mean_test_r2=_converged_stats(runs, "test", "r2")["mean"],
-                       mean_test_rmse=_converged_stats(runs, "test", "rmse")["mean"],
-                       runs=runs)
-        for count, runs in zip(counts, sweep)])
+    variants = sensitivity_variants(spec, cfg)
+    table = _sweep(dataset, variants, n_seeds, regularizer, loss, stratify)
+    return SensitivityResult(rows=[replace(v, runs=table[i::len(variants)])
+                                   for i, v in enumerate(variants)])

@@ -10,7 +10,7 @@ over the batch.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -318,8 +318,9 @@ def dataset_dims(dataset) -> dict:
 
 
 def make_spec(dataset, nnode, **overrides) -> NetworkSpec:
-    """Fill nfea and k from an encoded dataset; other fields come from overrides."""
-    return NetworkSpec(nnode=tuple(int(w) for w in nnode), **dataset_dims(dataset), **overrides)
+    """nfea and k from an encoded dataset, integer widths nnode, other fields from overrides."""
+    return replace(NetworkSpec.from_dict({"nnode": list(nnode), **dataset_dims(dataset)}),
+                   **overrides)
 
 
 @dataclass

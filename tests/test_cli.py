@@ -199,6 +199,24 @@ class TestSensitivityCommand:
         assert len(csv_lines) == 4
 
 
+class TestSweepReruns:
+    @pytest.mark.parametrize("command, grid, tables", [
+        ("compare", None, {"runs.csv"}),
+        ("grid", {"batch_sizes": [16, 32, 16]}, {"grid.csv", "curve.csv"}),
+        ("sensitivity", None, {"sensitivity.csv"}),
+    ])
+    def test_rerun_into_the_same_directory_is_byte_identical(self, tmp_path, command, grid,
+                                                              tables):
+        cfg = tiny_train_config(tmp_path, n_seeds=2, grid=grid or {})
+        run = tmp_path / "run"
+        artifacts = []
+        for _ in range(2):
+            assert main([command, "--config", str(cfg)]) == 0
+            artifacts.append({path.name: path.read_bytes() for path in run.iterdir()})
+        assert set(artifacts[0]) == {"config.json", "report.json", *tables}
+        assert artifacts[0] == artifacts[1]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_number_exits_2(self, tmp_path, number):
@@ -214,6 +232,32 @@ class TestConfigErrors:
         cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [16]}, loss=loss)
         assert main([command, "--config", str(cfg)]) == 2
         assert not (tmp_path / "run" / "config.json").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("sensitivity", {"network": {"nnode": [4]}}, "network.nnode"),
+        *((command, {"stratify": True}, "stratify")
+          for command in ("train", "compare", "grid", "sensitivity")),
+    ])
+    def test_invalid_variant_or_split_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                               command, override, key):
+        cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [16]}, **override)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ({"stratify_column": ["a"]}, "dataset.stratify_column"),
+        ({"delimiter": ",,"}, "dataset.delimiter"),
+    ])
+    def test_csv_option_of_wrong_type_or_length_exits_2_naming_key(self, tmp_path, capsys,
+                                                                   override, key):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{2 * i}\n" for i in range(20)))
+        cfg = tiny_train_config(tmp_path, dataset={"source": "csv", "path": str(data),
+                                                   **override})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+        assert not (tmp_path / "run").exists()
 
     def test_zero_seeds_exits_2_before_writing(self, tmp_path):
         cfg = tiny_train_config(tmp_path, n_seeds=0)

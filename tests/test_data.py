@@ -115,6 +115,13 @@ class TestLoadCsv:
         ds = load_csv(p, ["y"], "regression")
         assert ds.feature_names == ["b=inf", "b=low"]
 
+    @pytest.mark.parametrize("delimiter", [",,", "", 5, None])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,2\n")
+        with pytest.raises(ValueError, match="delimiter must be"):
+            load_csv(p, ["y"], "regression", delimiter=delimiter)
+
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")

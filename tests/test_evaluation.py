@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from resae.data import generate_simulated
+from resae.data import generate_simulated, split
 from resae.evaluation import (
     classification_metrics,
     compare,
@@ -10,6 +12,7 @@ from resae.evaluation import (
     residual_sensitivity,
     rmse_and_nrmse,
     roc_auc,
+    train_and_score,
 )
 from resae.training import TrainConfig, make_spec
 
@@ -128,6 +131,11 @@ class TestClassificationMetrics:
         with pytest.raises(ValueError, match="sum to 1"):
             classification_metrics(np.array([0.0]), np.array([[0.7, 0.7]]))
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_probabilities_rejected(self, row):
+        with pytest.raises(ValueError, match="finite"):
+            classification_metrics(np.array([1, 1]), np.array([row, [0.5, 0.5]]))
+
     def test_single_class_auc_absent(self):
         acc, ce, auc = classification_metrics(np.array([1.0, 1.0]),
                                               np.array([[0.2, 0.8], [0.4, 0.6]]))
@@ -167,6 +175,20 @@ class TestCompare:
         assert d["summary"]["residual"]["n_runs"] == 3
         assert "nrmse" in d["definitions"]
 
+    def test_each_run_equals_its_job_run_alone(self):
+        # each row of the run table depends only on its own seed and arm
+        ds = generate_simulated(n=150, seed=0)
+        spec = make_spec(ds, (6, 3))
+        cfg = tiny_cfg()
+        report = compare(ds, spec, cfg, n_seeds=2)
+        assert [(r.seed, r.arm) for r in report.runs] == [
+            (1, "residual"), (1, "regular"), (2, "residual"), (2, "regular")]
+        for run in report.runs:
+            arm_spec = replace(spec, residual="full" if run.arm == "residual" else "off")
+            alone, _ = train_and_score(ds, split(ds, seed=run.seed), arm_spec,
+                                       replace(cfg, seed=run.seed), arm=run.arm)
+            assert run == alone
+
     def test_non_convergent_arm_recorded_not_fatal(self):
         ds = generate_simulated(n=150, seed=0)
         spec = make_spec(ds, (6, 3), dropout_rate=0.0, use_batchnorm=False,
@@ -195,7 +217,7 @@ class TestGridSearch:
         spec = make_spec(ds, (6, 3), dropout_rate=0.0)
         result = grid_search(ds, spec, tiny_cfg(), {"batch_sizes": [32]}, n_seeds=1)
         assert len(result.cells) == 1
-        assert result.best().batch_size == 32
+        assert result.best().cfg.batch_size == 32
 
     def test_deterministic_ranking(self):
         ds = generate_simulated(n=150, seed=0)
@@ -203,7 +225,7 @@ class TestGridSearch:
         a = grid_search(ds, spec, tiny_cfg(), {"batch_sizes": [16, 64]}, n_seeds=2)
         b = grid_search(ds, spec, tiny_cfg(), {"batch_sizes": [16, 64]}, n_seeds=2)
         assert [c.label for c in a.cells] == [c.label for c in b.cells]
-        assert [c.mean_val_metric for c in a.cells] == [c.mean_val_metric for c in b.cells]
+        assert [a.mean_val_metric(c) for c in a.cells] == [b.mean_val_metric(c) for c in b.cells]
 
     def test_factorial_cell_count_and_curve(self, tmp_path):
         ds = generate_simulated(n=150, seed=0)
@@ -245,7 +267,7 @@ class Testsensitivity:
         spec = make_spec(ds, (6, 3), dropout_rate=0.0)
         cfg = tiny_cfg()
         sens = residual_sensitivity(ds, spec, cfg, n_seeds=2)
-        assert [row.n_shortcuts for row in sens.rows] == [0, 1, 2]
+        assert [row.spec.residual_count() for row in sens.rows] == [0, 1, 2]
         report = compare(ds, spec, cfg, n_seeds=2)
         # identical seeds and splits: count 0 IS the regular arm, full count the residual arm
         reg = [r.test.r2 for r in report.arm_runs("regular")]

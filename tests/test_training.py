@@ -419,6 +419,13 @@ class TestTrainModelPipeline:
         accuracy = float((probs.argmax(axis=1) == ds.targets[sp.test].ravel()).mean())
         assert accuracy > 0.8
 
+    def test_make_spec_reads_widths_without_coercing_them(self):
+        ds = generate_simulated(n=20, seed=0)
+        assert make_spec(ds, (8, 4)).nnode == make_spec(ds, [8, 4]).nnode == (8, 4)
+        for nnode in ([8.9, "4"], [8, 4.0], [True, 4]):
+            with pytest.raises(ValueError, match=r"nnode\[\d\] must be an integer"):
+                make_spec(ds, nnode)
+
 
 def saved_model_document():
     ds = generate_simulated(n=120, seed=3)
