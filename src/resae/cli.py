@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .evaluation import (
     sensitivity_variants,
     train_and_score,
 )
-from .matrix import checked_json, checked_json_list, checked_names
+from .matrix import checked_json, checked_json_list, checked_names, field_types
 from .network import NetworkSpec
 from .training import (
     LossSpec,
@@ -188,7 +187,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
     """Each of TrainConfig's fields, read from the training section as its annotated type."""
     return _validated("training", TrainConfig(**{
         key: _checked(cfg["training"][key], kind, f"training.{key}")
-        for key, kind in get_type_hints(TrainConfig).items()}))
+        for key, kind in field_types(TrainConfig)}))
 
 
 def build_regularizer(cfg: dict) -> Regularizer:
@@ -198,9 +197,11 @@ def build_regularizer(cfg: dict) -> Regularizer:
 
 
 def build_loss(cfg: dict, dataset, spec: NetworkSpec) -> LossSpec:
-    return _validated("loss", default_loss_for(
-        dataset.task, spec.output_option,
-        _checked(cfg["loss"]["reconstruction_weight"], float, "loss.reconstruction_weight")))
+    """The loss for the task and head; a LossSpec validates itself when made."""
+    return _read(default_loss_for, dataset.task, spec.output_option,
+                 _checked(cfg["loss"]["reconstruction_weight"], float,
+                          "loss.reconstruction_weight"),
+                 prefix="invalid loss config: ")
 
 
 def _write_json(path: Path, payload: dict) -> None:

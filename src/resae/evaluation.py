@@ -339,8 +339,10 @@ class GridResult:
                     for rank, c in enumerate(self.cells)))
 
     def batch_size_curve(self) -> list[tuple[int, float | None]]:
-        """(batch size, mean validation metric) sorted by batch size."""
-        return sorted((c.cfg.batch_size, self.mean_val_metric(c)) for c in self.cells)
+        """(batch size, mean validation metric) sorted by batch size, cells
+        of one batch size in rank order; a mean is None if every run diverged."""
+        return sorted(((c.cfg.batch_size, self.mean_val_metric(c)) for c in self.cells),
+                      key=lambda row: row[0])
 
     def write_curve_csv(self, path) -> None:
         _write_csv(path, ["batch_size", "mean_val_metric"], self.batch_size_curve())

@@ -10,7 +10,9 @@ its backward pass needs during forward; backward writes parameter gradients
 into preallocated arrays so optimizer references stay valid.  A layer's
 params() lists (name, value, grad) for each trainable array, and the gradient
 buffer of attribute X is attribute dX; a Network rebinds both to views of its
-one flat parameter vector.
+one flat parameter vector.  Batch-norm running stats live the same way in the
+owning Network's net.running, which updates them all at once after each
+train-mode pass; a batch-norm layer used on its own updates its own.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ def activation_forward(kind: str, z: Matrix, alpha: float = 1.0) -> Matrix:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "elu":
-        return np.where(z >= 0.0, z, alpha * np.expm1(z))
+        e = np.expm1(z)
+        if alpha != 1.0:
+            e *= alpha
+        return np.where(z >= 0.0, z, e)
     if kind == "tanh":
         return np.tanh(z)
     if kind == "linear":
@@ -40,7 +45,11 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1
     if kind == "relu":
         return upstream * (z > 0.0)          # derivative at 0 fixed to 0
     if kind == "elu":
-        return upstream * np.where(z >= 0.0, 1.0, alpha * np.exp(z))  # derivative at 0 fixed to 1
+        e = np.exp(z)
+        if alpha != 1.0:
+            e *= alpha
+        e *= upstream
+        return np.where(z >= 0.0, upstream, e)    # derivative at 0 fixed to 1
     if kind == "tanh":
         t = np.tanh(z)
         return upstream * (1.0 - t * t)
@@ -103,8 +112,8 @@ class DenseLayer:
     def backward(self, upstream: Matrix) -> Matrix:
         if self._x is None:
             raise RuntimeError("dense backward called before forward")
-        self.dW[...] = upstream.T @ self._x
-        self.db[...] = upstream.sum(axis=0, keepdims=True).T
+        np.matmul(upstream.T, self._x, out=self.dW)
+        np.add.reduce(upstream, axis=0, keepdims=True, out=self.db.T)
         return upstream @ self.W
 
     def params(self):
@@ -115,7 +124,12 @@ class DenseLayer:
 
 
 class BatchNormLayer:
-    """Per-column batch normalization with momentum-tracked running stats."""
+    """Per-column batch normalization with momentum-tracked running stats.
+
+    A train-mode forward writes its batch stats into batch_mean and
+    batch_var.  With updates_running set, it also blends them into the
+    running stats; a Network clears it and blends every layer's at once.
+    """
 
     def __init__(self, width: int, momentum: float = 0.9, epsilon: float = 1e-5):
         self.width = int(width)
@@ -125,6 +139,9 @@ class BatchNormLayer:
         self.beta = np.zeros((1, self.width))
         self.running_mean = np.zeros((1, self.width))
         self.running_var = np.ones((1, self.width))
+        self.batch_mean = np.zeros_like(self.running_mean)
+        self.batch_var = np.zeros_like(self.running_var)
+        self.updates_running = True
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
@@ -141,11 +158,16 @@ class BatchNormLayer:
         # np.mean/np.var's own arithmetic, without their wrappers: column sums
         # divided by n, then the centred batch squared, summed and divided by n
         n = x.shape[0]
-        mean = np.add.reduce(x, axis=0, keepdims=True) / n
+        mean = np.add.reduce(x, axis=0, keepdims=True, out=self.batch_mean)
+        mean /= n
         xhat = x - mean
-        var = np.add.reduce(xhat * xhat, axis=0, keepdims=True) / n  # population variance
-        self.running_mean[...] = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-        self.running_var[...] = self.momentum * self.running_var + (1.0 - self.momentum) * var
+        var = np.add.reduce(xhat * xhat, axis=0, keepdims=True, out=self.batch_var)
+        var /= n                                                    # population variance
+        if self.updates_running:   # momentum * running + (1 - momentum) * batch
+            self.running_mean *= self.momentum
+            self.running_mean += (1.0 - self.momentum) * mean
+            self.running_var *= self.momentum
+            self.running_var += (1.0 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.epsilon)
         xhat *= inv
         self._cache = (xhat, inv)

@@ -8,9 +8,11 @@ checking and the reproducibility guarantees the rest of the code relies on.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -58,6 +60,13 @@ def checked_names(value, name: str) -> str | tuple[str, ...]:
         raise ValueError(f"{name} must be a string or a list of strings, "
                          f"got {json.dumps(value, default=repr)}")
     return value
+
+
+@functools.cache
+def field_types(cls: type) -> tuple[tuple[str, type], ...]:
+    """(name, annotated type) of each of a dataclass's fields, resolved once
+    per class: get_type_hints evaluates every annotation on each call."""
+    return tuple(get_type_hints(cls).items())
 
 
 def checked_entry(doc: dict, key: str, kind: type, name: str):

@@ -16,7 +16,6 @@ set of the residual and regular variants of one spec is identical.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import get_type_hints
 
 import numpy as np
 
@@ -29,7 +28,15 @@ from .layers import (
     ResidualAddNode,
     ShortcutSave,
 )
-from .matrix import Matrix, Rng, checked_entry, checked_json, checked_json_list, checked_names
+from .matrix import (
+    Matrix,
+    Rng,
+    checked_entry,
+    checked_json,
+    checked_json_list,
+    checked_names,
+    field_types,
+)
 
 RESIDUAL_POST_OPS = ("none", "activation", "activation_batchnorm")
 
@@ -118,7 +125,7 @@ class NetworkSpec:
         if unknown:
             raise ValueError(f"{where} has unknown fields {unknown}")
         values = {}
-        for field_name, kind in get_type_hints(cls).items():
+        for field_name, kind in field_types(cls):
             key = key_of[field_name]
             if key not in d:
                 continue
@@ -176,7 +183,11 @@ class Network:
 
     Every trainable array and its gradient buffer is a view into one flat
     vector, flat.value and flat.grad, laid out in parameters() order, so an
-    optimizer can step the whole network in one call.
+    optimizer can step the whole network in one call.  Likewise every
+    batch-norm layer's running_mean and running_var is a view into
+    net.running, and its batch_mean and batch_var a view into a second
+    vector of the same layout; a train-mode forward blends the batch stats
+    into the running ones with two in-place updates for the whole network.
     """
 
     def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
@@ -186,24 +197,18 @@ class Network:
             (ShortcutPair(step.slot, step.save.width, i) for i, step in enumerate(steps)
              if isinstance(step, ResidualAddNode)), key=lambda pair: pair.slot)
         self.rng = rng
-        self.flat = self._pack()
-
-    def _pack(self) -> Param:
-        """Copy each layer's arrays into the flat vectors and rebind each
-        attribute X and its gradient buffer dX to views of them."""
-        arrays = [(layer, name, value) for _, layer in self._named_stateful()
-                  for name, value, _ in layer.params()]
-        size = sum(value.size for _, _, value in arrays)
-        flat = Param("flat", np.empty(size), np.zeros(size))
-        offset = 0
-        for layer, name, value in arrays:
-            end = offset + value.size
-            view = flat.value[offset:end].reshape(value.shape)
-            view[...] = value
-            setattr(layer, name, view)
-            setattr(layer, "d" + name, flat.grad[offset:end].reshape(value.shape))
-            offset = end
-        return flat
+        stateful = [layer for _, layer in self._named_stateful()]
+        self.flat = Param("flat", *_pack([(layer, name, "d" + name, value) for layer in stateful
+                                          for name, value, _ in layer.params()]))
+        norms = [layer for layer in stateful if isinstance(layer, BatchNormLayer)]
+        self.running, self._batch_stats = _pack([
+            (bn, f"running_{stat}", f"batch_{stat}", getattr(bn, f"running_{stat}"))
+            for bn in norms for stat in ("mean", "var")])
+        self._momentum = np.repeat([bn.momentum for bn in norms],
+                                   [2 * bn.width for bn in norms])
+        self._one_minus_momentum = 1.0 - self._momentum
+        for bn in norms:
+            bn.updates_running = False
 
     # -- forward / backward -------------------------------------------------
 
@@ -218,6 +223,9 @@ class Network:
             cur = step.forward(cur, train, self.rng)
             if trace is not None:
                 trace[i] = cur
+        if train:   # momentum * running + (1 - momentum) * batch, for every layer at once
+            self.running *= self._momentum
+            self.running += self._one_minus_momentum * self._batch_stats
         if self.spec.output_option == 2:
             k = self.spec.k
             return Predictions(y=cur[:, :k], reconstruction=cur[:, k:], head=cur)
@@ -344,6 +352,24 @@ class Network:
             state[name] = checked_entry(entry, "data", np.ndarray, f"{where}.data").reshape(shape)
         net.set_state(state)
         return net
+
+
+def _pack(arrays: list) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat vectors for a list of (layer, name, partner, value): value is
+    copied into the first and the layer's attribute name rebound to its view
+    there; attribute partner is rebound to the same slice of the second,
+    zeroed vector."""
+    size = sum(value.size for *_, value in arrays)
+    first, second = np.empty(size), np.zeros(size)
+    offset = 0
+    for layer, name, partner, value in arrays:
+        end = offset + value.size
+        view = first[offset:end].reshape(value.shape)
+        view[...] = value
+        setattr(layer, name, view)
+        setattr(layer, partner, second[offset:end].reshape(value.shape))
+        offset = end
+    return first, second
 
 
 def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:

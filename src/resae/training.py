@@ -10,6 +10,7 @@ over the batch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -33,8 +34,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class LossSpec:
+    """A loss kind and weight, validated when made, so every loss in use is valid."""
+
     kind: str = "mse"
     reconstruction_weight: float = 1.0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
@@ -86,7 +92,6 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
     The regularizer contributes to the value only; its parameter gradients
     are added separately after the network backward pass.
     """
-    loss.validate()
     n = targets.shape[0]
     head_grad = np.zeros_like(preds.head)
     k = preds.y.shape[1]
@@ -106,7 +111,7 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
             rr = preds.reconstruction - inputs
             value += w * float((rr * rr).sum()) / (2.0 * n)
             head_grad[:, k:] = w * rr / n
-    else:   # cross_entropy, the one kind left after validate()
+    else:   # cross_entropy, the one kind left in a LossSpec
         classes = np.asarray(targets, dtype=np.int64).ravel()
         if classes.shape[0] != n or classes.min() < 0 or classes.max() >= k:
             raise ValueError(f"cross entropy expects class indices in [0, {k}), "
@@ -254,7 +259,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
     n = x_train.shape[0]
     history = TrainHistory()
     best_val = np.inf
-    best_state = None
+    best = None     # flat copies of the parameters and running stats
     stale = 0
 
     for epoch in range(cfg.max_epochs):
@@ -265,7 +270,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
             preds = net.forward(xb, "train")
             value, head_grad = loss_and_head_gradient(
                 loss, preds, yb, inputs=xb, regularizer=regularizer, params=params)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
             net.backward(head_grad)
             # both updates are elementwise, so one call on the flat vector
@@ -276,7 +281,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
 
         val_preds = net.forward(x_val, "infer")
         val_value, _ = loss_and_head_gradient(loss, val_preds, y_val, inputs=x_val)
-        if not np.isfinite(val_value):
+        if not math.isfinite(val_value):
             raise TrainingDiverged(epoch, -1, val_value)
         metric = float(val_metric_fn(val_preds)) if val_metric_fn is not None else -val_value
         history.train_loss.append(float(np.mean(epoch_losses)))
@@ -285,7 +290,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
 
         if val_value < best_val:
             best_val = val_value
-            best_state = net.get_state()
+            best = (net.flat.value.copy(), net.running.copy())
             history.best_epoch = epoch
             stale = 0
         else:
@@ -293,8 +298,8 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
             if stale >= cfg.early_stop_patience:
                 break
 
-    if best_state is not None:
-        net.set_state(best_state)
+    if best is not None:
+        net.flat.value[...], net.running[...] = best
     return history
 
 
@@ -370,7 +375,6 @@ class FittedModel:
             raise ValueError(f"loss.kind must be one of {LOSS_KINDS}, got {kind!r}")
         loss = LossSpec(kind, checked_entry(loss_doc, "reconstruction_weight", float,
                                             "loss.reconstruction_weight"))
-        loss.validate()   # a negative reconstruction_weight
         return cls(
             network=Network.from_dict(checked_entry(d, "network", dict, "network")),
             feature_stats=StandardizeStats.from_dict(

@@ -5,6 +5,10 @@ import pytest
 
 from resae.data import generate_simulated, split
 from resae.evaluation import (
+    GridResult,
+    Metrics,
+    RunResult,
+    Variant,
     classification_metrics,
     compare,
     grid_search,
@@ -238,6 +242,16 @@ class TestGridSearch:
         assert [b for b, _ in curve] == sorted(b for b, _ in curve)
         result.write_cells_csv(tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_text().startswith("rank,")
+
+    def test_curve_sorts_on_batch_size_alone_when_a_cell_diverged(self):
+        spec = make_spec(generate_simulated(n=150, seed=0), (6, 3))
+        converged = RunResult(1, "a", True, 10, validation=Metrics(r2=0.5))
+        diverged = RunResult(1, "b", False, 10, diagnostic="non-finite loss")
+        result = GridResult("regression", [
+            Variant("a", spec, tiny_cfg(batch_size=32), [converged]),
+            Variant("b", spec, tiny_cfg(batch_size=32), [diverged]),
+            Variant("c", spec, tiny_cfg(batch_size=16), [diverged])], {})
+        assert result.batch_size_curve() == [(16, None), (32, 0.5), (32, None)]
 
     def test_empty_axis_rejected(self):
         ds = generate_simulated(n=150, seed=0)

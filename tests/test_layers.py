@@ -100,6 +100,25 @@ class TestActivationBackward:
             activation_backward("relu", np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def assert_same_bits(got, want):
+    """Equal shape and equal bytes, so 0.0 and -0.0 count as different."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_elu_is_bit_identical_to_where_reference(alpha):
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.normal(scale=3.0, size=(20, 6)),
+                        [[0.0, -0.0, -30.0, -745.0, -1e300, 1e-310]]])
+    upstream = rng.normal(size=z.shape)
+    upstream[-1, :3] = [0.0, -0.0, -2.5]
+    assert_same_bits(activation_forward("elu", z, alpha),
+                     np.where(z >= 0.0, z, alpha * np.expm1(z)))
+    assert_same_bits(activation_backward("elu", z, upstream, alpha),
+                     upstream * np.where(z >= 0.0, 1.0, alpha * np.exp(z)))
+
+
 class TestDenseLayer:
     def test_identity_weights(self):
         layer = DenseLayer(3, 3)
@@ -141,6 +160,19 @@ class TestDenseLayer:
         np.testing.assert_allclose(layer.dW, numeric_grad(loss, layer.W), rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(layer.db, numeric_grad(loss, layer.b), rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(dx, numeric_grad(loss, x), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("n, n_in, n_out", [(2, 1, 1), (5, 3, 2), (100, 32, 16)])
+    def test_backward_is_bit_identical_to_matmul_and_sum(self, n, n_in, n_out):
+        rng = np.random.default_rng(n + n_in)
+        layer = DenseLayer(n_in, n_out)
+        layer.W[...] = rng.normal(size=(n_out, n_in))
+        x = rng.normal(size=(n, n_in))
+        up = rng.normal(size=(n, n_out))
+        layer.forward(x)
+        dx = layer.backward(up)
+        assert_same_bits(layer.dW, up.T @ x)
+        assert_same_bits(layer.db, up.sum(axis=0, keepdims=True).T)
+        assert_same_bits(dx, up @ layer.W)
 
     def test_gradient_shapes_mirror_parameters(self):
         layer = DenseLayer(4, 3)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from resae.matrix import Rng, StandardizeStats, standardize_fit_apply
+from resae.matrix import Rng, StandardizeStats, field_types, standardize_fit_apply
+from resae.training import TrainConfig
 
 
 def splitmix_oracle(seed, n):
@@ -119,3 +120,10 @@ class TestStandardize:
         back = StandardizeStats.from_dict(stats.to_dict())
         np.testing.assert_array_equal(back.mean, stats.mean)
         np.testing.assert_array_equal(back.sd, stats.sd)
+
+
+def test_field_types_resolves_each_class_once():
+    types = field_types(TrainConfig)
+    assert types[:3] == (("batch_size", int), ("max_epochs", int), ("learning_rate", float))
+    assert len(types) == len(TrainConfig.__dataclass_fields__)
+    assert field_types(TrainConfig) is types

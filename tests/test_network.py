@@ -291,7 +291,9 @@ class TestSerialization:
             NetworkSpec.from_dict({**d, "k": 1, "use_batchnrom": False})
 
 
-def _assert_params_view_flat(net):
+def _assert_state_views_flat(net):
+    """Every parameter and its gradient is a view of net.flat, and every
+    batch-norm running stat a view of net.running, in layer order."""
     flat = net.flat
     offset = 0
     for p in net.parameters():
@@ -299,36 +301,79 @@ def _assert_params_view_flat(net):
         np.testing.assert_array_equal(p.value.ravel(), flat.value[offset:offset + p.size])
         offset += p.size
     assert offset == flat.value.size == flat.grad.size == net.count_parameters()
+    norms = [step for step in net.steps if isinstance(step, BatchNormLayer)]
+    stats = [stat for bn in norms for stat in (bn.running_mean, bn.running_var)]
+    assert norms and all(np.shares_memory(stat, net.running) for stat in stats)
+    assert not any(bn.updates_running for bn in norms)
+    np.testing.assert_array_equal(np.concatenate([stat.ravel() for stat in stats]), net.running)
 
 
 class TestFlatParameters:
     spec = NetworkSpec(nfea=5, nnode=(8, 4), k=2)
 
     def test_build_network_packs_every_parameter(self):
-        _assert_params_view_flat(build_network(self.spec, rng=1))
+        _assert_state_views_flat(build_network(self.spec, rng=1))
 
     def test_from_dict_truncate_and_set_state_keep_the_views(self):
         net = build_network(self.spec, rng=1)
-        net.forward(np.random.default_rng(0).normal(size=(6, 5)), "train")
+        x = np.random.default_rng(0).normal(size=(6, 5))
+        net.forward(x, "train")
         loaded = Network.from_dict(json.loads(json.dumps(net.to_dict())))
-        _assert_params_view_flat(loaded)
-        np.testing.assert_array_equal(loaded.flat.value, net.flat.value)
         cut = net.truncate_residuals(1)
-        _assert_params_view_flat(cut)
-        np.testing.assert_array_equal(cut.flat.value, net.flat.value)
         other = build_network(self.spec, rng=2)
         other.set_state(net.get_state())
-        _assert_params_view_flat(other)
-        np.testing.assert_array_equal(other.flat.value, net.flat.value)
+        for copy in (loaded, cut, other):
+            _assert_state_views_flat(copy)
+            np.testing.assert_array_equal(copy.flat.value, net.flat.value)
+            np.testing.assert_array_equal(copy.running, net.running)
+            copy.forward(x, "train")    # the views still see the blend into net.running
+            _assert_state_views_flat(copy)
+            assert not np.array_equal(copy.running, net.running)
 
     def test_backward_fills_the_flat_gradient(self):
         net = build_network(self.spec, rng=3)
         x = np.random.default_rng(4).normal(size=(6, 5))
-        preds = net.forward(x, "train")
-        net.backward(np.ones_like(preds.head))
+        inputs, grads = {}, {}
+        preds = net.forward(x, "train", trace=inputs)
+        net.backward(np.random.default_rng(5).normal(size=preds.head.shape), trace=grads)
         assert np.abs(net.flat.grad).sum() > 0.0
         np.testing.assert_array_equal(
             net.flat.grad, np.concatenate([p.grad.ravel() for p in net.parameters()]))
+        for i, step in enumerate(net.steps):
+            if isinstance(step, DenseLayer):   # the flat views hold upstream.T @ x and its sum
+                x_in, up = inputs.get(i - 1, x), grads[i + 1]
+                assert (step.dW == up.T @ x_in).all()
+                assert (step.db == up.sum(axis=0, keepdims=True).T).all()
+
+    def test_train_forwards_blend_running_stats_like_each_layer_alone(self):
+        net = build_network(replace(self.spec, dropout_placement="all"), rng=5)
+        norms = [(i, step) for i, step in enumerate(net.steps)
+                 if isinstance(step, BatchNormLayer)]
+        for j, (_, bn) in enumerate(norms):   # per-layer momenta, packed when built
+            bn.momentum = (0.9, 0.75, 0.5)[j % 3]
+        net = Network(net.spec, net.steps, net.rng)
+        alone = BatchNormLayer(4, momentum=0.8)
+        expected = {i: (bn.running_mean.copy(), bn.running_var.copy())
+                    for i, bn in norms + [(None, alone)]}
+
+        def blend(i, m, x):   # momentum * running + (1 - momentum) * batch stat
+            mean, var = expected[i]
+            expected[i] = (m * mean + (1.0 - m) * x.mean(axis=0, keepdims=True),
+                           m * var + (1.0 - m) * x.var(axis=0, keepdims=True))
+
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            x, inputs = rng.normal(size=(10, 5)), {}
+            net.forward(x, "train", trace=inputs)
+            for i, bn in norms:
+                blend(i, bn.momentum, inputs[i - 1])   # a dense step precedes each
+            net.forward(x, "infer")                    # inference leaves them alone
+            x_alone = rng.normal(size=(7, 4))
+            alone.forward(x_alone, train=True)
+            blend(None, 0.8, x_alone)
+        for i, bn in norms + [(None, alone)]:
+            np.testing.assert_array_equal(bn.running_mean, expected[i][0])
+            np.testing.assert_array_equal(bn.running_var, expected[i][1])
 
 
 def test_identical_seeds_give_identical_initial_weights_across_variants():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,12 @@ class TestLoss:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             LossSpec("huber").validate()
+
+    def test_invalid_loss_rejected_when_made(self):
+        with pytest.raises(ValueError, match="unknown loss kind 'huber'"):
+            LossSpec("huber")
+        with pytest.raises(ValueError, match="reconstruction_weight must be >= 0"):
+            LossSpec("mse_reconstruction", reconstruction_weight=-1.0)
 
     def test_losses_are_non_negative(self):
         rng = np.random.default_rng(17)
@@ -275,6 +282,18 @@ class TestFit:
         preds = net.forward(xv, "infer")
         value, _ = loss_and_head_gradient(LossSpec("mse"), preds, yv)
         assert value == pytest.approx(min(history.val_loss), rel=1e-9)
+
+    def test_early_stop_restores_the_best_epochs_state_bit_for_bit(self):
+        # a run cut off after its best epoch ends in the state an early stop restores
+        cfg = TrainConfig(batch_size=32, max_epochs=60, learning_rate=5e-2,
+                          early_stop_patience=4, seed=3)
+        net, xtr, ytr, xv, yv = self._net_and_data(seed=4)
+        history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"), cfg)
+        assert history.best_epoch < len(history) - 1
+        cut, *_ = self._net_and_data(seed=4)
+        fit(cut, xtr, ytr, xv, yv, LossSpec("mse"),
+            replace(cfg, max_epochs=history.best_epoch + 1))
+        assert json.dumps(net.to_dict()) == json.dumps(cut.to_dict())
 
     def test_determinism(self):
         runs = []
