@@ -101,6 +101,8 @@ def generate_simulated(n: int = 1000, seed: int = 0, noise_sd: float = 100.0,
         raise ValueError("exactly eight feature ranges required")
     if ranges[4][0] <= 0.0:
         raise ValueError("x5 range must be strictly positive")
+    if not noise_sd >= 0.0:
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     rng = Rng(seed)
     cols = [rng.uniform(n, low=lo, high=hi) for lo, hi in ranges]
     x = np.column_stack(cols)
@@ -377,6 +379,10 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     """
     if n < 50:
         raise ValueError(f"need at least 50 sites, got {n}")
+    if not correlation_length > 0.0:
+        raise ValueError(f"correlation_length must be > 0, got {correlation_length}")
+    if not noise_sd >= 0.0:
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     rng = Rng(seed)
     sites = rng.uniform(n, 2)
     centers = rng.uniform(n_bumps, 2)

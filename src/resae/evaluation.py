@@ -158,14 +158,14 @@ def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec
     """One job: train with cfg's seed on the split, then score the
     validation and test rows.  Returns the run and the fitted model; on a
     non-finite loss the model is None and the run carries the diagnostic."""
-    parameter_count = build_network(spec, rng=0).count_parameters()
     try:
         model = train_model(dataset, split_idx, spec, cfg, regularizer=regularizer, loss=loss)
     except TrainingDiverged as exc:
         return RunResult(seed=cfg.seed, arm=arm, converged=False,
-                         parameter_count=parameter_count, diagnostic=str(exc)), None
+                         parameter_count=build_network(spec, rng=0).count_parameters(),
+                         diagnostic=str(exc)), None
     return RunResult(seed=cfg.seed, arm=arm, converged=True,
-                     parameter_count=parameter_count,
+                     parameter_count=model.network.count_parameters(),
                      validation=evaluate_model(model, dataset, split_idx.validation),
                      test=evaluate_model(model, dataset, split_idx.test)), model
 

@@ -8,12 +8,11 @@ and summary() returns its row of a serialized network's layer list.
 Conventions: batches are (n, width) float64 matrices; each step caches what
 its backward pass needs during forward; backward writes parameter gradients
 into preallocated arrays so optimizer references stay valid.  A layer's
-params() lists (name, value, grad) for each trainable array, and the gradient
-buffer of attribute X is attribute dX; a Network rebinds both to views of its
-one flat parameter vector.  Batch-norm running stats live the same way in the
-owning Network's net.running, which updates them all at once after each
-train-mode pass; a batch-norm layer used on its own updates its own.
-"""
+PARAMS names its trainable attributes, and the gradient buffer of attribute
+X is attribute dX; a Network rebinds both to views of its one flat parameter
+vector.  A batch-norm layer's train forward only records its batch stats;
+the owning Network blends every layer's into its running stats at once,
+with the constant momentum BN_MOMENTUM."""
 
 from __future__ import annotations
 
@@ -22,13 +21,15 @@ import numpy as np
 from .matrix import Matrix, Rng
 
 ACTIVATION_KINDS = ("relu", "elu", "tanh", "linear")
+BN_MOMENTUM = 0.9     # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
+BN_EPSILON = 1e-5
 
 
 def activation_forward(kind: str, z: Matrix, alpha: float = 1.0) -> Matrix:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "elu":
-        e = np.expm1(z)
+    if kind == "elu":     # expm1(min(z, 0)): the same where z < 0, and no overflow for large z
+        e = np.expm1(np.minimum(z, 0.0))
         if alpha != 1.0:
             e *= alpha
         return np.where(z >= 0.0, z, e)
@@ -44,12 +45,13 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1
         raise ValueError(f"activation backward shape mismatch: {z.shape} vs {upstream.shape}")
     if kind == "relu":
         return upstream * (z > 0.0)          # derivative at 0 fixed to 0
-    if kind == "elu":
-        e = np.exp(z)
-        if alpha != 1.0:
-            e *= alpha
+    if kind == "elu":     # exp(min(z, 0)) is 1 where z >= 0 (so 1 at 0) and never overflows
+        e = np.exp(np.minimum(z, 0.0))
+        if alpha == 1.0:
+            return upstream * e
+        e *= alpha
         e *= upstream
-        return np.where(z >= 0.0, upstream, e)    # derivative at 0 fixed to 1
+        return np.where(z >= 0.0, upstream, e)
     if kind == "tanh":
         t = np.tanh(z)
         return upstream * (1.0 - t * t)
@@ -84,6 +86,8 @@ class Activation:
 class DenseLayer:
     """Fully connected layer: out = x @ W.T + b.T with W (out x in), b (out x 1)."""
 
+    PARAMS = ("W", "b")
+
     def __init__(self, n_in: int, n_out: int):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
@@ -116,32 +120,28 @@ class DenseLayer:
         np.add.reduce(upstream, axis=0, keepdims=True, out=self.db.T)
         return upstream @ self.W
 
-    def params(self):
-        return [("W", self.W, self.dW), ("b", self.b, self.db)]
-
     def summary(self) -> dict:
         return {"kind": "dense", "in": self.n_in, "out": self.n_out}
 
 
 class BatchNormLayer:
-    """Per-column batch normalization with momentum-tracked running stats.
+    """Per-column batch normalization.
 
-    A train-mode forward writes its batch stats into batch_mean and
-    batch_var.  With updates_running set, it also blends them into the
-    running stats; a Network clears it and blends every layer's at once.
+    A train-mode forward normalizes with the batch stats and writes them into
+    batch_mean and batch_var; the owning Network blends those into
+    running_mean and running_var, which an inference forward uses.
     """
 
-    def __init__(self, width: int, momentum: float = 0.9, epsilon: float = 1e-5):
+    PARAMS = ("gamma", "beta")
+
+    def __init__(self, width: int):
         self.width = int(width)
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
         self.gamma = np.ones((1, self.width))
         self.beta = np.zeros((1, self.width))
         self.running_mean = np.zeros((1, self.width))
         self.running_var = np.ones((1, self.width))
         self.batch_mean = np.zeros_like(self.running_mean)
         self.batch_var = np.zeros_like(self.running_var)
-        self.updates_running = True
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
@@ -150,7 +150,7 @@ class BatchNormLayer:
         if x.shape[1] != self.width:
             raise ValueError(f"batchnorm expects width {self.width}, got {x.shape}")
         if not train:
-            inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
+            inv = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
             return self.gamma * ((x - self.running_mean) * inv) + self.beta
         if x.shape[0] < 2:
             raise ValueError(f"batchnorm needs a batch of at least 2 rows in "
@@ -163,12 +163,7 @@ class BatchNormLayer:
         xhat = x - mean
         var = np.add.reduce(xhat * xhat, axis=0, keepdims=True, out=self.batch_var)
         var /= n                                                    # population variance
-        if self.updates_running:   # momentum * running + (1 - momentum) * batch
-            self.running_mean *= self.momentum
-            self.running_mean += (1.0 - self.momentum) * mean
-            self.running_var *= self.momentum
-            self.running_var += (1.0 - self.momentum) * var
-        inv = 1.0 / np.sqrt(var + self.epsilon)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv
         self._cache = (xhat, inv)
         out = self.gamma * xhat
@@ -195,9 +190,6 @@ class BatchNormLayer:
         dxhat -= t
         dxhat *= inv / n
         return dxhat
-
-    def params(self):
-        return [("gamma", self.gamma, self.dgamma), ("beta", self.beta, self.dbeta)]
 
     def summary(self) -> dict:
         return {"kind": "batchnorm", "width": self.width}

@@ -21,6 +21,7 @@ import numpy as np
 
 from .layers import (
     ACTIVATION_KINDS,
+    BN_MOMENTUM,
     Activation,
     BatchNormLayer,
     DenseLayer,
@@ -173,21 +174,18 @@ class Param:
     value: np.ndarray
     grad: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.value.size
-
 
 class Network:
-    """A realized layer graph with residual wiring and per-layer state.
+    """A realized layer graph with residual wiring; its state is two flat vectors.
 
-    Every trainable array and its gradient buffer is a view into one flat
-    vector, flat.value and flat.grad, laid out in parameters() order, so an
-    optimizer can step the whole network in one call.  Likewise every
-    batch-norm layer's running_mean and running_var is a view into
-    net.running, and its batch_mean and batch_var a view into a second
-    vector of the same layout; a train-mode forward blends the batch stats
-    into the running ones with two in-place updates for the whole network.
+    Every trainable array and its gradient buffer is a view into flat.value
+    and flat.grad, laid out in parameters() order, and the optimizer is bound
+    to that one Param.  Every batch-norm layer's running_mean and running_var
+    is a view into net.running, and its batch_mean and batch_var a view into
+    a second vector of the same layout; a train-mode forward blends the batch
+    stats into the running ones with two in-place updates for the whole
+    network, at the constant momentum BN_MOMENTUM.  The named views that
+    parameters(), get_state, set_state and to_dict read are built once here.
     """
 
     def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
@@ -197,18 +195,19 @@ class Network:
             (ShortcutPair(step.slot, step.save.width, i) for i, step in enumerate(steps)
              if isinstance(step, ResidualAddNode)), key=lambda pair: pair.slot)
         self.rng = rng
-        stateful = [layer for _, layer in self._named_stateful()]
-        self.flat = Param("flat", *_pack([(layer, name, "d" + name, value) for layer in stateful
-                                          for name, value, _ in layer.params()]))
-        norms = [layer for layer in stateful if isinstance(layer, BatchNormLayer)]
-        self.running, self._batch_stats = _pack([
-            (bn, f"running_{stat}", f"batch_{stat}", getattr(bn, f"running_{stat}"))
-            for bn in norms for stat in ("mean", "var")])
-        self._momentum = np.repeat([bn.momentum for bn in norms],
-                                   [2 * bn.width for bn in norms])
-        self._one_minus_momentum = 1.0 - self._momentum
-        for bn in norms:
-            bn.updates_running = False
+        layers = [step for step in steps if isinstance(step, (DenseLayer, BatchNormLayer))]
+        stateful = [(f"L{i:03d}.{'dense' if isinstance(layer, DenseLayer) else 'bn'}", layer)
+                    for i, layer in enumerate(layers)]
+        self.flat = Param("flat", *_pack([(layer, attr, "d" + attr) for layer in layers
+                                          for attr in layer.PARAMS]))
+        stats = [(name, layer, f"running_{stat}") for name, layer in stateful
+                 if isinstance(layer, BatchNormLayer) for stat in ("mean", "var")]
+        self.running, self._batch_stats = _pack([(bn, attr, attr.replace("running", "batch"))
+                                                 for _, bn, attr in stats])
+        self._params = [Param(f"{name}.{attr}", getattr(layer, attr), getattr(layer, "d" + attr))
+                        for name, layer in stateful for attr in layer.PARAMS]
+        self._views = {p.name: p.value for p in self._params}
+        self._views.update({f"{name}.{attr}": getattr(bn, attr) for name, bn, attr in stats})
 
     # -- forward / backward -------------------------------------------------
 
@@ -224,8 +223,8 @@ class Network:
             if trace is not None:
                 trace[i] = cur
         if train:   # momentum * running + (1 - momentum) * batch, for every layer at once
-            self.running *= self._momentum
-            self.running += self._one_minus_momentum * self._batch_stats
+            self.running *= BN_MOMENTUM
+            self.running += (1.0 - BN_MOMENTUM) * self._batch_stats
         if self.spec.output_option == 2:
             k = self.spec.k
             return Predictions(y=cur[:, :k], reconstruction=cur[:, k:], head=cur)
@@ -254,43 +253,20 @@ class Network:
 
     # -- parameters -----------------------------------------------------------
 
-    def _named_stateful(self):
-        """(name, layer) for every state-carrying layer, in execution order."""
-        idx = 0
-        for step in self.steps:
-            if isinstance(step, DenseLayer):
-                yield f"L{idx:03d}.dense", step
-                idx += 1
-            elif isinstance(step, BatchNormLayer):
-                yield f"L{idx:03d}.bn", step
-                idx += 1
-
     def parameters(self) -> list[Param]:
-        out = []
-        for name, holder in self._named_stateful():
-            for field_name, value, grad in holder.params():
-                out.append(Param(f"{name}.{field_name}", value, grad))
-        return out
+        """Each trainable array and its gradient buffer, named, in flat order."""
+        return list(self._params)
 
     def count_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        """The live trainable arrays plus batch-norm running stats, by name."""
-        arrays = {p.name: p.value for p in self.parameters()}
-        for name, holder in self._named_stateful():
-            if isinstance(holder, BatchNormLayer):
-                arrays[f"{name}.running_mean"] = holder.running_mean
-                arrays[f"{name}.running_var"] = holder.running_var
-        return arrays
+        return self.flat.value.size
 
     def get_state(self) -> dict[str, np.ndarray]:
         """Copy of all trainable arrays plus batch-norm running stats."""
-        return {name: arr.copy() for name, arr in self._state_arrays().items()}
+        return {name: arr.copy() for name, arr in self._views.items()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
         """Load a get_state() dict; every name and shape must match this network."""
-        arrays = self._state_arrays()
+        arrays = self._views
         unknown = sorted(set(state) - set(arrays))
         if unknown:
             raise ValueError(f"state has parameters this network lacks: {unknown}")
@@ -355,14 +331,15 @@ class Network:
 
 
 def _pack(arrays: list) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat vectors for a list of (layer, name, partner, value): value is
-    copied into the first and the layer's attribute name rebound to its view
-    there; attribute partner is rebound to the same slice of the second,
-    zeroed vector."""
-    size = sum(value.size for *_, value in arrays)
+    """Two flat vectors for a list of (layer, name, partner): the layer's
+    attribute name is copied into the first and rebound to its view there;
+    attribute partner is rebound to the same slice of the second, zeroed
+    vector."""
+    size = sum(getattr(layer, name).size for layer, name, _ in arrays)
     first, second = np.empty(size), np.zeros(size)
     offset = 0
-    for layer, name, partner, value in arrays:
+    for layer, name, partner in arrays:
+        value = getattr(layer, name)
         end = offset + value.size
         view = first[offset:end].reshape(value.shape)
         view[...] = value

@@ -67,14 +67,15 @@ class Regularizer:
             return self.coefficient * sum(float((p.value * p.value).sum()) for p in params)
         return self.coefficient * sum(float(np.abs(p.value).sum()) for p in params)
 
-    def add_gradients(self, params: list[Param]) -> None:
+    def add_gradients(self, p: Param) -> None:
+        """Add the penalty's gradient to p.grad; elementwise, so one call on
+        a network's flat vector covers every parameter."""
         if self.kind == "none" or self.coefficient == 0.0:
             return
-        for p in params:
-            if self.kind == "l2":
-                p.grad += 2.0 * self.coefficient * p.value
-            else:
-                p.grad += self.coefficient * np.sign(p.value)
+        if self.kind == "l2":
+            p.grad += 2.0 * self.coefficient * p.value
+        else:
+            p.grad += self.coefficient * np.sign(p.value)
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -135,48 +136,44 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
 # ---------------------------------------------------------------------------
 
 class SgdMomentum:
-    def __init__(self, momentum: float = 0.9):
-        self.momentum = float(momentum)
-        self._velocity: dict[str, np.ndarray] = {}
+    """SGD with momentum, bound to one Param: v = momentum * v + grad, then
+    value -= lr * v, in place."""
 
-    def step(self, params: list[Param], lr: float) -> None:
-        for p in params:
-            v = self._velocity.get(p.name)
-            if v is None:
-                v = np.zeros_like(p.value)
-                self._velocity[p.name] = v
-            v *= self.momentum
-            v += p.grad
-            p.value -= lr * v
+    def __init__(self, param: Param, momentum: float = 0.9):
+        self.param = param
+        self.momentum = float(momentum)
+        self._velocity = np.zeros_like(param.value)
+
+    def step(self, lr: float) -> None:
+        v, p = self._velocity, self.param
+        v *= self.momentum
+        v += p.grad
+        p.value -= lr * v
 
 
 class Adam:
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    """Adam (Kingma & Ba 2015), bound to one Param, with bias-corrected moments."""
+
+    def __init__(self, param: Param, beta1: float = 0.9, beta2: float = 0.999,
+                 epsilon: float = 1e-8):
+        self.param = param
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = np.zeros_like(param.value)
+        self._v = np.zeros_like(param.value)
         self._t = 0
 
-    def step(self, params: list[Param], lr: float) -> None:
+    def step(self, lr: float) -> None:
         self._t += 1
         c1 = 1.0 - self.beta1 ** self._t
         c2 = 1.0 - self.beta2 ** self._t
-        for p in params:
-            m = self._m.get(p.name)
-            if m is None:
-                m = np.zeros_like(p.value)
-                v = np.zeros_like(p.value)
-                self._m[p.name] = m
-                self._v[p.name] = v
-            else:
-                v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        m, v, p = self._m, self._v, self.param
+        m *= self.beta1
+        m += (1.0 - self.beta1) * p.grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (p.grad * p.grad)
+        p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -202,11 +199,17 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
 
-    def make_optimizer(self):
+    def make_optimizer(self, param: Param):
+        """The configured optimizer, bound to param."""
         if self.optimizer == "sgd":
-            return SgdMomentum(self.momentum)
-        return Adam(self.adam_beta1, self.adam_beta2, self.adam_epsilon)
+            return SgdMomentum(param, self.momentum)
+        return Adam(param, self.adam_beta1, self.adam_beta2, self.adam_epsilon)
 
 
 @dataclass
@@ -254,7 +257,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
     cfg.validate()
     regularizer = regularizer or Regularizer()
     params = net.parameters()
-    optimizer = cfg.make_optimizer()
+    optimizer = cfg.make_optimizer(net.flat)
     shuffle_rng = Rng(cfg.seed).spawn(2)
     n = x_train.shape[0]
     history = TrainHistory()
@@ -273,10 +276,8 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
             net.backward(head_grad)
-            # both updates are elementwise, so one call on the flat vector
-            # gives the same bits as one call per array
-            regularizer.add_gradients([net.flat])
-            optimizer.step([net.flat], cfg.learning_rate)
+            regularizer.add_gradients(net.flat)
+            optimizer.step(cfg.learning_rate)
             epoch_losses.append(value)
 
         val_preds = net.forward(x_val, "infer")
@@ -454,7 +455,7 @@ def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
     _, head_grad = loss_and_head_gradient(loss, preds, targets, inputs=x,
                                           regularizer=regularizer, params=params)
     net.backward(head_grad)
-    regularizer.add_gradients([net.flat])
+    regularizer.add_gradients(net.flat)
     analytic = net.flat.grad.copy()
 
     values = net.flat.value      # every parameter entry, in parameters() order

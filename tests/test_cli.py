@@ -237,6 +237,9 @@ class TestConfigErrors:
         ("sensitivity", {"network": {"nnode": [4]}}, "network.nnode"),
         *((command, {"stratify": True}, "stratify")
           for command in ("train", "compare", "grid", "sensitivity")),
+        *(("train", {"training": {field: value}}, f"invalid training config: {field}")
+          for field, value in (("early_stop_patience", 0), ("early_stop_patience", -7),
+                               ("adam_beta1", 1.0), ("adam_beta2", -0.5))),
     ])
     def test_invalid_variant_or_split_exits_2_writing_nothing(self, tmp_path, capsys,
                                                                command, override, key):

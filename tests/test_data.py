@@ -56,6 +56,11 @@ class TestSimulated:
         with pytest.raises(ValueError, match="x5"):
             generate_simulated(n=10, ranges=tuple(bad))
 
+    @pytest.mark.parametrize("noise_sd", [-100.0, -1e-300, float("nan")])
+    def test_negative_noise_rejected(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd"):
+            generate_simulated(n=10, noise_sd=noise_sd)
+
 
 class TestLoadCsv:
     def test_numeric_roundtrip(self, tmp_path):
@@ -266,6 +271,14 @@ class TestSpatial:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             generate_spatial_field(n=10, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sd", -0.5), ("noise_sd", float("nan")),
+        ("correlation_length", 0.0), ("correlation_length", -0.15),
+    ])
+    def test_bad_noise_or_length_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            generate_spatial_field(n=60, seed=0, **{field: value})
 
 
 def test_dataset_row_mismatch_rejected():

@@ -193,6 +193,24 @@ class TestCompare:
                                        replace(cfg, seed=run.seed), arm=run.arm)
             assert run == alone
 
+    def test_each_job_builds_one_network(self, monkeypatch):
+        import resae.evaluation
+        import resae.network
+        import resae.training
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args[0])
+            return resae.network.build_network(*args, **kwargs)
+
+        for module in (resae.evaluation, resae.training):
+            monkeypatch.setattr(module, "build_network", counting_build)
+        ds = generate_simulated(n=150, seed=0)
+        report = compare(ds, make_spec(ds, (6, 3)), tiny_cfg(max_epochs=2), n_seeds=2)
+        assert len(calls) == len(report.runs) == 4
+        assert all(r.parameter_count == report.runs[0].parameter_count > 0
+                   for r in report.runs)
+
     def test_non_convergent_arm_recorded_not_fatal(self):
         ds = generate_simulated(n=150, seed=0)
         spec = make_spec(ds, (6, 3), dropout_rate=0.0, use_batchnorm=False,

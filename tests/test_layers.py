@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from resae.layers import (
+    BN_EPSILON,
+    BN_MOMENTUM,
     Activation,
     BatchNormLayer,
     DenseLayer,
@@ -14,7 +17,7 @@ from resae.layers import (
     activation_forward,
 )
 from resae.matrix import Rng
-from resae.network import NetworkSpec, build_network
+from resae.network import Network, NetworkSpec, build_network
 
 
 def numeric_grad(fn, x, h=1e-5):
@@ -110,13 +113,20 @@ def assert_same_bits(got, want):
 def test_elu_is_bit_identical_to_where_reference(alpha):
     rng = np.random.default_rng(11)
     z = np.concatenate([rng.normal(scale=3.0, size=(20, 6)),
-                        [[0.0, -0.0, -30.0, -745.0, -1e300, 1e-310]]])
+                        [[0.0, -0.0, -30.0, -745.0, -1e300, 1e-310],
+                         [709.0, 710.0, 800.0, 1e300, np.inf, -np.inf]]])
     upstream = rng.normal(size=z.shape)
-    upstream[-1, :3] = [0.0, -0.0, -2.5]
-    assert_same_bits(activation_forward("elu", z, alpha),
-                     np.where(z >= 0.0, z, alpha * np.expm1(z)))
-    assert_same_bits(activation_backward("elu", z, upstream, alpha),
-                     upstream * np.where(z >= 0.0, 1.0, alpha * np.exp(z)))
+    upstream[-2, :3] = [0.0, -0.0, -2.5]
+    upstream[-1] = 0.0     # exp(z) overflows here, so an unclipped exp * 0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward_ref = np.where(z >= 0.0, z, alpha * np.expm1(z))
+        backward_ref = upstream * np.where(z >= 0.0, 1.0, alpha * np.exp(z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # no overflow or invalid-value warnings either
+        forward = activation_forward("elu", z, alpha)
+        backward = activation_backward("elu", z, upstream, alpha)
+    assert_same_bits(forward, forward_ref)
+    assert_same_bits(backward, backward_ref)
 
 
 class TestDenseLayer:
@@ -217,9 +227,16 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn.forward(x, train=False), bn.forward(x, train=False))
 
     def test_running_stats_momentum_blend(self):
-        bn = BatchNormLayer(1, momentum=0.9)
+        # the layer only records its batch stats; the network that owns it
+        # blends them into the running stats at BN_MOMENTUM = 0.9
         x = np.array([[0.0], [2.0]])   # mean 1, population var 1
-        bn.forward(x, train=True)
+        alone = BatchNormLayer(1)
+        alone.forward(x, train=True)
+        assert (alone.batch_mean[0, 0], alone.batch_var[0, 0]) == (1.0, 1.0)
+        assert (alone.running_mean[0, 0], alone.running_var[0, 0]) == (0.0, 1.0)
+        bn = BatchNormLayer(1)
+        Network(NetworkSpec(nfea=1, nnode=(1,), k=1), [bn], Rng(0)).forward(x, "train")
+        assert BN_MOMENTUM == 0.9
         assert bn.running_mean[0, 0] == pytest.approx(0.1 * 1.0)
         assert bn.running_var[0, 0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
@@ -268,9 +285,7 @@ def batchnorm_reference(bn, x, upstream):
     for bit-for-bit comparison with the layer."""
     mean = x.mean(axis=0, keepdims=True)
     var = x.var(axis=0, keepdims=True)
-    running_mean = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
-    running_var = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
-    inv = 1.0 / np.sqrt(var + bn.epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x - mean) * inv
     out = bn.gamma * xhat + bn.beta
     n = x.shape[0]
@@ -280,7 +295,7 @@ def batchnorm_reference(bn, x, upstream):
     dx = (inv / n) * (n * dxhat
                       - dxhat.sum(axis=0, keepdims=True)
                       - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
-    return out, running_mean, running_var, dx, dgamma, dbeta
+    return out, mean, var, dx, dgamma, dbeta
 
 
 @pytest.mark.parametrize("batch", [2, 100, 1000])
@@ -294,11 +309,14 @@ def test_batchnorm_is_bit_identical_to_mean_var_reference(batch, width):
     bn.running_var[...] = rng.uniform(0.5, 2.0, size=(1, width))
     x = rng.normal(loc=3.0, scale=2.5, size=(batch, width))
     upstream = rng.normal(size=(batch, width))
+    running = (bn.running_mean.copy(), bn.running_var.copy())
     expected = batchnorm_reference(bn, x, upstream)
     out = bn.forward(x, train=True)
     dx = bn.backward(upstream)
-    for got, want in zip((out, bn.running_mean, bn.running_var, dx, bn.dgamma, bn.dbeta),
+    for got, want in zip((out, bn.batch_mean, bn.batch_var, dx, bn.dgamma, bn.dbeta),
                          expected):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip((bn.running_mean, bn.running_var), running):   # left to the network
         np.testing.assert_array_equal(got, want)
 
 

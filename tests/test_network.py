@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resae.layers import BatchNormLayer, DenseLayer
+from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer
 from resae.network import Network, NetworkSpec, build_network, build_regular_network, build_residual_network
 
 
@@ -87,9 +87,9 @@ class TestBuilder:
 class TestParameterCounts:
     def test_dense_and_batchnorm_sizes(self):
         dense = DenseLayer(3, 2)
-        assert sum(v.size for _, v, _ in dense.params()) == 8   # 3*2 weights + 2 biases
+        assert sum(getattr(dense, a).size for a in dense.PARAMS) == 8   # 3*2 weights + 2 biases
         bn = BatchNormLayer(2)
-        assert sum(v.size for _, v, _ in bn.params()) == 4      # gamma + beta
+        assert sum(getattr(bn, a).size for a in bn.PARAMS) == 4         # gamma + beta
         assert 8 + 4 == 12
 
     def test_residual_on_off_equal_counts(self):
@@ -293,19 +293,27 @@ class TestSerialization:
 
 def _assert_state_views_flat(net):
     """Every parameter and its gradient is a view of net.flat, and every
-    batch-norm running stat a view of net.running, in layer order."""
+    batch-norm running stat a view of net.running, in layer order; the
+    layers' own attributes and the named state are those same views."""
     flat = net.flat
     offset = 0
-    for p in net.parameters():
+    layers = [step for step in net.steps if isinstance(step, (DenseLayer, BatchNormLayer))]
+    attrs = [(layer, a) for layer in layers for a in layer.PARAMS]
+    assert len(net.parameters()) == len(attrs)
+    for p, (layer, a) in zip(net.parameters(), attrs):
+        assert p.value is getattr(layer, a) and p.grad is getattr(layer, "d" + a)
         assert np.shares_memory(p.value, flat.value) and np.shares_memory(p.grad, flat.grad)
-        np.testing.assert_array_equal(p.value.ravel(), flat.value[offset:offset + p.size])
-        offset += p.size
+        np.testing.assert_array_equal(p.value.ravel(), flat.value[offset:offset + p.value.size])
+        offset += p.value.size
     assert offset == flat.value.size == flat.grad.size == net.count_parameters()
     norms = [step for step in net.steps if isinstance(step, BatchNormLayer)]
     stats = [stat for bn in norms for stat in (bn.running_mean, bn.running_var)]
     assert norms and all(np.shares_memory(stat, net.running) for stat in stats)
-    assert not any(bn.updates_running for bn in norms)
     np.testing.assert_array_equal(np.concatenate([stat.ravel() for stat in stats]), net.running)
+    state = net.get_state()
+    assert list(state) == ([p.name for p in net.parameters()] +
+                           [f"L{i:03d}.bn.running_{stat}" for i, layer in enumerate(layers)
+                            if isinstance(layer, BatchNormLayer) for stat in ("mean", "var")])
 
 
 class TestFlatParameters:
@@ -345,33 +353,30 @@ class TestFlatParameters:
                 assert (step.dW == up.T @ x_in).all()
                 assert (step.db == up.sum(axis=0, keepdims=True).T).all()
 
-    def test_train_forwards_blend_running_stats_like_each_layer_alone(self):
+    def test_train_forwards_blend_running_stats_at_bn_momentum(self):
         net = build_network(replace(self.spec, dropout_placement="all"), rng=5)
         norms = [(i, step) for i, step in enumerate(net.steps)
                  if isinstance(step, BatchNormLayer)]
-        for j, (_, bn) in enumerate(norms):   # per-layer momenta, packed when built
-            bn.momentum = (0.9, 0.75, 0.5)[j % 3]
-        net = Network(net.spec, net.steps, net.rng)
-        alone = BatchNormLayer(4, momentum=0.8)
-        expected = {i: (bn.running_mean.copy(), bn.running_var.copy())
-                    for i, bn in norms + [(None, alone)]}
+        for j, (_, bn) in enumerate(norms):   # distinct starting stats per layer
+            bn.running_mean[...] = j
+            bn.running_var[...] = 1.0 + j
+        expected = {i: (bn.running_mean.copy(), bn.running_var.copy()) for i, bn in norms}
 
-        def blend(i, m, x):   # momentum * running + (1 - momentum) * batch stat
+        def blend(i, x):   # momentum * running + (1 - momentum) * batch stat
+            m = 0.9
             mean, var = expected[i]
             expected[i] = (m * mean + (1.0 - m) * x.mean(axis=0, keepdims=True),
                            m * var + (1.0 - m) * x.var(axis=0, keepdims=True))
 
+        assert BN_MOMENTUM == 0.9
         rng = np.random.default_rng(6)
         for _ in range(4):
             x, inputs = rng.normal(size=(10, 5)), {}
             net.forward(x, "train", trace=inputs)
-            for i, bn in norms:
-                blend(i, bn.momentum, inputs[i - 1])   # a dense step precedes each
-            net.forward(x, "infer")                    # inference leaves them alone
-            x_alone = rng.normal(size=(7, 4))
-            alone.forward(x_alone, train=True)
-            blend(None, 0.8, x_alone)
-        for i, bn in norms + [(None, alone)]:
+            for i, _ in norms:
+                blend(i, inputs[i - 1])   # a dense step precedes each
+            net.forward(x, "infer")       # inference leaves them alone
+        for i, bn in norms:
             np.testing.assert_array_equal(bn.running_mean, expected[i][0])
             np.testing.assert_array_equal(bn.running_var, expected[i][1])
 

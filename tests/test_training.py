@@ -130,10 +130,10 @@ class TestRegularizer:
         params = net.parameters()
         reg = Regularizer("l2", 0.0)
         assert reg.value(params) == 0.0
-        before = [p.grad.copy() for p in params]
-        reg.add_gradients(params)
-        for b, p in zip(before, params):
-            np.testing.assert_array_equal(b, p.grad)
+        net.flat.grad[...] = np.arange(net.flat.grad.size)
+        before = net.flat.grad.copy()
+        reg.add_gradients(net.flat)
+        np.testing.assert_array_equal(before, net.flat.grad)
 
     def test_l2_value_and_gradient(self):
         net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0,
@@ -143,9 +143,8 @@ class TestRegularizer:
         reg = Regularizer("l2", lam)
         expected = lam * sum(float((p.value ** 2).sum()) for p in params)
         assert reg.value(params) == pytest.approx(expected)
-        for p in params:
-            p.grad[...] = 0.0
-        reg.add_gradients(params)
+        net.flat.grad[...] = 0.0
+        reg.add_gradients(net.flat)     # each parameter's grad is a view of net.flat.grad
         for p in params:
             np.testing.assert_allclose(p.grad, 2 * lam * p.value)
 
@@ -154,9 +153,8 @@ class TestRegularizer:
                                         use_batchnorm=False), rng=2)
         params = net.parameters()
         reg = Regularizer("l1", 0.5)
-        for p in params:
-            p.grad[...] = 0.0
-        reg.add_gradients(params)
+        net.flat.grad[...] = 0.0
+        reg.add_gradients(net.flat)
         for p in params:
             np.testing.assert_allclose(p.grad, 0.5 * np.sign(p.value))
 
@@ -175,29 +173,29 @@ class TestOptimizers:
         from resae.network import Param
         value = np.array([[1.0, -2.0]])
         p = Param("w", value, np.zeros_like(value))
-        SgdMomentum(momentum=0.0).step([p], lr=0.1)
+        SgdMomentum(p, momentum=0.0).step(lr=0.1)
         np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
 
     def test_sgd_single_step(self):
         from resae.network import Param
         p = Param("w", np.array([[1.0]]), np.array([[1.0]]))
-        SgdMomentum(momentum=0.0).step([p], lr=0.1)
+        SgdMomentum(p, momentum=0.0).step(lr=0.1)
         assert p.value[0, 0] == pytest.approx(0.9)
 
     def test_sgd_momentum_accumulates(self):
         from resae.network import Param
         p = Param("w", np.array([[0.0]]), np.array([[1.0]]))
-        opt = SgdMomentum(momentum=0.5)
-        opt.step([p], lr=1.0)    # v = 1, w = -1
-        opt.step([p], lr=1.0)    # v = 1.5, w = -2.5
+        opt = SgdMomentum(p, momentum=0.5)
+        opt.step(lr=1.0)    # v = 1, w = -1
+        opt.step(lr=1.0)    # v = 1.5, w = -2.5
         assert p.value[0, 0] == pytest.approx(-2.5)
 
     def test_adam_first_step_matches_hand_computation(self):
         from resae.network import Param
         g = 0.3
         p = Param("w", np.array([[2.0]]), np.array([[g]]))
-        opt = Adam(beta1=0.9, beta2=0.999, epsilon=1e-8)
-        opt.step([p], lr=0.1)
+        opt = Adam(p, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        opt.step(lr=0.1)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         expected = 2.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -207,35 +205,61 @@ class TestOptimizers:
         from resae.network import Param
         grads = [0.3, -0.2]
         p = Param("w", np.array([[1.0]]), np.array([[0.0]]))
-        opt = Adam()
+        opt = Adam(p)
         w, m, v = 1.0, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
             p.grad[...] = g
-            opt.step([p], lr=0.05)
+            opt.step(lr=0.05)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             w -= 0.05 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         assert p.value[0, 0] == pytest.approx(w, rel=1e-12)
 
 
-@pytest.mark.parametrize("make_optimizer", [Adam, lambda: SgdMomentum(0.9)],
-                         ids=["adam", "sgd"])
-def test_flat_step_is_bit_identical_to_per_array_steps(make_optimizer):
-    from resae.network import Network
+def adam_reference(w, m, v, g, t, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """One Adam update of one array, as in Kingma & Ba 2015, Algorithm 1."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat, v_hat = m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
+    return w - lr * m_hat / (np.sqrt(v_hat) + epsilon), m, v
+
+
+def sgd_reference(w, velocity, g, lr, momentum=0.9):
+    """One momentum-SGD update of one array: v = momentum * v + g, w -= lr * v."""
+    velocity = momentum * velocity + g
+    return w - lr * velocity, velocity
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
     spec = NetworkSpec(nfea=5, nnode=(8, 4), k=2, dropout_placement="all")
     net = build_network(spec, rng=6)
-    clone = Network.from_dict(net.to_dict())
-    flat_opt, per_array_opt = make_optimizer(), make_optimizer()
+    opt = TrainConfig(optimizer=optimizer).make_optimizer(net.flat)
+    arrays = [(p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value))
+              for p in net.parameters()]
     rng = np.random.default_rng(7)
-    for _ in range(2):    # the second step exercises momentum and Adam's bias correction
+    for t in (1, 2):    # the second step exercises momentum and Adam's bias correction
         preds = net.forward(rng.normal(size=(10, 5)), "train")
         net.backward(rng.normal(size=preds.head.shape))
-        for p, q in zip(net.parameters(), clone.parameters()):
-            q.grad[...] = p.grad
-        flat_opt.step([net.flat], lr=0.01)
-        per_array_opt.step(clone.parameters(), lr=0.01)
-        for p, q in zip(net.parameters(), clone.parameters()):
-            np.testing.assert_array_equal(p.value, q.value)
+        grads = [p.grad.copy() for p in net.parameters()]
+        opt.step(0.01)
+        if optimizer == "adam":
+            arrays = [adam_reference(w, m, v, g, t, 0.01)
+                      for (w, m, v), g in zip(arrays, grads)]
+        else:
+            arrays = [(*sgd_reference(w, vel, g, 0.01), None)
+                      for (w, vel, _), g in zip(arrays, grads)]
+        for p, (w, *_) in zip(net.parameters(), arrays):
+            np.testing.assert_array_equal(p.value, w)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("early_stop_patience", 0), ("early_stop_patience", -7),
+    ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.5), ("adam_beta2", float("nan")),
+])
+def test_train_config_rejects_values_it_would_reinterpret(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value}).validate()
 
 
 def tiny_linear_dataset(n=160, seed=0):
