@@ -38,7 +38,6 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     dataset_dims,
-    default_loss_for,
 )
 
 
@@ -191,17 +190,17 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 
 def build_regularizer(cfg: dict) -> Regularizer:
-    return _validated("loss", Regularizer(
-        kind=cfg["loss"]["regularizer"],
-        coefficient=_checked(cfg["loss"]["coefficient"], float, "loss.coefficient")))
-
-
-def build_loss(cfg: dict, dataset, spec: NetworkSpec) -> LossSpec:
-    """The loss for the task and head; a LossSpec validates itself when made."""
-    return _read(default_loss_for, dataset.task, spec.output_option,
-                 _checked(cfg["loss"]["reconstruction_weight"], float,
-                          "loss.reconstruction_weight"),
+    """The loss section's penalty; a Regularizer validates itself when made."""
+    return _read(Regularizer, cfg["loss"]["regularizer"],
+                 _checked(cfg["loss"]["coefficient"], float, "loss.coefficient"),
                  prefix="invalid loss config: ")
+
+
+def build_reconstruction_weight(cfg: dict) -> float:
+    """loss.reconstruction_weight, once a LossSpec made with it validates.  Each
+    job's loss kind follows from its own spec (training.default_loss_for)."""
+    weight = _checked(cfg["loss"]["reconstruction_weight"], float, "loss.reconstruction_weight")
+    return _read(LossSpec, "mse", weight, prefix="invalid loss config: ").reconstruction_weight
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -256,7 +255,7 @@ class _Run:
     spec: NetworkSpec
     train_cfg: TrainConfig
     regularizer: Regularizer
-    loss: LossSpec
+    reconstruction_weight: float
     n_seeds: int
     stratify: bool
     grid_axes: dict | None = None    # the grid axes that the grid command's config sets
@@ -275,7 +274,7 @@ def _set_up(args) -> _Run:
     dataset = build_dataset(cfg)
     spec = build_spec(cfg, dataset)
     run = _Run(cfg, out, dataset, spec, build_train_config(cfg),
-               build_regularizer(cfg), build_loss(cfg, dataset, spec),
+               build_regularizer(cfg), build_reconstruction_weight(cfg),
                _checked(cfg["n_seeds"], int, "n_seeds"),
                _checked(cfg["stratify"], bool, "stratify"))
     if run.stratify and dataset.stratify is None:
@@ -304,7 +303,7 @@ def cmd_train(args) -> int:
 
     split_idx = data_mod.split(dataset, seed=train_cfg.seed, stratify=run.stratify)
     result, model = train_and_score(dataset, split_idx, run.spec, train_cfg,
-                                    run.regularizer, run.loss)
+                                    run.regularizer, run.reconstruction_weight)
     metrics = {"config": cfg, "converged": result.converged, "seed": result.seed,
                "parameter_count": result.parameter_count}
     if model is None:
@@ -332,7 +331,7 @@ def cmd_sweep(args) -> int:
     cfg, out = run.cfg, run.out
     sweep_args = (run.dataset, run.spec, run.train_cfg)
     options = dict(n_seeds=run.n_seeds, regularizer=run.regularizer,
-                   loss=run.loss, stratify=run.stratify)
+                   reconstruction_weight=run.reconstruction_weight, stratify=run.stratify)
     if args.command == "compare":
         result = compare(*sweep_args, **options)
         tables = {"runs.csv": result.write_runs_csv}

@@ -122,17 +122,6 @@ def generate_simulated(n: int = 1000, seed: int = 0, noise_sd: float = 100.0,
 MISSING_MARKERS = frozenset({"", "na", "n/a", "nan", "null", "?"})
 
 
-def _is_missing(value: str) -> bool:
-    return value.lower() in MISSING_MARKERS
-
-
-def _try_float(value: str) -> float | None:
-    try:
-        return float(value)
-    except ValueError:
-        return None
-
-
 def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[str]]:
     """Bin numeric values into len(bounds)+1 ordinal classes.
 
@@ -164,13 +153,15 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
              target_bins=None, delimiter: str = ",") -> Dataset:
     """Load a header-ed CSV into a Dataset.
 
-    Columns whose every non-missing cell parses as a number are numeric; all
-    others are categorical and one-hot encoded (sorted category order, names
+    Blank lines are skipped, short rows are padded with missing cells, and a
+    non-blank cell beyond the header's columns is an error.  Columns whose
+    every non-missing cell parses as a number are numeric; all others are
+    categorical and one-hot encoded (sorted category order, names
     "col=value").  Cells matching MISSING_MARKERS ("", NA, ?, ...) count as
     missing: any row containing one is dropped and counted.  An infinite
     value in a numeric column is an error naming the column and row.
-    Classification targets are label-encoded; numeric targets can instead be
-    binned with `target_bins` (inclusive upper bounds).
+    Classification targets are label-encoded in sorted order; numeric
+    targets can instead be binned with `target_bins` (inclusive upper bounds).
     """
     if task not in TASKS:
         raise ValueError(f"task must be regression or classification, got {task!r}")
@@ -179,11 +170,10 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=checked_delimiter(delimiter))
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        raw_rows = [row for row in reader if any(cell.strip() for cell in row)]
+        rows = [cells for row in reader if any(cells := [c.strip() for c in row])]
 
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names in header {header}")
@@ -191,48 +181,48 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
         if col not in header:
             raise ValueError(f"{path}: column {col!r} not in header {header}")
 
-    columns = {name: [row[i].strip() if i < len(row) else ""
-                      for row in raw_rows] for i, name in enumerate(header)}
-    n_raw = len(raw_rows)
+    # one (rows, columns) table of stripped cells, and the mask of present ones
+    width = len(header)
+    for row_no, row in enumerate(rows, start=1):
+        if any(row[width:]):
+            raise ValueError(f"{path}: data row {row_no} has {len(row)} cells, "
+                             f"but the header has {width}")
+    rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+    present = np.array([[c.lower() not in MISSING_MARKERS for c in row] for row in rows],
+                       dtype=bool).reshape(len(rows), width)
 
-    # a column is numeric when every non-missing cell parses as a number
-    numeric_cols = {}
-    for name, cells in columns.items():
-        parsed = [None if _is_missing(c) else _try_float(c) for c in cells]
-        present = [p for p, c in zip(parsed, cells) if not _is_missing(c)]
-        if present and all(p is not None for p in present):
-            for row, value in enumerate(parsed, start=1):
-                if value is not None and not np.isfinite(value):
-                    raise ValueError(f"{path}: numeric column {name!r} has the non-finite "
-                                     f"value {cells[row - 1]!r} in data row {row}")
-            numeric_cols[name] = parsed
+    # a column is numeric when it has present cells and every one parses as a number
+    numeric = {}
+    for j, name in enumerate(header):
+        try:
+            values = np.array([float(row[j]) if ok else np.nan
+                               for row, ok in zip(rows, present[:, j])], dtype=np.float64)
+        except ValueError:
+            continue
+        bad = np.flatnonzero(present[:, j] & ~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{path}: numeric column {name!r} has the non-finite "
+                             f"value {rows[bad[0]][j]!r} in data row {bad[0] + 1}")
+        if present[:, j].any():
+            numeric[name] = values
 
-    keep = []
-    for i in range(n_raw):
-        if all(not _is_missing(cells[i]) for cells in columns.values()):
-            keep.append(i)
-    n_dropped = n_raw - len(keep)
-    if not keep:
+    keep = present.all(axis=1)
+    n_dropped = len(rows) - int(keep.sum())
+    if not keep.any():
         raise ValueError(f"{path}: no usable rows (dropped {n_dropped})")
+    kept = dict(zip(header, np.array(rows, dtype=object)[keep].T))   # name -> kept cells
 
-    encodings: dict = {}
-    feature_blocks = []
-    feature_names = []
+    encodings, feature_blocks, feature_names = {}, [], []
     for name in header:
         if name in target_columns or name == stratify_column:
             continue
-        if name in numeric_cols:
-            feature_blocks.append(np.array([numeric_cols[name][i] for i in keep],
-                                           dtype=np.float64).reshape(-1, 1))
+        if name in numeric:
+            feature_blocks.append(numeric[name][keep].reshape(-1, 1))
             feature_names.append(name)
         else:
-            cats = sorted({columns[name][i] for i in keep})
-            encodings[name] = cats
-            index = {c: j for j, c in enumerate(cats)}
-            block = np.zeros((len(keep), len(cats)))
-            for r, i in enumerate(keep):
-                block[r, index[columns[name][i]]] = 1.0
-            feature_blocks.append(block)
+            cats, codes = np.unique(kept[name], return_inverse=True)
+            encodings[name] = cats.tolist()
+            feature_blocks.append(np.eye(len(cats))[codes])
             feature_names.extend(f"{name}={c}" for c in cats)
 
     n_classes = None
@@ -241,34 +231,26 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
             raise ValueError("classification expects a single target column")
         name = target_columns[0]
         if target_bins is not None:
-            if name not in numeric_cols:
+            if name not in numeric:
                 raise ValueError(f"target {name!r} must be numeric to bin")
-            values = np.array([numeric_cols[name][i] for i in keep])
-            classes, class_names = bin_to_classes(values, target_bins)
+            classes, class_names = bin_to_classes(numeric[name][keep], target_bins)
         else:
-            labels = [columns[name][i] for i in keep]
-            class_names = sorted(set(labels))
-            index = {c: j for j, c in enumerate(class_names)}
-            classes = np.array([index[v] for v in labels], dtype=np.int64)
+            labels, classes = np.unique(kept[name], return_inverse=True)
+            class_names = labels.tolist()
         encodings[name] = class_names
         targets = classes.astype(np.float64).reshape(-1, 1)
         n_classes = len(class_names)
     else:
         for name in target_columns:
-            if name not in numeric_cols:
+            if name not in numeric:
                 raise ValueError(f"regression target {name!r} is not numeric")
-        targets = np.column_stack([np.array([numeric_cols[name][i] for i in keep],
-                                            dtype=np.float64)
-                                   for name in target_columns])
+        targets = np.column_stack([numeric[name][keep] for name in target_columns])
 
     if not feature_blocks:
         raise ValueError(f"{path}: no feature columns left after removing "
                          f"targets and the stratify column")
 
-    stratify = None
-    if stratify_column:
-        stratify = np.array([columns[stratify_column][i] for i in keep])
-
+    stratify = np.array(kept[stratify_column].tolist()) if stratify_column else None
     return Dataset(features=np.column_stack(feature_blocks), targets=targets,
                    feature_names=feature_names, target_names=list(target_columns),
                    task=task, n_classes=n_classes, stratify=stratify,
@@ -379,6 +361,8 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     """
     if n < 50:
         raise ValueError(f"need at least 50 sites, got {n}")
+    if n_bumps < 0:
+        raise ValueError(f"n_bumps must be >= 0, got {n_bumps}")
     if not correlation_length > 0.0:
         raise ValueError(f"correlation_length must be > 0, got {correlation_length}")
     if not noise_sd >= 0.0:

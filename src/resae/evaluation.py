@@ -19,7 +19,6 @@ from .matrix import checked_json, checked_json_list
 from .network import NetworkSpec, build_network
 from .training import (
     FittedModel,
-    LossSpec,
     Regularizer,
     TrainConfig,
     TrainingDiverged,
@@ -153,13 +152,13 @@ class RunResult:
 
 def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec,
                     cfg: TrainConfig, regularizer: Regularizer | None = None,
-                    loss: LossSpec | None = None,
+                    reconstruction_weight: float = 1.0,
                     arm: str = "train") -> tuple[RunResult, FittedModel | None]:
     """One job: train with cfg's seed on the split, then score the
     validation and test rows.  Returns the run and the fitted model; on a
     non-finite loss the model is None and the run carries the diagnostic."""
     try:
-        model = train_model(dataset, split_idx, spec, cfg, regularizer=regularizer, loss=loss)
+        model = train_model(dataset, split_idx, spec, cfg, regularizer, reconstruction_weight)
     except TrainingDiverged as exc:
         return RunResult(seed=cfg.seed, arm=arm, converged=False,
                          parameter_count=build_network(spec, rng=0).count_parameters(),
@@ -189,13 +188,14 @@ class Variant:
 
 
 def _sweep(dataset: Dataset, variants: list[Variant], n_seeds: int,
-           regularizer: Regularizer | None, loss: LossSpec | None,
+           regularizer: Regularizer | None, reconstruction_weight: float,
            stratify: bool) -> list[RunResult]:
     """The run table: every (seed, variant) job in seed-major order, so
     variant i's runs, in seed order, are table[i::len(variants)].  The seeds
     count up from the variants' shared train-config seed; each seed's split
     is built once and shared by every variant, and the seed also fixes the
-    initial weights, so variants differ only in their spec and train config.
+    initial weights, so variants differ only in their spec and train config
+    (each job's loss follows from its own spec's output option).
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -203,7 +203,7 @@ def _sweep(dataset: Dataset, variants: list[Variant], n_seeds: int,
     for seed in range(variants[0].cfg.seed, variants[0].cfg.seed + n_seeds):
         split_idx = split(dataset, seed=seed, stratify=stratify)
         table += [train_and_score(dataset, split_idx, v.spec, replace(v.cfg, seed=seed),
-                                  regularizer, loss, v.label)[0]
+                                  regularizer, reconstruction_weight, v.label)[0]
                   for v in variants]
     return table
 
@@ -288,7 +288,7 @@ def compare_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
 
 
 def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int = 5,
-            regularizer: Regularizer | None = None, loss: LossSpec | None = None,
+            regularizer: Regularizer | None = None, reconstruction_weight: float = 1.0,
             stratify: bool = False) -> ComparisonReport:
     """Train residual and regular arms on identical splits for each seed.
 
@@ -296,7 +296,8 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
     summaries average over the converged runs only and count the failures.
     """
     return ComparisonReport(task=dataset.task, runs=_sweep(
-        dataset, compare_variants(spec, cfg), n_seeds, regularizer, loss, stratify))
+        dataset, compare_variants(spec, cfg), n_seeds, regularizer, reconstruction_weight,
+        stratify))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
 def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
                 grid: dict, n_seeds: int = 3,
                 regularizer: Regularizer | None = None,
-                loss: LossSpec | None = None,
+                reconstruction_weight: float = 1.0,
                 stratify: bool = False) -> GridResult:
     """Full factorial search ranked by mean validation R^2 (or accuracy).
 
@@ -403,7 +404,7 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     are shared across cells.
     """
     axes, variants = grid_variants(spec, cfg, grid)
-    table = _sweep(dataset, variants, n_seeds, regularizer, loss, stratify)
+    table = _sweep(dataset, variants, n_seeds, regularizer, reconstruction_weight, stratify)
     result = GridResult(task=dataset.task, axes=axes, cells=[
         replace(v, runs=table[i::len(variants)]) for i, v in enumerate(variants)])
     result.cells.sort(key=lambda c: (np.inf if (mean := result.mean_val_metric(c)) is None
@@ -444,10 +445,10 @@ def sensitivity_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
 
 def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
                          n_seeds: int = 5, regularizer: Regularizer | None = None,
-                         loss: LossSpec | None = None,
+                         reconstruction_weight: float = 1.0,
                          stratify: bool = False) -> SensitivityResult:
     """Train variants keeping 0..all outermost shortcuts on shared splits."""
     variants = sensitivity_variants(spec, cfg)
-    table = _sweep(dataset, variants, n_seeds, regularizer, loss, stratify)
+    table = _sweep(dataset, variants, n_seeds, regularizer, reconstruction_weight, stratify)
     return SensitivityResult(rows=[replace(v, runs=table[i::len(variants)])
                                    for i, v in enumerate(variants)])

@@ -45,19 +45,24 @@ class LossSpec:
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected {LOSS_KINDS}")
-        if self.reconstruction_weight < 0:
+        if not self.reconstruction_weight >= 0:
             raise ValueError("reconstruction_weight must be >= 0")
 
 
 @dataclass(frozen=True)
 class Regularizer:
+    """A weight penalty, validated when made, like LossSpec."""
+
     kind: str = "none"        # "none" | "l1" | "l2"
     coefficient: float = 0.0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in ("none", "l1", "l2"):
             raise ValueError(f"unknown regularizer {self.kind!r}")
-        if self.coefficient < 0:
+        if not self.coefficient >= 0:
             raise ValueError("regularizer coefficient must be >= 0")
 
     def value(self, params: list[Param]) -> float:
@@ -199,9 +204,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("adam_beta1", "adam_beta2"):
+        for name in ("momentum", "adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_epsilon > 0.0:
+            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -387,14 +394,14 @@ class FittedModel:
 
 def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
                 regularizer: Regularizer | None = None,
-                loss: LossSpec | None = None) -> FittedModel:
+                reconstruction_weight: float = 1.0) -> FittedModel:
     """Standardize, build, and fit one network on a train/validation split.
 
+    The loss is default_loss_for the task and the spec's output option.
     Features are standardized on the training partition; regression targets
     likewise, with predictions inverse-transformed back to original units.
     """
-    if loss is None:
-        loss = default_loss_for(dataset.task, spec.output_option)
+    loss = default_loss_for(dataset.task, spec.output_option, reconstruction_weight)
     x_tr, feature_stats = standardize_fit_apply(dataset.features[split.train])
     x_val = feature_stats.apply(dataset.features[split.validation])
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resae.cli import build_spec, load_config, main
-from resae.data import Dataset
+from resae.cli import build_regularizer, build_spec, build_train_config, load_config, main
+from resae.data import Dataset, generate_simulated
+from resae.evaluation import grid_search
 from resae.layers import ACTIVATION_KINDS
 from resae.network import RESIDUAL_POST_OPS, NetworkSpec
 from resae.training import FittedModel
@@ -188,6 +189,23 @@ class TestGridCommand:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "run" / "config.json").exists()
 
+    @pytest.mark.parametrize("template_option", [1, 2])
+    def test_output_option_grid_matches_library_grid_search(self, tmp_path, template_option):
+        """Each cell trains with its own head's loss, whatever the template's head."""
+        grid = {"output_options": [1, 2]}
+        cfg = tiny_train_config(tmp_path, n_seeds=2, grid=grid,
+                                network={"output_option": template_option},
+                                loss={"regularizer": "l2", "coefficient": 1e-4})
+        assert main(["grid", "--config", str(cfg)]) == 0
+        ranked = json.loads((tmp_path / "run" / "report.json").read_text())["ranked"]
+        doc = load_config(str(cfg))
+        ds = generate_simulated(n=150, seed=3)
+        library = grid_search(ds, build_spec(doc, ds), build_train_config(doc), grid,
+                              n_seeds=2, regularizer=build_regularizer(doc))
+        assert [(c["label"], c["output_option"], c["mean_val_metric"]) for c in ranked] == [
+            (c.label, c.spec.output_option, library.mean_val_metric(c)) for c in library.cells]
+        assert sorted(c["output_option"] for c in ranked) == [1, 2]
+
 
 class TestSensitivityCommand:
     def test_rows_for_every_count(self, tmp_path):
@@ -226,11 +244,15 @@ class TestConfigErrors:
         assert main(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "run" / "config.json").exists()
 
-    @pytest.mark.parametrize("loss", [{"regularizer": "l3"}, {"reconstruction_weight": -1.0}])
+    @pytest.mark.parametrize("loss", [
+        {"regularizer": "l3"}, {"reconstruction_weight": -1.0},
+        {"regularizer": "L2", "coefficient": 1e-3}, {"regularizer": "l1", "coefficient": -1e-3},
+    ])
     @pytest.mark.parametrize("command", ["train", "compare", "grid", "sensitivity"])
-    def test_config_error_writes_no_artifacts(self, tmp_path, command, loss):
+    def test_config_error_writes_no_artifacts(self, tmp_path, capsys, command, loss):
         cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [16]}, loss=loss)
         assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid loss config: ")
         assert not (tmp_path / "run" / "config.json").exists()
 
     @pytest.mark.parametrize("command, override, key", [
@@ -239,7 +261,9 @@ class TestConfigErrors:
           for command in ("train", "compare", "grid", "sensitivity")),
         *(("train", {"training": {field: value}}, f"invalid training config: {field}")
           for field, value in (("early_stop_patience", 0), ("early_stop_patience", -7),
-                               ("adam_beta1", 1.0), ("adam_beta2", -0.5))),
+                               ("adam_beta1", 1.0), ("adam_beta2", -0.5),
+                               ("momentum", 1.0), ("momentum", -3.0),
+                               ("adam_epsilon", 0.0), ("adam_epsilon", -1e-3))),
     ])
     def test_invalid_variant_or_split_exits_2_writing_nothing(self, tmp_path, capsys,
                                                                command, override, key):
@@ -260,6 +284,13 @@ class TestConfigErrors:
                                                    **override})
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_n_bumps_exits_2_writing_nothing(self, tmp_path, capsys):
+        cfg = tiny_train_config(tmp_path, dataset={"source": "spatial-field", "n": 60,
+                                                   "n_bumps": -1})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: n_bumps must be >= 0, got -1\n"
         assert not (tmp_path / "run").exists()
 
     def test_zero_seeds_exits_2_before_writing(self, tmp_path):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resae.data import (
     Dataset,
@@ -155,6 +160,77 @@ class TestLoadCsv:
         assert m["dropped_rows"] == 1
         assert m["encodings"]["color"] == ["blue", "red"]
 
+    def test_row_longer_than_header_is_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,2\n\n3,4,5\n")    # the blank line is not a data row
+        with pytest.raises(ValueError,
+                           match=r"t\.csv: data row 2 has 3 cells, but the header has 2"):
+            load_csv(p, ["y"], "regression")
+
+    def test_blank_trailing_cells_ignored_and_short_rows_padded(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,y\n1,x,2, ,\n\n2,y\n3,z,4,\n")
+        ds = load_csv(p, ["y"], "regression")
+        assert ds.feature_names == ["a", "b=x", "b=z"]
+        np.testing.assert_array_equal(ds.features, [[1.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(ds.targets, [[2.0], [4.0]])
+        assert ds.n_dropped == 1     # the short row; the blank line is skipped, not dropped
+
+
+_LABELS = st.text(alphabet="abcdxyzQ", min_size=1, max_size=3)   # never a number or marker
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows, marker): finite numeric columns n*, categorical columns c*,
+    and the numeric target y, with some cells replaced by one missing marker."""
+    n_rows = draw(st.integers(1, 25))
+    columns = {f"n{j}": [repr(v) for v in draw(st.lists(
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=n_rows, max_size=n_rows))]
+               for j in range(draw(st.integers(0, 2)))}
+    columns.update({f"c{j}": draw(st.lists(_LABELS, min_size=n_rows, max_size=n_rows))
+                    for j in range(draw(st.integers(1, 2)))})
+    columns["y"] = [repr(float(v)) for v in draw(st.lists(
+        st.integers(-1000, 1000), min_size=n_rows, max_size=n_rows))]
+    header = draw(st.permutations(list(columns)))
+    rows = [[columns[name][i] for name in header] for i in range(n_rows)]
+    marker = draw(st.sampled_from(["", "NA", "?", "null", "n/a", "NaN"]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                        st.integers(0, len(header) - 1)), max_size=12)):
+        rows[i][j] = marker
+    return header, rows, marker
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_load_csv_keeps_exactly_the_complete_rows_and_encodes_them(table):
+    header, rows, marker = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in [header] + rows))
+        blank = [all(c == "" for c in row) for row in rows]
+        kept = [row for row in rows if marker not in row]
+        if not kept:
+            with pytest.raises(ValueError, match="no usable rows"):
+                load_csv(path, ["y"], "regression")
+            return
+        ds = load_csv(path, ["y"], "regression")
+    assert ds.n_rows == len(kept)
+    assert ds.n_dropped == len(rows) - len(kept) - sum(blank)
+    column = {name: [row[j] for row in kept] for j, name in enumerate(header)}
+    assert ds.targets.tobytes() == np.array([float(v) for v in column["y"]]).tobytes()
+    for name in header:
+        if name.startswith("n"):
+            values = ds.features[:, ds.feature_names.index(name)]
+            assert values.tobytes() == np.array([float(v) for v in column[name]]).tobytes()
+        elif name.startswith("c"):
+            cats = ds.encodings[name]
+            assert cats == sorted(set(column[name]))
+            block = ds.features[:, [ds.feature_names.index(f"{name}={c}") for c in cats]]
+            np.testing.assert_array_equal(block.sum(axis=1), np.ones(len(kept)))
+            assert [cats[i] for i in block.argmax(axis=1)] == column[name]
+
 
 class TestBinToClasses:
     def test_bounds_are_inclusive(self):
@@ -274,7 +350,7 @@ class TestSpatial:
 
     @pytest.mark.parametrize("field, value", [
         ("noise_sd", -0.5), ("noise_sd", float("nan")),
-        ("correlation_length", 0.0), ("correlation_length", -0.15),
+        ("correlation_length", 0.0), ("correlation_length", -0.15), ("n_bumps", -1),
     ])
     def test_bad_noise_or_length_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

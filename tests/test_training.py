@@ -103,8 +103,9 @@ class TestLoss:
     def test_invalid_loss_rejected_when_made(self):
         with pytest.raises(ValueError, match="unknown loss kind 'huber'"):
             LossSpec("huber")
-        with pytest.raises(ValueError, match="reconstruction_weight must be >= 0"):
-            LossSpec("mse_reconstruction", reconstruction_weight=-1.0)
+        for weight in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="reconstruction_weight must be >= 0"):
+                LossSpec("mse_reconstruction", reconstruction_weight=weight)
 
     def test_losses_are_non_negative(self):
         rng = np.random.default_rng(17)
@@ -125,6 +126,14 @@ class TestLoss:
 
 
 class TestRegularizer:
+    @pytest.mark.parametrize("kind, coefficient, match", [
+        ("L2", 1e-3, "unknown regularizer 'L2'"), ("ridge", 0.1, "unknown regularizer"),
+        ("l1", -1e-3, "coefficient must be >= 0"), ("l2", float("nan"), "coefficient must be >= 0"),
+    ])
+    def test_invalid_regularizer_rejected_when_made(self, kind, coefficient, match):
+        with pytest.raises(ValueError, match=match):
+            Regularizer(kind, coefficient)
+
     def test_zero_coefficient_contributes_nothing(self):
         net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0), rng=0)
         params = net.parameters()
@@ -256,6 +265,8 @@ def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
 @pytest.mark.parametrize("field, value", [
     ("early_stop_patience", 0), ("early_stop_patience", -7),
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.5), ("adam_beta2", float("nan")),
+    ("momentum", 1.0), ("momentum", -3.0), ("momentum", float("nan")),
+    ("adam_epsilon", 0.0), ("adam_epsilon", -1e-3), ("adam_epsilon", float("nan")),
 ])
 def test_train_config_rejects_values_it_would_reinterpret(field, value):
     with pytest.raises(ValueError, match=field):
