@@ -23,7 +23,6 @@ from .evaluation import (
     GRID_AXES,
     NRMSE_DEFINITION,
     compare,
-    compare_variants,
     grid_search,
     grid_variants,
     residual_sensitivity,
@@ -136,8 +135,42 @@ def _checked(value, kind: type, name: str):
     return _read(checked_json, value, kind, name)
 
 
+# The config keys each dataset source reads: {config key: maker argument}.
+# with_coordinates picks one dataset of the spatial-field pair.
+DATASET_KEYS = {
+    "simulate": {"n": "n", "seed": "seed", "noise_sd": "noise_sd"},
+    "csv": {"path": "path", "targets": "target_columns", "task": "task",
+            "stratify_column": "stratify_column", "target_bins": "target_bins",
+            "delimiter": "delimiter"},
+    "spatial-field": {"n": "n", "seed": "seed", "correlation_length": "correlation_length",
+                      "n_bumps": "n_bumps", "spatial_noise_sd": "noise_sd",
+                      "with_coordinates": "with_coordinates"},
+}
+
+
 def build_dataset(cfg: dict):
+    """The chosen source's dataset.  Its maker checks the ranges, and a message
+    that starts with one of its arguments becomes a ConfigError naming that
+    argument's config key; a key of another source must keep its default."""
     d = cfg["dataset"]
+    keys = DATASET_KEYS.get(d["source"])
+    if keys is None:
+        raise ConfigError(f"unknown dataset source {d['source']!r}")
+    try:
+        dataset = _make_dataset(d)
+    except ValueError as exc:
+        argument, _, rest = str(exc).partition(" ")
+        if argument not in keys.values():
+            raise
+        key = next(key for key, arg in keys.items() if arg == argument)
+        raise ConfigError(f"dataset.{key} {rest}") from None
+    for key, value in d.items():
+        if key != "source" and key not in keys and value != DEFAULT_CONFIG["dataset"][key]:
+            raise ConfigError(f"dataset.{key} is not read by source '{d['source']}'")
+    return dataset
+
+
+def _make_dataset(d: dict):
     if d["source"] == "simulate":
         return data_mod.generate_simulated(n=_checked(d["n"], int, "dataset.n"),
                                            seed=_checked(d["seed"], int, "dataset.seed"),
@@ -154,39 +187,30 @@ def build_dataset(cfg: dict):
                                  target_bins=None if d["target_bins"] is None else
                                  _read(checked_json_list, d["target_bins"], float,
                                        "dataset.target_bins"),
-                                 delimiter=_read(data_mod.checked_delimiter, d["delimiter"],
-                                                 "dataset.delimiter"))
-    if d["source"] == "spatial-field":
-        pair = data_mod.generate_spatial_field(
-            n=_checked(d["n"], int, "dataset.n"), seed=_checked(d["seed"], int, "dataset.seed"),
-            correlation_length=_checked(d["correlation_length"], float,
-                                        "dataset.correlation_length"),
-            n_bumps=_checked(d["n_bumps"], int, "dataset.n_bumps"),
-            noise_sd=_checked(d["spatial_noise_sd"], float, "dataset.spatial_noise_sd"))
-        return (pair.with_coordinates
-                if _checked(d["with_coordinates"], bool, "dataset.with_coordinates")
-                else pair.plain)
-    raise ConfigError(f"unknown dataset source {d['source']!r}")
-
-
-def _validated(section: str, part):
-    """part, once its validate() passes; a ValueError there becomes a ConfigError."""
-    _read(part.validate, prefix=f"invalid {section} config: ")
-    return part
+                                 delimiter=d["delimiter"])
+    pair = data_mod.generate_spatial_field(
+        n=_checked(d["n"], int, "dataset.n"), seed=_checked(d["seed"], int, "dataset.seed"),
+        correlation_length=_checked(d["correlation_length"], float,
+                                    "dataset.correlation_length"),
+        n_bumps=_checked(d["n_bumps"], int, "dataset.n_bumps"),
+        noise_sd=_checked(d["spatial_noise_sd"], float, "dataset.spatial_noise_sd"))
+    return (pair.with_coordinates
+            if _checked(d["with_coordinates"], bool, "dataset.with_coordinates")
+            else pair.plain)
 
 
 def build_spec(cfg: dict, dataset) -> NetworkSpec:
     """The network section, read by NetworkSpec.from_dict, with nfea and k from the data."""
-    return _validated("network", _read(NetworkSpec.from_dict,
-                                       {**cfg["network"], **dataset_dims(dataset)},
-                                       "network", NETWORK_KEYS))
+    return _read(NetworkSpec.from_dict, {**cfg["network"], **dataset_dims(dataset)},
+                 "network", NETWORK_KEYS)
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    """Each of TrainConfig's fields, read from the training section as its annotated type."""
-    return _validated("training", TrainConfig(**{
-        key: _checked(cfg["training"][key], kind, f"training.{key}")
-        for key, kind in field_types(TrainConfig)}))
+    """Each of TrainConfig's fields, read from the training section as its annotated
+    type, in field order; a TrainConfig checks its ranges when made."""
+    return _read(TrainConfig, *(_checked(cfg["training"][key], kind, f"training.{key}")
+                                for key, kind in field_types(TrainConfig)),
+                 prefix="invalid training config: ")
 
 
 def build_regularizer(cfg: dict) -> Regularizer:
@@ -197,7 +221,7 @@ def build_regularizer(cfg: dict) -> Regularizer:
 
 
 def build_reconstruction_weight(cfg: dict) -> float:
-    """loss.reconstruction_weight, once a LossSpec made with it validates.  Each
+    """loss.reconstruction_weight, once a LossSpec made with it is valid.  Each
     job's loss kind follows from its own spec (training.default_loss_for)."""
     weight = _checked(cfg["loss"]["reconstruction_weight"], float, "loss.reconstruction_weight")
     return _read(LossSpec, "mse", weight, prefix="invalid loss config: ").reconstruction_weight
@@ -281,9 +305,7 @@ def _set_up(args) -> _Run:
         raise ConfigError("stratify is true, but the dataset has no stratify column")
     if args.command != "train" and run.n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
-    if args.command == "compare":
-        _read(compare_variants, spec, run.train_cfg)
-    elif args.command == "grid":
+    if args.command == "grid":
         run.grid_axes = {key: values for key, values in cfg["grid"].items()
                          if values is not None and values != []}
         if not run.grid_axes:

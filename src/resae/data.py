@@ -360,7 +360,7 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     unreachable for it; the other variant appends the five coordinate proxies.
     """
     if n < 50:
-        raise ValueError(f"need at least 50 sites, got {n}")
+        raise ValueError(f"n must be >= 50, got {n}")
     if n_bumps < 0:
         raise ValueError(f"n_bumps must be >= 0, got {n_bumps}")
     if not correlation_length > 0.0:

@@ -171,16 +171,12 @@ def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec
 
 @dataclass
 class Variant:
-    """One configuration that a sweep trains once per seed, and its runs; validated when made."""
+    """One configuration that a sweep trains once per seed, and its runs."""
 
     label: str
     spec: NetworkSpec
     cfg: TrainConfig
     runs: list[RunResult] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.spec.validate()
-        self.cfg.validate()
 
     def mean(self, part: str, metric: str) -> float | None:
         """Mean of one validation or test metric over the converged runs."""
@@ -281,12 +277,6 @@ class ComparisonReport:
                     for name, value in getattr(run, part).to_dict().items()))
 
 
-def compare_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
-    """The two arms: spec with every shortcut on, and with every shortcut off."""
-    return [Variant("residual", replace(spec, residual="full"), cfg),
-            Variant("regular", replace(spec, residual="off"), cfg)]
-
-
 def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int = 5,
             regularizer: Regularizer | None = None, reconstruction_weight: float = 1.0,
             stratify: bool = False) -> ComparisonReport:
@@ -295,9 +285,10 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
     A non-finite training loss marks that arm non-convergent for the seed;
     summaries average over the converged runs only and count the failures.
     """
+    arms = [Variant("residual", replace(spec, residual="full"), cfg),
+            Variant("regular", replace(spec, residual="off"), cfg)]
     return ComparisonReport(task=dataset.task, runs=_sweep(
-        dataset, compare_variants(spec, cfg), n_seeds, regularizer, reconstruction_weight,
-        stratify))
+        dataset, arms, n_seeds, regularizer, reconstruction_weight, stratify))
 
 
 # ---------------------------------------------------------------------------

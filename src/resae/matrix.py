@@ -32,9 +32,10 @@ def _require_2d(a: Matrix, name: str) -> None:
 # Checked JSON values: configs and saved documents are read, never coerced
 # ---------------------------------------------------------------------------
 
+# A tuple passes as a list, so records made in code are checked as JSON is read.
 _JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string"),
-               list: ((list,), "a list"), dict: ((dict,), "a JSON object")}
+               list: ((list, tuple), "a list"), dict: ((dict,), "a JSON object")}
 
 
 def checked_json(value, kind: type, name: str):
@@ -54,7 +55,7 @@ def checked_json_list(value, kind: type, name: str) -> list:
 
 def checked_names(value, name: str) -> str | tuple[str, ...]:
     """A string, or a list of strings (one name per layer or column) as a tuple."""
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return tuple(checked_json_list(value, str, name))
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string or a list of strings, "
@@ -67,6 +68,12 @@ def field_types(cls: type) -> tuple[tuple[str, type], ...]:
     """(name, annotated type) of each of a dataclass's fields, resolved once
     per class: get_type_hints evaluates every annotation on each call."""
     return tuple(get_type_hints(cls).items())
+
+
+def check_field_types(record) -> None:
+    """Each field of a dataclass record checked as its annotated type (see checked_json)."""
+    for name, kind in field_types(type(record)):
+        checked_json(getattr(record, name), kind, name)
 
 
 def checked_entry(doc: dict, key: str, kind: type, name: str):

@@ -15,6 +15,7 @@ set of the residual and regular variants of one spec is identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -79,12 +80,15 @@ class NetworkSpec:
             return 0
         if self.residual == "full":
             return self.n_shortcut_pairs
-        return int(self.residual)
+        return self.residual
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Each field's type, then its range, checked when made; a ValueError names it."""
+        for field_name, kind in field_types(NetworkSpec):
+            _checked_field(field_name, kind, getattr(self, field_name), field_name)
         if len(self.nnode) == 0:
             raise ValueError("nnode must be non-empty")
-        if any(int(w) < 1 for w in self.nnode):
+        if any(w < 1 for w in self.nnode):
             raise ValueError(f"all widths must be >= 1, got {self.nnode}")
         if self.nfea < 1 or self.k < 1:
             raise ValueError(f"nfea and k must be >= 1, got nfea={self.nfea}, k={self.k}")
@@ -96,14 +100,15 @@ class NetworkSpec:
                 raise ValueError(f"unknown activation {a!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.residual not in ("off", "full"):
-            n = int(self.residual)
-            if n < 0 or n > self.n_shortcut_pairs:
-                raise ValueError(f"residual count {n} out of range 0..{self.n_shortcut_pairs}")
+        if not 0 <= self.residual_count() <= self.n_shortcut_pairs:
+            raise ValueError(f"residual count {self.residual} out of range "
+                             f"0..{self.n_shortcut_pairs}")
         if self.residual_post_op not in RESIDUAL_POST_OPS:
             raise ValueError(f"unknown residual_post_op {self.residual_post_op!r}")
         if self.output_option not in (1, 2):
             raise ValueError(f"output_option must be 1 or 2, got {self.output_option}")
+        if not 0.0 < self.elu_alpha < math.inf:
+            raise ValueError(f"elu_alpha must be finite and > 0, got {self.elu_alpha}")
         if self.dropout_placement not in ("code", "all"):
             raise ValueError(f"dropout_placement must be 'code' or 'all', "
                              f"got {self.dropout_placement!r}")
@@ -116,8 +121,9 @@ class NetworkSpec:
                   keys: dict[str, str] | None = None) -> "NetworkSpec":
         """Inverse of to_dict, and the one reader of a spec from JSON: each
         field's JSON type is checked, never coerced, and a ValueError names
-        it as where.key.  Fields other than nfea, nnode and k default when
-        absent; keys maps a field to the document's key, where they differ."""
+        it as where.key, then a range error as "invalid {where} config".  Fields
+        other than nfea, nnode and k default when absent; keys maps a field to
+        the document's key, where they differ."""
         key_of = {f.name: (keys or {}).get(f.name, f.name) for f in fields(cls)}
         missing = [key_of[f] for f in ("nfea", "nnode", "k") if key_of[f] not in d]
         if missing:
@@ -125,23 +131,26 @@ class NetworkSpec:
         unknown = sorted(set(d) - set(key_of.values()))
         if unknown:
             raise ValueError(f"{where} has unknown fields {unknown}")
-        values = {}
-        for field_name, kind in field_types(cls):
-            key = key_of[field_name]
-            if key not in d:
-                continue
-            value, name = d[key], f"{where}.{key}"
-            if field_name == "nnode":
-                value = tuple(checked_json_list(value, int, name))
-            elif field_name == "acts":
-                value = checked_names(value, name)
-            elif field_name == "residual":
-                if value not in ("full", "off"):
-                    value = checked_json(value, int, f'{name}, if not "full" or "off",')
-            else:
-                value = checked_json(value, kind, name)
-            values[field_name] = value
-        return cls(**values)
+        values = {field_name: _checked_field(field_name, kind, d[key_of[field_name]],
+                                             f"{where}.{key_of[field_name]}")
+                  for field_name, kind in field_types(cls) if key_of[field_name] in d}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"invalid {where} config: {exc}") from None
+
+
+def _checked_field(field_name: str, kind, value, name: str):
+    """A spec field's value as its type (see checked_json): nnode a list of integers, as a
+    tuple, acts one name or a list of names, residual "full", "off" or an integer."""
+    if field_name == "nnode":
+        return tuple(checked_json_list(value, int, name))
+    if field_name == "acts":
+        return checked_names(value, name)
+    if field_name == "residual":
+        kind, name = ((str, name) if value in ("full", "off") else
+                      (int, f'{name}, if not "full" or "off",'))
+    return checked_json(value, kind, name)
 
 
 @dataclass(frozen=True)
@@ -285,10 +294,8 @@ class Network:
         """Keep only the n outermost shortcuts; parameters are copied over.
 
         Slot 0 (the input-level pair) is the outermost and is counted first.
+        n may be any count the spec takes, 0..n_shortcut_pairs.
         """
-        total = len(self.shortcuts)
-        if n_outermost > total:
-            raise ValueError(f"cannot keep {n_outermost} shortcuts, network has {total}")
         new = build_network(replace(self.spec, residual=n_outermost), rng=Rng(0))
         new.set_state(self.get_state())
         return new
@@ -361,7 +368,6 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     residual count 0 is the regular network: the identical stack with all
     additions skipped.
     """
-    spec.validate()
     if isinstance(rng, int):
         rng = Rng(rng)
     acts = spec.act_list()

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import TASKS
-from .matrix import Matrix, Rng, StandardizeStats, checked_entry, standardize_fit_apply
+from .matrix import (Matrix, Rng, StandardizeStats, check_field_types, checked_entry,
+                     standardize_fit_apply)
 from .network import Network, NetworkSpec, Param, Predictions, build_network
 
 LOSS_KINDS = ("mse", "mse_reconstruction", "cross_entropy")
@@ -34,15 +35,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss kind and weight, validated when made, so every loss in use is valid."""
+    """A loss kind and weight, checked when made, so every loss in use is valid."""
 
     kind: str = "mse"
     reconstruction_weight: float = 1.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        check_field_types(self)
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected {LOSS_KINDS}")
         if not self.reconstruction_weight >= 0:
@@ -51,15 +50,13 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """A weight penalty, validated when made, like LossSpec."""
+    """A weight penalty, checked when made, like LossSpec."""
 
     kind: str = "none"        # "none" | "l1" | "l2"
     coefficient: float = 0.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        check_field_types(self)
         if self.kind not in ("none", "l1", "l2"):
             raise ValueError(f"unknown regularizer {self.kind!r}")
         if not self.coefficient >= 0:
@@ -195,13 +192,14 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_field_types(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("momentum", "adam_beta1", "adam_beta2"):
@@ -261,7 +259,6 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
     early_stop_patience consecutive epochs; the parameters achieving the best
     recorded validation loss are restored before returning.
     """
-    cfg.validate()
     regularizer = regularizer or Regularizer()
     params = net.parameters()
     optimizer = cfg.make_optimizer(net.flat)

@@ -5,13 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from spec_strategies import network_specs
 
 from resae.cli import build_regularizer, build_spec, build_train_config, load_config, main
 from resae.data import Dataset, generate_simulated
 from resae.evaluation import grid_search
-from resae.layers import ACTIVATION_KINDS
-from resae.network import RESIDUAL_POST_OPS, NetworkSpec
 from resae.training import FittedModel
 
 
@@ -290,7 +288,41 @@ class TestConfigErrors:
         cfg = tiny_train_config(tmp_path, dataset={"source": "spatial-field", "n": 60,
                                                    "n_bumps": -1})
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "error: n_bumps must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "config error: dataset.n_bumps must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("dataset, message", [
+        ({"source": "spatial-field", "n": 60, "spatial_noise_sd": -1.0},
+         "dataset.spatial_noise_sd must be >= 0, got -1.0"),
+        ({"source": "spatial-field", "n": 60, "correlation_length": -2.0},
+         "dataset.correlation_length must be > 0, got -2.0"),
+        ({"source": "spatial-field", "n": 10}, "dataset.n must be >= 50, got 10"),
+        ({"noise_sd": -1.0}, "dataset.noise_sd must be >= 0, got -1.0"),
+        ({"n": 0}, "dataset.n must be >= 1, got 0"),
+    ])
+    def test_generator_range_error_names_the_config_key(self, tmp_path, capsys,
+                                                        dataset, message):
+        cfg = tiny_train_config(tmp_path, dataset=dataset)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("source, key, value", [
+        ("simulate", "n_bumps", -1), ("simulate", "correlation_length", -2.0),
+        ("simulate", "path", 5), ("simulate", "delimiter", ",,"),
+        ("simulate", "with_coordinates", False), ("spatial-field", "noise_sd", 5.0),
+        ("spatial-field", "targets", ["z"]), ("csv", "n", 150), ("csv", "spatial_noise_sd", 0.1),
+    ])
+    def test_key_of_another_source_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                            source, key, value):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{2 * i}\n" for i in range(30)))
+        dataset = {"source": source, "n": 1000, "seed": 7,   # n and seed at their defaults
+                   "path": str(data) if source == "csv" else None, key: value}
+        cfg = tiny_train_config(tmp_path, dataset=dataset)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"config error: dataset.{key} is not read by "
+                                           f"source '{source}'\n")
         assert not (tmp_path / "run").exists()
 
     def test_zero_seeds_exits_2_before_writing(self, tmp_path):
@@ -345,25 +377,6 @@ class TestConfigErrors:
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "config error: out_dir must be a string, got 5\n"
         assert list(tmp_path.rglob("config.json")) == [cfg]
-
-
-_ACTS = st.sampled_from(ACTIVATION_KINDS)
-
-
-@st.composite
-def network_specs(draw) -> NetworkSpec:
-    nnode = tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=4)))
-    return NetworkSpec(
-        nfea=draw(st.integers(1, 6)), nnode=nnode, k=draw(st.integers(1, 3)),
-        acts=draw(_ACTS | st.lists(_ACTS, min_size=len(nnode), max_size=len(nnode)).map(tuple)),
-        output_activation=draw(_ACTS),
-        dropout_rate=draw(st.floats(0.0, 0.99)),
-        residual=draw(st.sampled_from(["full", "off"]) | st.integers(0, len(nnode))),
-        residual_post_op=draw(st.sampled_from(RESIDUAL_POST_OPS)),
-        output_option=draw(st.sampled_from([1, 2])),
-        use_batchnorm=draw(st.booleans()),
-        elu_alpha=draw(st.floats(0.01, 10.0)),
-        dropout_placement=draw(st.sampled_from(["code", "all"])))
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from spec_strategies import network_specs
 
 from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer
 from resae.network import Network, NetworkSpec, build_network, build_regular_network, build_residual_network
@@ -75,13 +78,42 @@ class TestBuilder:
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
-            NetworkSpec(nfea=3, nnode=(), k=1).validate()
+            NetworkSpec(nfea=3, nnode=(), k=1)
         with pytest.raises(ValueError):
-            NetworkSpec(nfea=3, nnode=(4,), k=0).validate()
+            NetworkSpec(nfea=3, nnode=(4,), k=0)
         with pytest.raises(ValueError):
-            NetworkSpec(nfea=3, nnode=(4, 2), k=1, residual=5).validate()
+            NetworkSpec(nfea=3, nnode=(4, 2), k=1, residual=5)
         with pytest.raises(ValueError):
-            NetworkSpec(nfea=3, nnode=(4,), k=1, output_option=3).validate()
+            NetworkSpec(nfea=3, nnode=(4,), k=1, output_option=3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nnode", (4.7, 2), r"nnode\[0\] must be an integer, got 4.7"),
+        ("nnode", (4, True), r"nnode\[1\] must be an integer, got true"),
+        ("nnode", "48", "nnode must be a list"),
+        ("acts", ("elu", 3), r"acts\[1\] must be a string"),
+        ("output_option", 1.0, "output_option must be an integer, got 1.0"),
+        ("residual", "2", 'residual, if not "full" or "off", must be an integer, got "2"'),
+        ("residual", "half", 'residual, if not "full" or "off", must be an integer'),
+        ("residual", 1.0, 'residual, if not "full" or "off", must be an integer'),
+        ("use_batchnorm", "no", "use_batchnorm must be true or false"),
+        ("nfea", 3.0, "nfea must be an integer"),
+        ("dropout_rate", "0.1", "dropout_rate must be a number"),
+        *(("elu_alpha", value, "elu_alpha must be finite and > 0")
+          for value in (float("nan"), float("inf"), 0.0, -1.0)),
+        ("dropout_rate", float("nan"), r"dropout_rate must be in \[0, 1\)"),
+        ("residual", 3, "residual count 3 out of range 0..2"),
+    ])
+    def test_spec_checks_types_and_ranges_when_made(self, field, value, message):
+        fields = dict(nfea=3, nnode=(4, 2), k=1)
+        with pytest.raises(ValueError, match=message):
+            NetworkSpec(**{**fields, field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(NetworkSpec(**fields), **{field: value})
+
+    def test_widths_and_acts_may_be_lists(self):
+        spec = NetworkSpec(nfea=3, nnode=[4, 2], k=1, acts=["elu", "tanh"])
+        assert build_network(spec, rng=0).layer_summary() == build_network(
+            NetworkSpec(nfea=3, nnode=(4, 2), k=1, acts=("elu", "tanh")), rng=0).layer_summary()
 
 
 class TestParameterCounts:
@@ -388,3 +420,32 @@ def test_identical_seeds_give_identical_initial_weights_across_variants():
     for a, b in zip(res.parameters(), reg.parameters()):
         assert a.name == b.name
         np.testing.assert_array_equal(a.value, b.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_specs(), st.integers(0, 2**32 - 1))
+def test_drawn_spec_arms_match_and_saved_network_infers_bit_identically(spec, seed):
+    residual = build_network(replace(spec, residual="full"), rng=seed)
+    regular = build_network(replace(spec, residual="off"), rng=seed)
+    assert residual.count_parameters() == regular.count_parameters()
+    net = build_network(spec, rng=seed)
+    x = np.random.default_rng(seed).normal(size=(6, spec.nfea))
+    net.forward(x, "train")   # moves the batch-norm running stats off their initial values
+    loaded = Network.from_dict(json.loads(json.dumps(net.to_dict())))
+    np.testing.assert_array_equal(loaded.forward(x, "infer").head, net.forward(x, "infer").head)
+
+
+# values of another JSON type than each plain int, bool and float spec field takes
+_WRONG_TYPE = {int: st.floats() | st.booleans() | st.text(max_size=3) | st.none(),
+               bool: st.integers() | st.floats() | st.text(max_size=3) | st.none(),
+               float: st.booleans() | st.text(max_size=3) | st.none() | st.lists(st.floats())}
+_PLAIN_FIELDS = {"nfea": int, "k": int, "output_option": int, "use_batchnorm": bool,
+                 "dropout_rate": float, "elu_alpha": float}
+
+
+@settings(max_examples=100, deadline=None)
+@given(network_specs(), st.sampled_from(sorted(_PLAIN_FIELDS)), st.data())
+def test_spec_with_a_field_of_the_wrong_type_is_never_made(spec, field, data):
+    value = data.draw(_WRONG_TYPE[_PLAIN_FIELDS[field]])
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        replace(spec, **{field: value})

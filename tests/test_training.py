@@ -98,7 +98,7 @@ class TestLoss:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            LossSpec("huber").validate()
+            LossSpec("huber")
 
     def test_invalid_loss_rejected_when_made(self):
         with pytest.raises(ValueError, match="unknown loss kind 'huber'"):
@@ -270,7 +270,29 @@ def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
 ])
 def test_train_config_rejects_values_it_would_reinterpret(field, value):
     with pytest.raises(ValueError, match=field):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("batch_size", 32.9, "batch_size must be an integer, got 32.9"),
+    ("batch_size", True, "batch_size must be an integer, got true"),
+    ("shuffle", "false", 'shuffle must be true or false, got "false"'),
+    ("optimizer", None, "optimizer must be a string"),
+    *(("learning_rate", value, "learning_rate must be >= 0 and finite")
+      for value in (float("nan"), float("inf"), -1e-3)),
+])
+def test_train_config_checks_types_and_ranges_when_made(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        replace(TrainConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("make", [lambda: LossSpec("mse", "1.0"), lambda: LossSpec(None),
+                                  lambda: Regularizer("l2", None), lambda: Regularizer(2)])
+def test_loss_and_regularizer_check_types_when_made(make):
+    with pytest.raises(ValueError, match="must be a"):
+        make()
 
 
 def tiny_linear_dataset(n=160, seed=0):
