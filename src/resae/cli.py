@@ -135,68 +135,67 @@ def _checked(value, kind: type, name: str):
     return _read(checked_json, value, kind, name)
 
 
-# The config keys each dataset source reads: {config key: maker argument}.
-# with_coordinates picks one dataset of the spatial-field pair.
+# Readers of the two dataset kinds that are not one JSON type (see checked_json)
+NAMES, NUMBERS = checked_names, lambda value, name: checked_json_list(value, float, name)
+
+
+def _spatial_field(with_coordinates: bool, **arguments) -> data_mod.Dataset:
+    pair = data_mod.generate_spatial_field(**arguments)
+    return pair.with_coordinates if with_coordinates else pair.plain
+
+
+# {source: (maker, {config key: (maker argument, JSON kind)})}; null fits a key whose
+# default is null.  Makers look data_mod's functions up when called, as a tracer may wrap them.
 DATASET_KEYS = {
-    "simulate": {"n": "n", "seed": "seed", "noise_sd": "noise_sd"},
-    "csv": {"path": "path", "targets": "target_columns", "task": "task",
-            "stratify_column": "stratify_column", "target_bins": "target_bins",
-            "delimiter": "delimiter"},
-    "spatial-field": {"n": "n", "seed": "seed", "correlation_length": "correlation_length",
-                      "n_bumps": "n_bumps", "spatial_noise_sd": "noise_sd",
-                      "with_coordinates": "with_coordinates"},
+    "simulate": (lambda **arguments: data_mod.generate_simulated(**arguments),
+                 {"n": ("n", int), "seed": ("seed", int), "noise_sd": ("noise_sd", float)}),
+    "csv": (lambda **arguments: data_mod.load_csv(**arguments),
+            {"path": ("path", str), "targets": ("target_columns", NAMES), "task": ("task", str),
+             "stratify_column": ("stratify_column", str),
+             "target_bins": ("target_bins", NUMBERS), "delimiter": ("delimiter", str)}),
+    "spatial-field": (_spatial_field,
+                      {"n": ("n", int), "seed": ("seed", int),
+                       "correlation_length": ("correlation_length", float),
+                       "n_bumps": ("n_bumps", int), "spatial_noise_sd": ("noise_sd", float),
+                       "with_coordinates": ("with_coordinates", bool)}),
 }
+_DATASET_KINDS = {key: kind for _, keys in DATASET_KEYS.values()
+                 for key, (_, kind) in keys.items()}
+
+
+def _dataset_value(d: dict, key: str):
+    """dataset.key as its JSON kind, if it fits; a ConfigError names it otherwise."""
+    value, kind, name = d[key], _DATASET_KINDS[key], f"dataset.{key}"
+    if value is None and DEFAULT_CONFIG["dataset"][key] is None:
+        return None
+    return _checked(value, kind, name) if isinstance(kind, type) else _read(kind, value, name)
 
 
 def build_dataset(cfg: dict):
-    """The chosen source's dataset.  Its maker checks the ranges, and a message
-    that starts with one of its arguments becomes a ConfigError naming that
-    argument's config key; a key of another source must keep its default."""
+    """The chosen source's dataset, its keys read as their JSON kinds.  A maker's
+    message that starts with one of its arguments becomes a ConfigError naming that
+    argument's config key.  A key of another source must keep its default and kind."""
     d = cfg["dataset"]
-    keys = DATASET_KEYS.get(d["source"])
-    if keys is None:
+    if not isinstance(d["source"], str) or d["source"] not in DATASET_KEYS:
         raise ConfigError(f"unknown dataset source {d['source']!r}")
+    maker, keys = DATASET_KEYS[d["source"]]
+    if d["source"] == "csv" and not d["path"]:
+        raise ConfigError("dataset.path is required for source=csv")
+    arguments = {argument: _dataset_value(d, key) for key, (argument, _) in keys.items()}
     try:
-        dataset = _make_dataset(d)
+        dataset = maker(**arguments)
     except ValueError as exc:
         argument, _, rest = str(exc).partition(" ")
-        if argument not in keys.values():
+        key = {arg: key for key, (arg, _) in keys.items()}.get(argument)
+        if key is None:
             raise
-        key = next(key for key, arg in keys.items() if arg == argument)
         raise ConfigError(f"dataset.{key} {rest}") from None
     for key, value in d.items():
-        if key != "source" and key not in keys and value != DEFAULT_CONFIG["dataset"][key]:
-            raise ConfigError(f"dataset.{key} is not read by source '{d['source']}'")
+        if key != "source" and key not in keys:
+            if value != DEFAULT_CONFIG["dataset"][key]:
+                raise ConfigError(f"dataset.{key} is not read by source '{d['source']}'")
+            _dataset_value(d, key)
     return dataset
-
-
-def _make_dataset(d: dict):
-    if d["source"] == "simulate":
-        return data_mod.generate_simulated(n=_checked(d["n"], int, "dataset.n"),
-                                           seed=_checked(d["seed"], int, "dataset.seed"),
-                                           noise_sd=_checked(d["noise_sd"], float,
-                                                             "dataset.noise_sd"))
-    if d["source"] == "csv":
-        if not d["path"]:
-            raise ConfigError("dataset.path is required for source=csv")
-        return data_mod.load_csv(_checked(d["path"], str, "dataset.path"),
-                                 _read(checked_names, d["targets"], "dataset.targets"),
-                                 d["task"],
-                                 stratify_column=None if d["stratify_column"] is None else
-                                 _checked(d["stratify_column"], str, "dataset.stratify_column"),
-                                 target_bins=None if d["target_bins"] is None else
-                                 _read(checked_json_list, d["target_bins"], float,
-                                       "dataset.target_bins"),
-                                 delimiter=d["delimiter"])
-    pair = data_mod.generate_spatial_field(
-        n=_checked(d["n"], int, "dataset.n"), seed=_checked(d["seed"], int, "dataset.seed"),
-        correlation_length=_checked(d["correlation_length"], float,
-                                    "dataset.correlation_length"),
-        n_bumps=_checked(d["n_bumps"], int, "dataset.n_bumps"),
-        noise_sd=_checked(d["spatial_noise_sd"], float, "dataset.spatial_noise_sd"))
-    return (pair.with_coordinates
-            if _checked(d["with_coordinates"], bool, "dataset.with_coordinates")
-            else pair.plain)
 
 
 def build_spec(cfg: dict, dataset) -> NetworkSpec:
@@ -215,7 +214,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 def build_regularizer(cfg: dict) -> Regularizer:
     """The loss section's penalty; a Regularizer validates itself when made."""
-    return _read(Regularizer, cfg["loss"]["regularizer"],
+    return _read(Regularizer, _checked(cfg["loss"]["regularizer"], str, "loss.regularizer"),
                  _checked(cfg["loss"]["coefficient"], float, "loss.coefficient"),
                  prefix="invalid loss config: ")
 

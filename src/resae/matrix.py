@@ -40,12 +40,16 @@ _JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 
 def checked_json(value, kind: type, name: str):
     """value as kind, if its JSON type fits: bool takes only true/false, int
-    only integers, float any number; a boolean is never a number, and null
-    fits no kind.  Otherwise a ValueError names `name`."""
+    only integers, float any number that a float holds; a boolean is never a
+    number, and null fits no kind.  Otherwise a ValueError names `name`."""
     types, expected = _JSON_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         raise ValueError(f"{name} must be {expected}, got {json.dumps(value, default=repr)}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number in float range, "
+                         "got an integer too large for a float") from None
 
 
 def checked_json_list(value, kind: type, name: str) -> list:
@@ -85,8 +89,8 @@ def checked_entry(doc: dict, key: str, kind: type, name: str):
     if kind is not np.ndarray:
         return checked_json(doc[key], kind, name)
     values = checked_json(doc[key], list, name)
-    if not set(map(type, values)) <= {int, float}:   # one pass in C, else name the entry
-        checked_json_list(values, float, name)
+    if not set(map(type, values)) <= {float}:   # one pass in C, else each entry, named
+        values = checked_json_list(values, float, name)
     array = np.asarray(values, dtype=np.float64)
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must hold finite numbers only")

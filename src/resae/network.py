@@ -71,9 +71,7 @@ class NetworkSpec:
         return len(self.nnode)
 
     def act_list(self) -> tuple[str, ...]:
-        if isinstance(self.acts, str):
-            return (self.acts,) * len(self.nnode)
-        return tuple(self.acts)
+        return (self.acts,) * len(self.nnode) if isinstance(self.acts, str) else self.acts
 
     def residual_count(self) -> int:
         if self.residual == "off":
@@ -83,9 +81,12 @@ class NetworkSpec:
         return self.residual
 
     def __post_init__(self):
-        """Each field's type, then its range, checked when made; a ValueError names it."""
+        """Each field's type, then its range, checked when made; a ValueError names it.
+        nnode, and acts if a list, are kept as tuples, so a spec hashes and equals its twin."""
         for field_name, kind in field_types(NetworkSpec):
-            _checked_field(field_name, kind, getattr(self, field_name), field_name)
+            value = _checked_field(field_name, kind, getattr(self, field_name), field_name)
+            if field_name in ("nnode", "acts"):
+                object.__setattr__(self, field_name, value)
         if len(self.nnode) == 0:
             raise ValueError("nnode must be non-empty")
         if any(w < 1 for w in self.nnode):
@@ -291,11 +292,14 @@ class Network:
     # -- structure --------------------------------------------------------------
 
     def truncate_residuals(self, n_outermost: int) -> "Network":
-        """Keep only the n outermost shortcuts; parameters are copied over.
+        """A copy keeping only this network's n outermost shortcuts, with its
+        parameters and running stats.
 
         Slot 0 (the input-level pair) is the outermost and is counted first.
-        n may be any count the spec takes, 0..n_shortcut_pairs.
+        n must be in 0..len(self.shortcuts): truncation never adds a shortcut.
         """
+        if not 0 <= checked_json(n_outermost, int, "n_outermost") <= len(self.shortcuts):
+            raise ValueError(f"n_outermost must be in 0..{len(self.shortcuts)}, got {n_outermost}")
         new = build_network(replace(self.spec, residual=n_outermost), rng=Rng(0))
         new.set_state(self.get_state())
         return new

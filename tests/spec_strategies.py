@@ -10,10 +10,11 @@ _ACTS = st.sampled_from(ACTIVATION_KINDS)
 
 @st.composite
 def network_specs(draw) -> NetworkSpec:
-    nnode = tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=4)))
+    form = draw(st.sampled_from([list, tuple]))   # a spec stores either as a tuple
+    nnode = form(draw(st.lists(st.integers(1, 16), min_size=1, max_size=4)))
     return NetworkSpec(
         nfea=draw(st.integers(1, 6)), nnode=nnode, k=draw(st.integers(1, 3)),
-        acts=draw(_ACTS | st.lists(_ACTS, min_size=len(nnode), max_size=len(nnode)).map(tuple)),
+        acts=draw(_ACTS | st.lists(_ACTS, min_size=len(nnode), max_size=len(nnode)).map(form)),
         output_activation=draw(_ACTS),
         dropout_rate=draw(st.floats(0.0, 0.99)),
         residual=draw(st.sampled_from(["full", "off"]) | st.integers(0, len(nnode))),

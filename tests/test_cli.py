@@ -325,6 +325,39 @@ class TestConfigErrors:
                                            f"source '{source}'\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("source, key, value, expected", [
+        ("simulate", "n_bumps", 4.0, "an integer, got 4.0"),
+        ("simulate", "with_coordinates", 1, "true or false, got 1"),
+        ("csv", "n", 1000.0, "an integer, got 1000.0"),
+        ("csv", "with_coordinates", 1, "true or false, got 1"),
+    ])
+    def test_key_of_another_source_equal_to_its_default_but_of_another_type_exits_2(
+            self, tmp_path, capsys, source, key, value, expected):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{2 * i}\n" for i in range(30)))
+        dataset = {"source": source, "n": 1000, "seed": 7,   # n and seed at their defaults
+                   "path": str(data) if source == "csv" else None, key: value}
+        cfg = tiny_train_config(tmp_path, dataset=dataset)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: dataset.{key} must be {expected}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_key_of_another_source_may_be_an_integer_where_a_number_is_read(self, tmp_path):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{2 * i}\n" for i in range(30)))
+        cfg = tiny_train_config(tmp_path, dataset={"source": "csv", "path": str(data),
+                                                   "n": 1000, "seed": 7, "noise_sd": 100})
+        assert main(["train", "--config", str(cfg)]) == 0
+        echoed = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert echoed["dataset"]["noise_sd"] == 100
+
+    @pytest.mark.parametrize("source", [["csv"], {"csv": 1}, 5, None])
+    def test_dataset_source_of_another_json_type_exits_2(self, tmp_path, capsys, source):
+        cfg = tiny_train_config(tmp_path, dataset={"source": source})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown dataset source {source!r}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_zero_seeds_exits_2_before_writing(self, tmp_path):
         cfg = tiny_train_config(tmp_path, n_seeds=0)
         assert main(["sensitivity", "--config", str(cfg)]) == 2
@@ -346,6 +379,10 @@ class TestConfigErrors:
         ("train", {"network": {"residual_post_op": None}}, "network.residual_post_op"),
         ("train", {"network": {"dropout_placement": ["all"]}}, "network.dropout_placement"),
         ("grid", {"grid": {"activations": [["elu"]]}, "n_seeds": 1}, "grid.activations[0]"),
+        ("train", {"loss": {"regularizer": 1}}, "loss.regularizer"),
+        *(("train", {section: {key: 10 ** 400}}, f"{section}.{key}")   # beyond float range
+          for section, key in (("training", "learning_rate"), ("network", "elu_alpha"),
+                               ("dataset", "noise_sd"))),
     ])
     def test_wrong_json_type_exits_2_naming_key(self, tmp_path, capsys, command, override, key):
         cfg = tiny_train_config(tmp_path, **override)

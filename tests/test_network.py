@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -115,6 +115,13 @@ class TestBuilder:
         assert build_network(spec, rng=0).layer_summary() == build_network(
             NetworkSpec(nfea=3, nnode=(4, 2), k=1, acts=("elu", "tanh")), rng=0).layer_summary()
 
+    def test_spec_made_with_lists_equals_its_tuple_twin(self):
+        made = NetworkSpec(nfea=3, nnode=[4, 2], k=1, acts=["elu", "tanh"])
+        twin = NetworkSpec(nfea=3, nnode=(4, 2), k=1, acts=("elu", "tanh"))
+        assert made == twin and hash(made) == hash(twin)
+        assert made.nnode == (4, 2) and made.acts == ("elu", "tanh")
+        assert NetworkSpec(nfea=3, nnode=[4, 2], k=1, acts="relu").acts == "relu"
+
 
 class TestParameterCounts:
     def test_dense_and_batchnorm_sizes(self):
@@ -229,6 +236,13 @@ class TestTruncate:
         net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1), rng=0)
         with pytest.raises(ValueError):
             net.truncate_residuals(2)
+
+    def test_truncation_never_adds_shortcuts(self):
+        net = build_network(NetworkSpec(nfea=4, nnode=(6, 3, 2), k=1, residual=1), rng=0)
+        for n in (2, 3, -1):
+            with pytest.raises(ValueError, match=rf"n_outermost must be in 0\.\.1, got {n}"):
+                net.truncate_residuals(n)
+        assert [len(net.truncate_residuals(n).shortcuts) for n in (0, 1)] == [0, 1]
 
     def test_truncation_copies_parameters(self):
         spec = NetworkSpec(nfea=6, nnode=(10, 5), k=1)
@@ -449,3 +463,14 @@ def test_spec_with_a_field_of_the_wrong_type_is_never_made(spec, field, data):
     value = data.draw(_WRONG_TYPE[_PLAIN_FIELDS[field]])
     with pytest.raises(ValueError, match=f"^{field} must be "):
         replace(spec, **{field: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(network_specs())
+def test_drawn_spec_equals_its_twins_made_with_lists_and_tuples(spec):
+    values = {f.name: getattr(spec, f.name) for f in fields(NetworkSpec)}
+    for form in (list, tuple):
+        twin = NetworkSpec(**{**values, **{name: form(values[name]) for name in ("nnode", "acts")
+                                           if not isinstance(values[name], str)}})
+        assert twin == spec and hash(twin) == hash(spec)
+        assert twin.to_dict() == spec.to_dict()

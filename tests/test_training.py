@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from spec_strategies import network_specs
 
-from resae.data import generate_simulated, split
+from resae.data import Dataset, generate_simulated, split
 from resae.layers import DenseLayer
 from resae.network import NetworkSpec, Predictions, build_network
 from resae.training import (
@@ -16,6 +19,7 @@ from resae.training import (
     SgdMomentum,
     TrainConfig,
     TrainingDiverged,
+    dataset_dims,
     fit,
     gradient_check,
     loss_and_head_gradient,
@@ -482,7 +486,6 @@ class TestTrainModelPipeline:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(200, 3))
         labels = (x[:, 0] + 0.3 * x[:, 1] > 0).astype(np.float64).reshape(-1, 1)
-        from resae.data import Dataset
         ds = Dataset(features=x, targets=labels, feature_names=["a", "b", "c"],
                      target_names=["cls"], task="classification", n_classes=2)
         sp = split(ds, seed=4)
@@ -528,14 +531,40 @@ class TestModelDocument:
          r'weights.L000.dense.W.data\[3\] must be a number, got "0.5"'),
         (lambda d: _set_weight(d, 0, True),
          r"weights.L000.dense.W.data\[0\] must be a number, got true"),
+        (lambda d: _set_weight(d, 1, 10 ** 400),
+         r"weights.L000.dense.W.data\[1\] must be a number in float range"),
         (lambda d: d["feature_stats"]["sd"].__setitem__(2, 0.0),
          r"feature_stats.sd\[2\] must be >= 1e-12, got 0.0"),
         (lambda d: d["network"].pop("weights"), "weights is missing"),
         (lambda d: d.pop("feature_stats"), "feature_stats is missing"),
-    ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "zero-sd",
-            "no-weights", "no-feature-stats"])
+    ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "huge-integer-weight",
+            "zero-sd", "no-weights", "no-feature-stats"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)
         with pytest.raises(ValueError, match=message):
             FittedModel.from_dict(doc)
+
+
+def small_dataset(task: str) -> Dataset:
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 3))
+    if task == "classification":
+        return Dataset(features=x, targets=np.digitize(x[:, :1], [-0.5, 0.5]).astype(np.float64),
+                       feature_names=["a", "b", "c"], target_names=["cls"],
+                       task="classification", n_classes=3)
+    return Dataset(features=x, targets=x @ [[1.0, 0.0], [0.5, 2.0], [0.0, -1.0]],
+                   feature_names=["a", "b", "c"], target_names=["y1", "y2"],
+                   task="regression")
+
+
+@settings(max_examples=20, deadline=None)
+@given(network_specs(), st.sampled_from(["regression", "classification"]))
+def test_drawn_spec_trained_saves_and_reloads_bit_identically(spec, task):
+    ds = small_dataset(task)
+    spec = replace(spec, **dataset_dims(ds))
+    model = train_model(ds, split(ds, seed=0), spec,
+                        TrainConfig(batch_size=8, max_epochs=2, seed=3))
+    clone = FittedModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    np.testing.assert_array_equal(clone.predict(ds.features), model.predict(ds.features))
+    assert clone.to_dict() == model.to_dict()
