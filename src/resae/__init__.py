@@ -24,14 +24,7 @@ from .evaluation import (
     roc_auc,
 )
 from .matrix import Matrix, Rng, StandardizeStats, standardize_fit_apply
-from .network import (
-    Network,
-    NetworkSpec,
-    Predictions,
-    build_network,
-    build_regular_network,
-    build_residual_network,
-)
+from .network import Network, NetworkSpec, Predictions, build_network
 from .training import (
     Adam,
     FittedModel,

@@ -115,7 +115,9 @@ def load_config(path: str | None) -> dict:
             user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:   # a JSONDecodeError, or an integer over Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config document must be a JSON object")
@@ -139,11 +141,6 @@ def _checked(value, kind: type, name: str):
 NAMES, NUMBERS = checked_names, lambda value, name: checked_json_list(value, float, name)
 
 
-def _spatial_field(with_coordinates: bool, **arguments) -> data_mod.Dataset:
-    pair = data_mod.generate_spatial_field(**arguments)
-    return pair.with_coordinates if with_coordinates else pair.plain
-
-
 # {source: (maker, {config key: (maker argument, JSON kind)})}; null fits a key whose
 # default is null.  Makers look data_mod's functions up when called, as a tracer may wrap them.
 DATASET_KEYS = {
@@ -153,7 +150,7 @@ DATASET_KEYS = {
             {"path": ("path", str), "targets": ("target_columns", NAMES), "task": ("task", str),
              "stratify_column": ("stratify_column", str),
              "target_bins": ("target_bins", NUMBERS), "delimiter": ("delimiter", str)}),
-    "spatial-field": (_spatial_field,
+    "spatial-field": (lambda **arguments: data_mod.generate_spatial_field(**arguments),
                       {"n": ("n", int), "seed": ("seed", int),
                        "correlation_length": ("correlation_length", float),
                        "n_bumps": ("n_bumps", int), "spatial_noise_sd": ("noise_sd", float),

@@ -92,11 +92,18 @@ def simulated_response(x: Matrix) -> np.ndarray:
             + x[:, 7])
 
 
+def _check_rows(n: int, least: int) -> None:
+    """A row count from least up to the largest numpy index; a ValueError names n."""
+    if n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"n must be at most {np.iinfo(np.intp).max}")
+
+
 def generate_simulated(n: int = 1000, seed: int = 0, noise_sd: float = 100.0,
                        ranges=SIMULATED_RANGES) -> Dataset:
     """Eight uniform inputs of different scales plus Gaussian noise on the target."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_rows(n, 1)
     if len(ranges) != 8:
         raise ValueError("exactly eight feature ranges required")
     if ranges[4][0] <= 0.0:
@@ -335,32 +342,20 @@ def gaussian_bump_field(sites: Matrix, centers: Matrix, amplitudes: np.ndarray,
     return (amplitudes[None, :] * np.exp(-sq / (2.0 * length ** 2))).sum(axis=1)
 
 
-@dataclass
-class SpatialFieldPair:
-    """The same synthetic surface exposed with and without coordinate proxies."""
-
-    plain: Dataset          # 3 non-spatial covariates only
-    with_coordinates: Dataset   # covariates + (x, y, x^2, y^2, xy)
-    sites: Matrix
-    centers: Matrix
-    amplitudes: np.ndarray
-    covariate_coef: np.ndarray
-    correlation_length: float
-    noise_sd: float
-
-
 def generate_spatial_field(n: int = 600, seed: int = 0,
                            correlation_length: float = 0.15,
                            n_bumps: int = 4, noise_sd: float = 0.5,
-                           covariate_coef=(1.5, -1.0, 0.5)) -> SpatialFieldPair:
+                           covariate_coef=(1.5, -1.0, 0.5),
+                           with_coordinates: bool = True) -> Dataset:
     """Random sites on the unit square with a smooth bump surface target.
 
-    target = bump field(site) + covariates . coef + noise.  The plain variant
-    carries only the three covariates, so the spatial part of the signal is
-    unreachable for it; the other variant appends the five coordinate proxies.
+    target = bump field(site) + covariates . coef + noise.  Without coordinates
+    the features are only the three covariates, so the spatial part of the
+    signal is unreachable; with them, the five coordinate proxies follow.  The
+    draws do not depend on with_coordinates, so both variants of a seed share
+    one surface.
     """
-    if n < 50:
-        raise ValueError(f"n must be >= 50, got {n}")
+    _check_rows(n, 50)
     if n_bumps < 0:
         raise ValueError(f"n_bumps must be >= 0, got {n_bumps}")
     if not correlation_length > 0.0:
@@ -373,22 +368,14 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     amplitudes = rng.uniform(n_bumps, low=2.0, high=4.0) * np.where(
         rng.uniform(n_bumps) < 0.5, -1.0, 1.0)
     coef = np.asarray(covariate_coef, dtype=np.float64)
-    covariates = rng.normal(n, len(coef))
+    features = rng.normal(n, len(coef))
     y = gaussian_bump_field(sites, centers, amplitudes, correlation_length)
-    y = y + covariates @ coef
+    y = y + features @ coef
     if noise_sd > 0.0:
         y = y + rng.normal(n, sd=noise_sd)
-    targets = y.reshape(-1, 1)
-    cov_names = [f"c{i}" for i in range(1, len(coef) + 1)]
-    plain = Dataset(features=covariates.copy(), targets=targets.copy(),
-                    feature_names=list(cov_names), target_names=["y"],
-                    task="regression")
-    spatial = Dataset(features=np.column_stack([covariates, spatial_feature_matrix(sites)]),
-                      targets=targets.copy(),
-                      feature_names=cov_names + ["x", "y", "x2", "y2", "xy"],
-                      target_names=["y"], task="regression")
-    return SpatialFieldPair(plain=plain, with_coordinates=spatial, sites=sites,
-                            centers=centers, amplitudes=amplitudes,
-                            covariate_coef=coef,
-                            correlation_length=correlation_length,
-                            noise_sd=noise_sd)
+    names = [f"c{i}" for i in range(1, len(coef) + 1)]
+    if with_coordinates:
+        features = np.column_stack([features, spatial_feature_matrix(sites)])
+        names += ["x", "y", "x2", "y2", "xy"]
+    return Dataset(features=features, targets=y.reshape(-1, 1), feature_names=names,
+                   target_names=["y"], task="regression")

@@ -101,9 +101,13 @@ def classification_metrics(y: np.ndarray, probabilities: np.ndarray
     return accuracy, cross_entropy, auc
 
 
+# Each task's metrics, headline first: R^2 ranks regression runs, accuracy classification ones
+TASK_METRICS = {"regression": ("r2", "rmse", "nrmse"),
+                "classification": ("accuracy", "cross_entropy", "auc")}
+
+
 def _headline(task: str) -> str:
-    """The ranking metric: R^2 for regression, accuracy for classification."""
-    return "r2" if task == "regression" else "accuracy"
+    return TASK_METRICS[task][0]
 
 
 @dataclass
@@ -215,13 +219,11 @@ def _converged_stats(runs: list[RunResult], part: str, metric: str) -> dict:
 
 
 def _summarize(runs: list[RunResult], task: str) -> dict:
-    fields = (["r2", "rmse", "nrmse"] if task == "regression"
-              else ["accuracy", "cross_entropy", "auc"])
     out: dict = {"n_runs": len(runs),
                  "n_converged": sum(r.converged for r in runs),
                  "n_non_convergent": sum(not r.converged for r in runs)}
     for part in ("validation", "test"):
-        for f in fields:
+        for f in TASK_METRICS[task]:
             out[f"{part}_{f}"] = _converged_stats(runs, part, f)
     return out
 
@@ -352,7 +354,7 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
     activations strings, the other axes integers), and an unknown axis, a
     wrong type or an invalid cell is a ValueError naming the grid values,
     e.g. "grid.nnodes[0][1] must be an integer" or
-    "grid.batch_sizes[0]: batch_size must be >= 1".
+    "grid.batch_sizes[0]: batch_size must be >= 2".
     """
     axes = {"batch_sizes": [cfg.batch_size], "nnodes": [spec.nnode],
             "activations": [spec.acts], "output_options": [spec.output_option]}
@@ -409,20 +411,23 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
 
 @dataclass
 class SensitivityResult:
+    task: str
     rows: list[Variant]         # one per count of outermost shortcuts kept, 0..all
+
+    def table(self) -> list[dict]:
+        """Per row, the shortcuts kept and the mean test value of the task's first two metrics."""
+        return [{"n_shortcuts": r.spec.residual_count(),
+                 **{f"mean_test_{m}": r.mean("test", m) for m in TASK_METRICS[self.task][:2]}}
+                for r in self.rows]
 
     def to_dict(self) -> dict:
         return {"definitions": {"nrmse": NRMSE_DEFINITION},
-                "rows": [{"n_shortcuts": r.spec.residual_count(),
-                          "mean_test_r2": r.mean("test", "r2"),
-                          "mean_test_rmse": r.mean("test", "rmse"),
-                          "n_non_convergent": sum(not run.converged for run in r.runs)}
-                         for r in self.rows]}
+                "rows": [{**row, "n_non_convergent": sum(not run.converged for run in r.runs)}
+                         for row, r in zip(self.table(), self.rows)]}
 
     def write_csv(self, path) -> None:
-        _write_csv(path, ["n_shortcuts", "mean_test_r2", "mean_test_rmse"],
-                   ([r.spec.residual_count(), r.mean("test", "r2"), r.mean("test", "rmse")]
-                    for r in self.rows))
+        table = self.table()
+        _write_csv(path, list(table[0]), (list(row.values()) for row in table))
 
 
 def sensitivity_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
@@ -441,5 +446,5 @@ def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     """Train variants keeping 0..all outermost shortcuts on shared splits."""
     variants = sensitivity_variants(spec, cfg)
     table = _sweep(dataset, variants, n_seeds, regularizer, reconstruction_weight, stratify)
-    return SensitivityResult(rows=[replace(v, runs=table[i::len(variants)])
-                                   for i, v in enumerate(variants)])
+    return SensitivityResult(task=dataset.task, rows=[replace(v, runs=table[i::len(variants)])
+                                                      for i, v in enumerate(variants)])

@@ -240,23 +240,19 @@ class StandardizeStats:
             checked_json_list(d.get("constant_columns", []), int, f"{name}.constant_columns")))
 
 
-def standardize_fit_apply(x: Matrix,
-                          stats: StandardizeStats | None = None
-                          ) -> tuple[Matrix, StandardizeStats]:
-    """Standardize columns to mean 0 / sd 1.
+def standardize_fit_apply(x: Matrix) -> tuple[Matrix, StandardizeStats]:
+    """Fit column mean and population sd on `x`, and standardize it to mean 0 / sd 1.
 
-    With `stats` given, applies them (column count must match).  Otherwise
-    fits mean and population sd on `x`; zero-variance columns get their sd
-    floored at SD_FLOOR and a warning, so constant columns map to all zeros.
+    Zero-variance columns get their sd floored at SD_FLOOR and a warning, so
+    constant columns map to all zeros.  StandardizeStats.apply applies fitted stats.
     """
     _require_2d(x, "x")
-    if stats is None:
-        mean = x.mean(axis=0, keepdims=True)
-        sd = x.std(axis=0, keepdims=True)  # population convention (divide by N)
-        constant = tuple(int(i) for i in np.flatnonzero(sd < SD_FLOOR))
-        if constant:
-            warnings.warn(f"standardize: zero-variance columns {constant} "
-                          f"floored at sd={SD_FLOOR}", stacklevel=2)
-            sd = np.maximum(sd, SD_FLOOR)
-        stats = StandardizeStats(mean=mean, sd=sd, constant_columns=constant)
+    mean = x.mean(axis=0, keepdims=True)
+    sd = x.std(axis=0, keepdims=True)  # population convention (divide by N)
+    constant = tuple(int(i) for i in np.flatnonzero(sd < SD_FLOOR))
+    if constant:
+        warnings.warn(f"standardize: zero-variance columns {constant} "
+                      f"floored at sd={SD_FLOOR}", stacklevel=2)
+        sd = np.maximum(sd, SD_FLOOR)
+    stats = StandardizeStats(mean=mean, sd=sd, constant_columns=constant)
     return stats.apply(x), stats

@@ -154,15 +154,6 @@ def _checked_field(field_name: str, kind, value, name: str):
     return checked_json(value, kind, name)
 
 
-@dataclass(frozen=True)
-class ShortcutPair:
-    """One wiring-table entry; slot 0 is the outermost (input-level) pair."""
-
-    slot: int
-    width: int
-    add_index: int
-
-
 @dataclass
 class Predictions:
     """Forward output: k target columns, plus the input reconstruction for option 2."""
@@ -201,9 +192,9 @@ class Network:
     def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
         self.spec = spec
         self.steps = steps
-        self.shortcuts = sorted(   # ordered outermost first
-            (ShortcutPair(step.slot, step.save.width, i) for i, step in enumerate(steps)
-             if isinstance(step, ResidualAddNode)), key=lambda pair: pair.slot)
+        self.shortcuts = sorted(   # the add steps, outermost (slot 0) first
+            (step for step in steps if isinstance(step, ResidualAddNode)),
+            key=lambda add: add.slot)
         self.rng = rng
         layers = [step for step in steps if isinstance(step, (DenseLayer, BatchNormLayer))]
         stateful = [(f"L{i:03d}.{'dense' if isinstance(layer, DenseLayer) else 'bn'}", layer)
@@ -256,9 +247,10 @@ class Network:
             if trace is not None:
                 trace[i] = g
         if trace is not None:
-            for pair in self.shortcuts:
-                trace[("add", pair.slot)] = trace[pair.add_index]
-                trace[("save", pair.slot)] = self.steps[pair.add_index].save.grad
+            for i, step in enumerate(self.steps):
+                if isinstance(step, ResidualAddNode):
+                    trace[("add", step.slot)] = trace[i]
+                    trace[("save", step.slot)] = step.save.grad
         return g
 
     # -- parameters -----------------------------------------------------------
@@ -443,13 +435,3 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     steps.append(head)
     steps.append(Activation(spec.output_activation, spec.elu_alpha))
     return Network(spec, steps, rng)
-
-
-def build_residual_network(spec: NetworkSpec, rng: Rng | int) -> Network:
-    """The spec's network with every nested shortcut wired."""
-    return build_network(replace(spec, residual="full"), rng)
-
-
-def build_regular_network(spec: NetworkSpec, rng: Rng | int) -> Network:
-    """Baseline: identical stack with every shortcut addition removed."""
-    return build_network(replace(spec, residual="off"), rng)

@@ -194,8 +194,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 2:   # a single-row batch cannot go through train-mode batch norm
+            raise ValueError("batch_size must be >= 2")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.learning_rate < math.inf:
@@ -350,9 +350,7 @@ class FittedModel:
         preds = self.network.forward(x, "infer")
         if self.task == "classification":
             return softmax(preds.y)
-        if self.target_stats is not None:
-            return self.target_stats.invert(preds.y)
-        return preds.y
+        return self.target_stats.invert(preds.y)
 
     def to_dict(self) -> dict:
         return {
@@ -368,7 +366,8 @@ class FittedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one."""
+        ValueError names the first bad one.  target_stats is an object for
+        regression and null for classification."""
         if d.get("format") != "resae-model":
             raise ValueError("not a serialized model document")
         task = checked_entry(d, "task", str, "task")
@@ -380,12 +379,14 @@ class FittedModel:
             raise ValueError(f"loss.kind must be one of {LOSS_KINDS}, got {kind!r}")
         loss = LossSpec(kind, checked_entry(loss_doc, "reconstruction_weight", float,
                                             "loss.reconstruction_weight"))
+        if task == "classification" and d.get("target_stats") is not None:
+            raise ValueError("target_stats must be null for a classification model")
         return cls(
             network=Network.from_dict(checked_entry(d, "network", dict, "network")),
             feature_stats=StandardizeStats.from_dict(
                 checked_entry(d, "feature_stats", dict, "feature_stats"), "feature_stats"),
-            target_stats=(None if d.get("target_stats") is None else
-                          StandardizeStats.from_dict(d["target_stats"], "target_stats")),
+            target_stats=(None if task == "classification" else
+                          StandardizeStats.from_dict(d.get("target_stats"), "target_stats")),
             task=task, loss=loss)
 
 

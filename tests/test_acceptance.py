@@ -20,7 +20,7 @@ from resae.cli import main
 from resae.data import generate_simulated, generate_spatial_field, load_csv, split
 from resae.evaluation import compare, evaluate_model, grid_search, residual_sensitivity
 from resae.layers import DenseLayer
-from resae.network import NetworkSpec, build_network, build_regular_network, build_residual_network
+from resae.network import NetworkSpec, build_network
 from resae.training import (
     FittedModel,
     LossSpec,
@@ -98,7 +98,7 @@ def test_criterion_2_shortcut_gradient_identity():
             net = build_network(base, rng=3)
             # zero the decode-side dense feeding this addition: its deep branch
             # contributes nothing, so the shallow gradient must pass unchanged
-            for i in range(pair.add_index - 1, -1, -1):
+            for i in range(net_probe.steps.index(pair) - 1, -1, -1):
                 if isinstance(net.steps[i], DenseLayer):
                     net.steps[i].W[...] = 0.0
                     break
@@ -118,8 +118,8 @@ def test_criterion_3_parameter_count_invariance():
     rng = np.random.default_rng(301)
     for _ in range(10):
         spec = random_gradient_spec(rng)
-        res = build_residual_network(spec, rng=0)
-        reg = build_regular_network(spec, rng=0)
+        res = build_network(replace(spec, residual="full"), rng=0)
+        reg = build_network(replace(spec, residual="off"), rng=0)
         counts = {res.count_parameters(), reg.count_parameters()}
         for n in range(len(res.shortcuts) + 1):
             counts.add(res.truncate_residuals(n).count_parameters())
@@ -257,11 +257,11 @@ def test_criterion_7_minibatch_curve_interior_optimum():
 
 def test_criterion_8_spatial_proxy_ablation():
     started = time.monotonic()
-    pair = generate_spatial_field(n=600, seed=11)
     cfg = TrainConfig(batch_size=64, max_epochs=300, learning_rate=1e-3,
                       early_stop_patience=50, seed=1)
     means = {}
-    for label, ds in (("with", pair.with_coordinates), ("without", pair.plain)):
+    for label, with_coordinates in (("with", True), ("without", False)):
+        ds = generate_spatial_field(n=600, seed=11, with_coordinates=with_coordinates)
         r2s = []
         for seed in range(1, 6):
             sp = split(ds, seed=seed)

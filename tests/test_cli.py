@@ -180,12 +180,19 @@ class TestGridCommand:
         ({"output_options": [3]}, "grid.output_options[0]"),
         ({"activations": ["elu", "sigmoid"]}, "grid.activations[1]"),
         ({"nnodes": [[8, 0]]}, "grid.nnodes[0]"),
+        ({"batch_sizes": [1]}, "grid.batch_sizes[0]"),
     ])
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys, grid, key):
         cfg = tiny_train_config(tmp_path, n_seeds=1, grid=grid)
         assert main(["grid", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "run" / "config.json").exists()
+
+    def test_batch_size_of_one_exits_2(self, tmp_path, capsys):
+        cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [1]})
+        assert main(["grid", "--config", str(cfg)]) == 2
+        assert (capsys.readouterr().err ==
+                "config error: grid.batch_sizes[0]: batch_size must be >= 2\n")
 
     @pytest.mark.parametrize("template_option", [1, 2])
     def test_output_option_grid_matches_library_grid_search(self, tmp_path, template_option):
@@ -215,6 +222,26 @@ class TestSensitivityCommand:
         assert len(csv_lines) == 4
 
 
+    def test_classification_rows_hold_accuracy_and_cross_entropy(self, tmp_path):
+        data = tmp_path / "c.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i},{i * 7 % 5},{i % 3 // 2}\n" for i in range(60)))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"source": "csv", "path": str(data), "targets": "y",
+                        "task": "classification"},
+            "network": {"nnode": [6, 3]}, "n_seeds": 1, "out_dir": str(tmp_path / "run"),
+            "training": {"batch_size": 16, "max_epochs": 3, "seed": 1}}))
+        assert main(["sensitivity", "--config", str(cfg)]) == 0
+        rows = json.loads((tmp_path / "run" / "report.json").read_text())["rows"]
+        assert [sorted(row) for row in rows] == [sorted(
+            ["n_shortcuts", "mean_test_accuracy", "mean_test_cross_entropy",
+             "n_non_convergent"])] * 3
+        assert all(0.0 <= row["mean_test_accuracy"] <= 1.0 and row["mean_test_cross_entropy"] > 0
+                   for row in rows)
+        header = (tmp_path / "run" / "sensitivity.csv").read_text().splitlines()[0]
+        assert header == "n_shortcuts,mean_test_accuracy,mean_test_cross_entropy"
+
+
 class TestSweepReruns:
     @pytest.mark.parametrize("command, grid, tables", [
         ("compare", None, {"runs.csv"}),
@@ -242,6 +269,21 @@ class TestConfigErrors:
         assert main(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "run" / "config.json").exists()
 
+    def test_non_finite_number_error_passes_through_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"training": {"learning_rate": NaN}}')
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: non-finite number NaN in config\n"
+
+    def test_integer_over_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"training": {"learning_rate": 1%s}, "out_dir": "%s"}'
+                        % ("0" * 5000, tmp_path / "run"))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config file {path} is not valid JSON: ")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("loss", [
         {"regularizer": "l3"}, {"reconstruction_weight": -1.0},
         {"regularizer": "L2", "coefficient": 1e-3}, {"regularizer": "l1", "coefficient": -1e-3},
@@ -261,7 +303,8 @@ class TestConfigErrors:
           for field, value in (("early_stop_patience", 0), ("early_stop_patience", -7),
                                ("adam_beta1", 1.0), ("adam_beta2", -0.5),
                                ("momentum", 1.0), ("momentum", -3.0),
-                               ("adam_epsilon", 0.0), ("adam_epsilon", -1e-3))),
+                               ("adam_epsilon", 0.0), ("adam_epsilon", -1e-3),
+                               ("batch_size", 1))),
     ])
     def test_invalid_variant_or_split_exits_2_writing_nothing(self, tmp_path, capsys,
                                                                command, override, key):
@@ -299,6 +342,8 @@ class TestConfigErrors:
         ({"source": "spatial-field", "n": 10}, "dataset.n must be >= 50, got 10"),
         ({"noise_sd": -1.0}, "dataset.noise_sd must be >= 0, got -1.0"),
         ({"n": 0}, "dataset.n must be >= 1, got 0"),
+        *((dataset, f"dataset.n must be at most {np.iinfo(np.intp).max}")
+          for dataset in ({"n": 10 ** 40}, {"source": "spatial-field", "n": 10 ** 40})),
     ])
     def test_generator_range_error_names_the_config_key(self, tmp_path, capsys,
                                                         dataset, message):

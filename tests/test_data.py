@@ -19,6 +19,7 @@ from resae.data import (
     spatial_features,
     split,
 )
+from resae.matrix import Rng
 
 
 class TestSimulated:
@@ -326,27 +327,35 @@ class TestSpatial:
         assert value[0] == pytest.approx(3.0)
 
     def test_noise_free_field_matches_closed_form(self):
-        pair = generate_spatial_field(n=60, seed=4, noise_sd=0.0)
-        expected = (gaussian_bump_field(pair.sites, pair.centers, pair.amplitudes,
-                                        pair.correlation_length)
-                    + pair.plain.features @ pair.covariate_coef)
-        np.testing.assert_allclose(pair.plain.targets.ravel(), expected, rtol=1e-12)
-        np.testing.assert_array_equal(pair.plain.targets, pair.with_coordinates.targets)
+        plain = generate_spatial_field(n=60, seed=4, noise_sd=0.0, with_coordinates=False)
+        spatial = generate_spatial_field(n=60, seed=4, noise_sd=0.0)
+        rng = Rng(4)   # the generator's draws in its order: sites, centers, amplitudes, signs
+        sites, centers = rng.uniform(60, 2), rng.uniform(4, 2)
+        amplitudes = rng.uniform(4, low=2.0, high=4.0) * np.where(rng.uniform(4) < 0.5, -1.0, 1.0)
+        np.testing.assert_array_equal(spatial.features[:, 3:5], sites)
+        expected = (gaussian_bump_field(sites, centers, amplitudes, 0.15)
+                    + plain.features @ np.array([1.5, -1.0, 0.5]))
+        np.testing.assert_allclose(plain.targets.ravel(), expected, rtol=1e-12)
+        np.testing.assert_array_equal(plain.targets, spatial.targets)
 
     def test_equal_seeds_identical(self):
         a = generate_spatial_field(n=80, seed=2)
         b = generate_spatial_field(n=80, seed=2)
-        np.testing.assert_array_equal(a.with_coordinates.features,
-                                      b.with_coordinates.features)
-        np.testing.assert_array_equal(a.plain.targets, b.plain.targets)
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_spatial_variant_has_five_extra_columns(self):
-        pair = generate_spatial_field(n=60, seed=1)
-        assert pair.with_coordinates.n_features == pair.plain.n_features + 5
+        plain = generate_spatial_field(n=60, seed=1, with_coordinates=False)
+        assert generate_spatial_field(n=60, seed=1).n_features == plain.n_features + 5
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             generate_spatial_field(n=10, seed=0)
+
+    @pytest.mark.parametrize("generate", [generate_simulated, generate_spatial_field])
+    def test_row_count_beyond_any_index_rejected_before_drawing(self, generate):
+        with pytest.raises(ValueError, match=f"^n must be at most {np.iinfo(np.intp).max}$"):
+            generate(n=10 ** 40, seed=0)
 
     @pytest.mark.parametrize("field, value", [
         ("noise_sd", -0.5), ("noise_sd", float("nan")),

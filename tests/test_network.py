@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spec_strategies import network_specs
 
 from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer
-from resae.network import Network, NetworkSpec, build_network, build_regular_network, build_residual_network
+from resae.network import Network, NetworkSpec, build_network
 
 
 def random_spec(rng: np.random.Generator, **forced) -> NetworkSpec:
@@ -35,13 +35,13 @@ class TestBuilder:
         net = build_network(spec, rng=0)
         assert len(net.shortcuts) == 1
         assert net.shortcuts[0].slot == 0
-        assert net.shortcuts[0].width == 3
+        assert net.shortcuts[0].save.width == 3
 
     def test_four_layer_wiring(self):
         spec = NetworkSpec(nfea=8, nnode=(32, 16, 8, 4), k=1)
         net = build_network(spec, rng=0)
         assert [p.slot for p in net.shortcuts] == [0, 1, 2, 3]
-        assert [p.width for p in net.shortcuts] == [8, 32, 16, 8]
+        assert [p.save.width for p in net.shortcuts] == [8, 32, 16, 8]
 
     def test_benchmark_structure_builds(self):
         spec = NetworkSpec(nfea=8, nnode=(32, 16, 8, 4), k=1)
@@ -66,7 +66,7 @@ class TestBuilder:
             x = np.random.default_rng(0).normal(size=(4, spec.nfea))
             net.forward(x, "infer")   # any width disagreement would raise
             expected_widths = [spec.nfea] + list(spec.nnode[:-1])
-            assert [p.width for p in net.shortcuts] == expected_widths
+            assert [p.save.width for p in net.shortcuts] == expected_widths
 
     def test_option2_head_width(self):
         spec = NetworkSpec(nfea=6, nnode=(5,), k=2, output_option=2)
@@ -135,8 +135,8 @@ class TestParameterCounts:
         rng = np.random.default_rng(31)
         for _ in range(10):
             spec = random_spec(rng)
-            res = build_residual_network(spec, rng=0)
-            reg = build_regular_network(spec, rng=0)
+            res = build_network(replace(spec, residual="full"), rng=0)
+            reg = build_network(replace(spec, residual="off"), rng=0)
             assert res.count_parameters() == reg.count_parameters()
 
     def test_truncation_preserves_count(self):
@@ -167,7 +167,7 @@ class TestForward:
         trace = {}
         net.forward(x, "infer", trace=trace)
         input_pair = net.shortcuts[0]
-        np.testing.assert_array_equal(trace[input_pair.add_index], x)
+        np.testing.assert_array_equal(trace[net.steps.index(input_pair)], x)
 
     def test_zeroed_decoder_differs_from_regular_by_shortcut(self):
         spec = NetworkSpec(nfea=4, nnode=(6, 3), k=1, acts="linear",
@@ -185,7 +185,7 @@ class TestForward:
         t_res, t_reg = {}, {}
         res.forward(x, "infer", trace=t_res)
         reg.forward(x, "infer", trace=t_reg)
-        pre_head_res = t_res[res.shortcuts[0].add_index]
+        pre_head_res = t_res[res.steps.index(res.shortcuts[0])]
         # the regular decode collapses to zero; the residual one carries x through
         reg_dense = [i for i, s in enumerate(reg.steps) if isinstance(s, DenseLayer)]
         pre_head_reg = t_reg[reg_dense[-1] - 1]   # output just before the head dense
@@ -221,7 +221,7 @@ class TestTruncate:
         spec = NetworkSpec(nfea=8, nnode=(32, 16, 8, 4), k=1)
         net = build_network(spec, rng=3)
         zero = net.truncate_residuals(0)
-        reg = build_regular_network(spec, rng=3)
+        reg = build_network(replace(spec, residual="off"), rng=3)
         assert zero.layer_summary() == reg.layer_summary()
         assert len(zero.shortcuts) == 0
 
@@ -230,7 +230,7 @@ class TestTruncate:
         net = build_network(spec, rng=3)
         one = net.truncate_residuals(1)
         assert [p.slot for p in one.shortcuts] == [0]
-        assert one.shortcuts[0].width == 8
+        assert one.shortcuts[0].save.width == 8
 
     def test_truncation_beyond_total_rejected(self):
         net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1), rng=0)
@@ -429,8 +429,8 @@ class TestFlatParameters:
 
 def test_identical_seeds_give_identical_initial_weights_across_variants():
     spec = NetworkSpec(nfea=5, nnode=(8, 4), k=1)
-    res = build_residual_network(spec, rng=13)
-    reg = build_regular_network(spec, rng=13)
+    res = build_network(replace(spec, residual="full"), rng=13)
+    reg = build_network(replace(spec, residual="off"), rng=13)
     for a, b in zip(res.parameters(), reg.parameters()):
         assert a.name == b.name
         np.testing.assert_array_equal(a.value, b.value)

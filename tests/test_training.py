@@ -280,6 +280,7 @@ def test_train_config_rejects_values_it_would_reinterpret(field, value):
 @pytest.mark.parametrize("field, value, message", [
     ("batch_size", 32.9, "batch_size must be an integer, got 32.9"),
     ("batch_size", True, "batch_size must be an integer, got true"),
+    *(("batch_size", value, "batch_size must be >= 2") for value in (1, 0, -4)),
     ("shuffle", "false", 'shuffle must be true or false, got "false"'),
     ("optimizer", None, "optimizer must be a string"),
     *(("learning_rate", value, "learning_rate must be >= 0 and finite")
@@ -450,7 +451,7 @@ class TestGradientCheck:
                            residual_post_op="none", dropout_rate=0.0)
         net = build_network(spec, rng=4)
         for pair in net.shortcuts:
-            for i in range(pair.add_index - 1, -1, -1):
+            for i in range(net.steps.index(pair) - 1, -1, -1):
                 if isinstance(net.steps[i], DenseLayer):
                     net.steps[i].W[...] = 0.0
                     break
@@ -537,8 +538,13 @@ class TestModelDocument:
          r"feature_stats.sd\[2\] must be >= 1e-12, got 0.0"),
         (lambda d: d["network"].pop("weights"), "weights is missing"),
         (lambda d: d.pop("feature_stats"), "feature_stats is missing"),
+        (lambda d: d.update(target_stats=None), "target_stats must be a JSON object, got null"),
+        (lambda d: d.pop("target_stats"), "target_stats must be a JSON object, got null"),
+        (lambda d: d.update(task="classification"),
+         "target_stats must be null for a classification model"),
     ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "huge-integer-weight",
-            "zero-sd", "no-weights", "no-feature-stats"])
+            "zero-sd", "no-weights", "no-feature-stats", "null-target-stats",
+            "no-target-stats", "classification-target-stats"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)

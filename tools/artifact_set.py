@@ -1,9 +1,9 @@
-"""Write the CLI artifact set of four small configs and print one hash over it.
+"""Write the CLI artifact set of five small configs and print one hash over it.
 
     PYTHONPATH=src python tools/artifact_set.py [OUT_DIR]
 
-Two configs train on the simulated benchmark and two on a CSV written by
-`resae simulate`; each runs `compare`, `grid`, `sensitivity` and
+Two configs train on the simulated benchmark, two on a CSV written by
+`resae simulate` and one on the spatial field without coordinates; each runs `compare`, `grid`, `sensitivity` and
 `train --residual on|off|2`.  Every path handed to the CLI is relative to the
 output directory, so no artifact holds an absolute path.  It prints the
 sha256 of the sorted listing of (path, file sha256) lines, so two checkouts
@@ -53,6 +53,12 @@ CONFIGS = {
         "network": {"nnode": [6, 4], "activation": "relu"},
         "training": TRAINING,
         "grid": {"batch_sizes": [16, 64]},
+    },
+    "spatial_field": {
+        "dataset": {"source": "spatial-field", "n": 120, "seed": 5, "with_coordinates": False},
+        "network": {"nnode": [6, 3]},
+        "training": TRAINING,
+        "grid": {"batch_sizes": [16, 32]},
     },
 }
 COMMANDS = {"compare": [], "grid": [], "sensitivity": [],
