@@ -278,7 +278,7 @@ class _Run:
     reconstruction_weight: float
     n_seeds: int
     stratify: bool
-    grid_axes: dict | None = None    # the grid axes that the grid command's config sets
+    grid_axes: dict | None = None    # the grid axes that the config sets
 
 
 def _set_up(args) -> _Run:
@@ -301,13 +301,13 @@ def _set_up(args) -> _Run:
         raise ConfigError("stratify is true, but the dataset has no stratify column")
     if args.command != "train" and run.n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
-    if args.command == "grid":
-        run.grid_axes = {key: values for key, values in cfg["grid"].items()
-                         if values is not None and values != []}
-        if not run.grid_axes:
-            raise ConfigError(f"grid config is empty: set at least one of {', '.join(GRID_AXES)}")
+    run.grid_axes = {key: values for key, values in cfg["grid"].items()
+                     if values is not None and values != []}
+    if args.command == "grid" and not run.grid_axes:
+        raise ConfigError(f"grid config is empty: set at least one of {', '.join(GRID_AXES)}")
+    if run.grid_axes:   # every command checks the grid it echoes, though only grid runs it
         _read(grid_variants, spec, run.train_cfg, run.grid_axes)
-    elif args.command == "sensitivity":
+    if args.command == "sensitivity":
         _read(sensitivity_variants, spec, run.train_cfg, prefix="network.")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)

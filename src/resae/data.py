@@ -92,6 +92,18 @@ def simulated_response(x: Matrix) -> np.ndarray:
             + x[:, 7])
 
 
+def _noisy(y: np.ndarray, rng: Rng, noise_sd: float) -> np.ndarray:
+    """y plus Gaussian noise of sd noise_sd; a ValueError names noise_sd where the
+    sum is not finite, as a finite sd near the float limit overflows it."""
+    if noise_sd == 0.0:
+        return y
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = y + rng.normal(y.shape[0], sd=noise_sd)
+    if not np.isfinite(y).all():
+        raise ValueError(f"noise_sd must leave the targets finite, got {noise_sd}")
+    return y
+
+
 def _check_rows(n: int, least: int) -> None:
     """A row count from least up to the largest numpy index; a ValueError names n."""
     if n < least:
@@ -113,9 +125,7 @@ def generate_simulated(n: int = 1000, seed: int = 0, noise_sd: float = 100.0,
     rng = Rng(seed)
     cols = [rng.uniform(n, low=lo, high=hi) for lo, hi in ranges]
     x = np.column_stack(cols)
-    y = simulated_response(x)
-    if noise_sd > 0.0:
-        y = y + rng.normal(n, sd=noise_sd)
+    y = _noisy(simulated_response(x), rng, noise_sd)
     return Dataset(features=x, targets=y.reshape(-1, 1),
                    feature_names=[f"x{i}" for i in range(1, 9)],
                    target_names=["y"], task="regression")
@@ -358,6 +368,8 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     _check_rows(n, 50)
     if n_bumps < 0:
         raise ValueError(f"n_bumps must be >= 0, got {n_bumps}")
+    if n_bumps > np.iinfo(np.intp).max:
+        raise ValueError(f"n_bumps must be at most {np.iinfo(np.intp).max}")
     if not correlation_length > 0.0:
         raise ValueError(f"correlation_length must be > 0, got {correlation_length}")
     if not noise_sd >= 0.0:
@@ -370,9 +382,7 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     coef = np.asarray(covariate_coef, dtype=np.float64)
     features = rng.normal(n, len(coef))
     y = gaussian_bump_field(sites, centers, amplitudes, correlation_length)
-    y = y + features @ coef
-    if noise_sd > 0.0:
-        y = y + rng.normal(n, sd=noise_sd)
+    y = _noisy(y + features @ coef, rng, noise_sd)
     names = [f"c{i}" for i in range(1, len(coef) + 1)]
     if with_coordinates:
         features = np.column_stack([features, spatial_feature_matrix(sites)])

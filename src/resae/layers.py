@@ -7,12 +7,14 @@ and summary() returns its row of a serialized network's layer list.
 
 Conventions: batches are (n, width) float64 matrices; each step caches what
 its backward pass needs during forward; backward writes parameter gradients
-into preallocated arrays so optimizer references stay valid.  A layer's
-PARAMS names its trainable attributes, and the gradient buffer of attribute
-X is attribute dX; a Network rebinds both to views of its one flat parameter
-vector.  A batch-norm layer's train forward only records its batch stats;
-the owning Network blends every layer's into its running stats at once,
-with the constant momentum BN_MOMENTUM."""
+into preallocated arrays so optimizer references stay valid.  A kernel works
+in place only on arrays it allocated in the same call, never on its input,
+its cache or an array it returned before.  A layer's PARAMS names its
+trainable attributes, and the gradient buffer of attribute X is attribute dX;
+a Network rebinds both to views of its one flat parameter vector.  A
+batch-norm layer's train forward only records its batch stats; the owning
+Network blends every layer's into its running stats at once, with the
+constant momentum BN_MOMENTUM."""
 
 from __future__ import annotations
 
@@ -28,11 +30,17 @@ BN_EPSILON = 1e-5
 def activation_forward(kind: str, z: Matrix, alpha: float = 1.0) -> Matrix:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "elu":     # expm1(min(z, 0)): the same where z < 0, and no overflow for large z
-        e = np.expm1(np.minimum(z, 0.0))
+    if kind == "elu":
+        # max(z, 0) + alpha * expm1(min(z, 0)) has the bits of np.where(z >= 0, z, ...):
+        # numpy's minimum returns its second argument on a tie, so a z of -0.0 gives
+        # -0.0 + -0.0 and keeps its sign; expm1 of at most 0 never overflows
+        e = np.minimum(0.0, z)
+        np.expm1(e, out=e)
         if alpha != 1.0:
             e *= alpha
-        return np.where(z >= 0.0, z, e)
+        out = np.maximum(-0.0, z)
+        out += e
+        return out
     if kind == "tanh":
         return np.tanh(z)
     if kind == "linear":
@@ -46,9 +54,11 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1
     if kind == "relu":
         return upstream * (z > 0.0)          # derivative at 0 fixed to 0
     if kind == "elu":     # exp(min(z, 0)) is 1 where z >= 0 (so 1 at 0) and never overflows
-        e = np.exp(np.minimum(z, 0.0))
+        e = np.minimum(z, 0.0)
+        np.exp(e, out=e)
         if alpha == 1.0:
-            return upstream * e
+            e *= upstream
+            return e
         e *= alpha
         e *= upstream
         return np.where(z >= 0.0, upstream, e)
@@ -111,7 +121,9 @@ class DenseLayer:
             raise ValueError(f"dense layer expects (n, {self.n_in}) input, got "
                              f"{x.shape}; weights are {self.W.shape}")
         self._x = x
-        return x @ self.W.T + self.b.T
+        out = x @ self.W.T
+        out += self.b.T
+        return out
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._x is None:
@@ -151,7 +163,11 @@ class BatchNormLayer:
             raise ValueError(f"batchnorm expects width {self.width}, got {x.shape}")
         if not train:
             inv = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
-            return self.gamma * ((x - self.running_mean) * inv) + self.beta
+            out = x - self.running_mean        # gamma * ((x - running_mean) * inv) + beta
+            out *= inv
+            np.multiply(self.gamma, out, out=out)
+            out += self.beta
+            return out
         if x.shape[0] < 2:
             raise ValueError(f"batchnorm needs a batch of at least 2 rows in "
                              f"train mode, got {x.shape[0]}")

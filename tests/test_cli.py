@@ -1,15 +1,19 @@
+import io
 import json
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from spec_strategies import network_specs
 
-from resae.cli import build_regularizer, build_spec, build_train_config, load_config, main
+from resae.cli import (DEFAULT_CONFIG, build_regularizer, build_spec, build_train_config,
+                        load_config, main)
 from resae.data import Dataset, generate_simulated
-from resae.evaluation import grid_search
+from resae.evaluation import GRID_AXES, grid_search
 from resae.training import FittedModel
 
 
@@ -344,6 +348,12 @@ class TestConfigErrors:
         ({"n": 0}, "dataset.n must be >= 1, got 0"),
         *((dataset, f"dataset.n must be at most {np.iinfo(np.intp).max}")
           for dataset in ({"n": 10 ** 40}, {"source": "spatial-field", "n": 10 ** 40})),
+        ({"source": "spatial-field", "n": 60, "n_bumps": 10 ** 40},
+         f"dataset.n_bumps must be at most {np.iinfo(np.intp).max}"),
+        ({"n": 100, "noise_sd": 1e308},
+         "dataset.noise_sd must leave the targets finite, got 1e+308"),
+        ({"source": "spatial-field", "n": 60, "spatial_noise_sd": 1e308},
+         "dataset.spatial_noise_sd must leave the targets finite, got 1e+308"),
     ])
     def test_generator_range_error_names_the_config_key(self, tmp_path, capsys,
                                                         dataset, message):
@@ -475,3 +485,49 @@ def test_network_section_written_from_a_spec_reads_back_to_that_spec(spec):
                       feature_names=[f"x{i}" for i in range(spec.nfea)],
                       target_names=[f"y{i}" for i in range(spec.k)], task="regression")
     assert build_spec(cfg, dataset).to_dict() == spec.to_dict()
+
+
+def _config_keys():
+    """(dotted key, default) for every leaf of DEFAULT_CONFIG."""
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict):
+            yield from ((f"{key}.{leaf}", value) for leaf, value in default.items())
+        else:
+            yield key, default
+
+
+# the JSON kinds a key takes where its default's kind does not tell them
+_KINDS = {"dataset.path": (str,), "dataset.stratify_column": (str,),
+          "dataset.target_bins": (list,), "dataset.targets": (str, list),
+          "network.activation": (str, list), "network.residual": (str, int),
+          **{f"grid.{axis}": (list,) for axis in GRID_AXES}}
+_JSON_VALUES = [None, True, 3, 2.5, "x", [], {"a": 1}]
+
+
+def _takes(key, default, value) -> bool:
+    """Whether value is of a JSON kind that key takes (a number for a real)."""
+    if value is None:
+        return default is None
+    kinds = _KINDS.get(key) or ((int, float) if type(default) is float else (type(default),))
+    return type(value) in kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_config_keys())), st.sampled_from(_JSON_VALUES))
+def test_config_value_of_a_wrong_json_type_exits_2_naming_its_key(key_default, value):
+    key, default = key_default
+    assume(not _takes(key, default, value))
+    section, _, leaf = key.rpartition(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tiny_train_config(tmp)
+        doc = json.loads(cfg.read_text())
+        (doc.setdefault(section, {}) if section else doc)[leaf] = value
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["train", "--config", str(cfg)])
+        assert code == 2
+        assert err.getvalue().startswith("config error: ")
+        assert key in err.getvalue() or key.replace(".", " ") in err.getvalue()
+        assert list(tmp.rglob("*")) == [cfg]

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -364,6 +365,20 @@ class TestSpatial:
     def test_bad_noise_or_length_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             generate_spatial_field(n=60, seed=0, **{field: value})
+
+    def test_bump_count_beyond_any_index_rejected_before_drawing(self):
+        with pytest.raises(ValueError,
+                           match=f"^n_bumps must be at most {np.iinfo(np.intp).max}$"):
+            generate_spatial_field(n=60, seed=0, n_bumps=10 ** 40)
+
+
+@pytest.mark.parametrize("generate", [generate_simulated, generate_spatial_field])
+@pytest.mark.parametrize("noise_sd", [1e308, 1.7e308])
+def test_noise_that_overflows_the_targets_is_rejected_naming_noise_sd(generate, noise_sd):
+    # the suite turns RuntimeWarning into an error, so a warning would fail first
+    message = f"noise_sd must leave the targets finite, got {noise_sd}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(n=60, seed=0, noise_sd=noise_sd)
 
 
 def test_dataset_row_mismatch_rejected():

@@ -184,6 +184,15 @@ class TestDenseLayer:
         assert_same_bits(layer.db, up.sum(axis=0, keepdims=True).T)
         assert_same_bits(dx, up @ layer.W)
 
+    @pytest.mark.parametrize("n, n_in, n_out", [(2, 1, 1), (100, 32, 16), (1000, 256, 128)])
+    def test_forward_is_bit_identical_to_matmul_plus_bias(self, n, n_in, n_out):
+        rng = np.random.default_rng(n + n_out)
+        layer = DenseLayer(n_in, n_out)
+        layer.W[...] = rng.normal(size=(n_out, n_in))
+        layer.b[...] = rng.normal(size=(n_out, 1))
+        x = rng.normal(size=(n, n_in))
+        assert_same_bits(layer.forward(x), x @ layer.W.T + layer.b.T)
+
     def test_gradient_shapes_mirror_parameters(self):
         layer = DenseLayer(4, 3)
         layer.forward(np.zeros((2, 4)))
@@ -280,6 +289,17 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.dbeta, numeric_grad(loss, bn.beta), rtol=1e-5, atol=1e-5)
 
 
+def seeded_batchnorm(width, seed):
+    """A batch-norm layer with random affine parameters and running stats."""
+    rng = np.random.default_rng(seed)
+    bn = BatchNormLayer(width)
+    bn.gamma[...] = rng.normal(size=(1, width))
+    bn.beta[...] = rng.normal(size=(1, width))
+    bn.running_mean[...] = rng.normal(size=(1, width))
+    bn.running_var[...] = rng.uniform(0.5, 2.0, size=(1, width))
+    return bn
+
+
 def batchnorm_reference(bn, x, upstream):
     """Train-mode forward and backward written with np.mean/np.var and .sum,
     for bit-for-bit comparison with the layer."""
@@ -318,6 +338,17 @@ def test_batchnorm_is_bit_identical_to_mean_var_reference(batch, width):
         np.testing.assert_array_equal(got, want)
     for got, want in zip((bn.running_mean, bn.running_var), running):   # left to the network
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [2, 100, 1000])
+@pytest.mark.parametrize("width", [1, 4, 256])
+def test_batchnorm_inference_is_bit_identical_to_running_stats_reference(batch, width):
+    bn = seeded_batchnorm(width, seed=batch + width)
+    x = np.random.default_rng(width).normal(loc=3.0, scale=2.5, size=(batch, width))
+    x[0, 0] = -0.0
+    inv = 1.0 / np.sqrt(bn.running_var + BN_EPSILON)
+    assert_same_bits(bn.forward(x, train=False),
+                     bn.gamma * ((x - bn.running_mean) * inv) + bn.beta)
 
 
 class TestDropout:
@@ -440,3 +471,61 @@ def test_activation_layer_caches_preactivation():
     np.testing.assert_allclose(act.backward(up), 1.0 - np.tanh(z) ** 2)
     with pytest.raises(RuntimeError):
         Activation("relu").backward(up)
+
+
+WIDTH = 5
+
+
+def _step(name):
+    """A step of every kind the network builds, by test id, with random parameters."""
+    rng = np.random.default_rng(4)
+    if name == "dense":
+        layer = DenseLayer(WIDTH, WIDTH)
+        layer.W[...] = rng.normal(size=layer.W.shape)
+        layer.b[...] = rng.normal(size=layer.b.shape)
+        return layer
+    if name.startswith("batchnorm"):
+        return seeded_batchnorm(WIDTH, seed=4)
+    if name.startswith("dropout"):
+        return DropoutLayer(0.3)
+    fn, _, alpha = name.partition("-")
+    return Activation(fn, float(alpha or 1.0))
+
+
+# the four kernels that fill an array they just made, and the arrays they read
+REWRITTEN = {"dense": ("W", "b"), "elu": (), "elu-0.7": (),
+             "batchnorm-infer": ("gamma", "beta", "running_mean", "running_var")}
+
+
+@pytest.mark.parametrize("name", ["dense", "relu", "elu", "elu-0.7", "tanh", "linear",
+                                  "batchnorm-train", "batchnorm-infer",
+                                  "dropout-train", "dropout-infer"])
+def test_no_step_writes_into_its_input_upstream_or_output(name):
+    rng = np.random.default_rng(5)
+    x, upstream = rng.normal(size=(8, WIDTH)), rng.normal(size=(8, WIDTH))
+    x[0, :2], upstream[0, :2] = [0.0, -0.0], [-0.0, 0.0]
+    step = _step(name)
+    given = (x.tobytes(), upstream.tobytes())
+    out = step.forward(x, not name.endswith("-infer"), Rng(0))
+    returned = out.tobytes()
+    if name != "batchnorm-infer":    # a batch-norm backward needs a train-mode forward
+        grad = step.backward(upstream)
+        if name == "elu":            # the rewritten backward, at alpha 1
+            assert not np.shares_memory(grad, x) and not np.shares_memory(grad, upstream)
+    assert (x.tobytes(), upstream.tobytes()) == given
+    assert out.tobytes() == returned
+    if name in REWRITTEN:
+        for array in (x, *(getattr(step, attr) for attr in REWRITTEN[name])):
+            assert not np.shares_memory(out, array)
+
+
+def test_shortcut_steps_write_into_no_array_they_are_given():
+    shallow, deep, up_add, up_save = np.random.default_rng(6).normal(size=(4, 8, WIDTH))
+    given = [a.tobytes() for a in (shallow, deep, up_add, up_save)]
+    save, add = shortcut(WIDTH, shallow)
+    out = add.forward(deep)
+    returned = out.tobytes()
+    add.backward(up_add)
+    save.backward(up_save)
+    assert [a.tobytes() for a in (shallow, deep, up_add, up_save)] == given
+    assert out.tobytes() == returned

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plain_reference import adam_reference, plain_fit, sgd_reference
 from spec_strategies import network_specs
 
 from resae.data import Dataset, generate_simulated, split
@@ -229,20 +230,6 @@ class TestOptimizers:
         assert p.value[0, 0] == pytest.approx(w, rel=1e-12)
 
 
-def adam_reference(w, m, v, g, t, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
-    """One Adam update of one array, as in Kingma & Ba 2015, Algorithm 1."""
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * (g * g)
-    m_hat, v_hat = m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
-    return w - lr * m_hat / (np.sqrt(v_hat) + epsilon), m, v
-
-
-def sgd_reference(w, velocity, g, lr, momentum=0.9):
-    """One momentum-SGD update of one array: v = momentum * v + g, w -= lr * v."""
-    velocity = momentum * velocity + g
-    return w - lr * velocity, velocity
-
-
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
     spec = NetworkSpec(nfea=5, nnode=(8, 4), k=2, dropout_placement="all")
@@ -264,6 +251,29 @@ def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
                       for (w, vel, _), g in zip(arrays, grads)]
         for p, (w, *_) in zip(net.parameters(), arrays):
             np.testing.assert_array_equal(p.value, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_specs(), st.sampled_from(["adam", "sgd"]),
+       st.sampled_from([Regularizer(), Regularizer("l2", 1e-3), Regularizer("l1", 1e-3)]),
+       st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_fit_is_bit_identical_to_plain_per_array_reference(
+        spec, optimizer, regularizer, batch_size, epochs, seed):
+    data = np.random.default_rng(seed)     # the spec draws use_batchnorm either way
+    x_train, x_val = data.normal(size=(23, spec.nfea)), data.normal(size=(7, spec.nfea))
+    y_train, y_val = data.normal(size=(23, spec.k)), data.normal(size=(7, spec.k))
+    net = build_network(spec, rng=seed)
+    cfg = TrainConfig(batch_size=batch_size, max_epochs=epochs, learning_rate=0.01,
+                      optimizer=optimizer, seed=seed)
+    loss = LossSpec("mse_reconstruction", 0.5) if spec.output_option == 2 else LossSpec()
+    want = plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer,
+                     loss.reconstruction_weight)
+    fit(net, x_train, y_train, x_val, y_val, loss, cfg, regularizer)
+    params = [p.name for p in net.parameters()]
+    stats = [name for name in want if name not in params]   # running stats, in net.running order
+    assert net.flat.value.tobytes() == np.concatenate([want[n].ravel() for n in params]).tobytes()
+    assert net.running.tobytes() == np.concatenate(
+        [want[n].ravel() for n in stats] or [np.empty(0)]).tobytes()
 
 
 @pytest.mark.parametrize("field, value", [
