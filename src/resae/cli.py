@@ -3,8 +3,8 @@
 Every command reads one JSON config document, fills in all defaults, checks
 each value's JSON type without coercing it, and echoes the fully resolved
 config into the output directory, so a run can be re-executed exactly from
-its own artifacts.  Exit codes: 0 success, 2 usage or config error, 3
-training failed with a non-finite loss.
+its own artifacts.  Exit codes: 0 success, 2 usage or config error (a size
+too large for memory included), 3 training failed with a non-finite loss.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:   # MemoryError: a size beyond memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import get_type_hints
@@ -103,17 +104,39 @@ def checked_entry(doc: dict, key: str, kind: type, name: str):
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the splitmix64 increment
+_BLOCK = 4096  # fewest raw draws an Rng computes ahead at once
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wraparound arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, in place on a uint64 array the caller owns
+    (wraparound arithmetic)."""
+    t = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(factor)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _mix64_int(value: int) -> int:
     return int(_mix64(np.array([value & _MASK64], dtype=np.uint64))[0])
+
+
+def _check_count(value: int, name: str) -> int:
+    """value as an int (a numpy integer too, so the counter stays an int); a
+    negative one is a ValueError naming it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _draw_count(rows: int, cols: int | None) -> int:
+    """rows, or rows * cols when cols is given, each checked by _check_count."""
+    rows = _check_count(rows, "rows")
+    return rows if cols is None else rows * _check_count(cols, "cols")
 
 
 class Rng:
@@ -123,12 +146,15 @@ class Rng:
     pure 64-bit integer arithmetic, so equal seeds give bit-identical
     sequences on every platform and numpy version.  The counter state can be
     saved and restored, which training uses to replay dropout masks.
+
+    Draws are computed ahead, at least _BLOCK at a time, in a block that
+    starts at the counter, and handed out in slices.  Draw i depends only on
+    the key and i, so the stream is the same as drawing each request alone.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._key = _mix64_int(self.seed)
-        self._count = 0
+        self.state = (_mix64_int(self.seed), 0)
 
     # -- state -------------------------------------------------------------
 
@@ -139,6 +165,8 @@ class Rng:
     @state.setter
     def state(self, value: tuple[int, int]) -> None:
         self._key, self._count = int(value[0]), int(value[1])
+        self._block = np.empty(0, dtype=np.uint64)   # holds draws _block_start + 1, ...
+        self._block_start = self._count
 
     def spawn(self, tag: int) -> "Rng":
         """Independent child stream; deterministic in (seed, tag)."""
@@ -147,9 +175,16 @@ class Rng:
     # -- raw draws ----------------------------------------------------------
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        """The next n raw draws, a view into the block: read, never written."""
+        at = self._count - self._block_start
+        if at + n > self._block.size:
+            size = max(n, _BLOCK)
+            block = np.arange(1, size + 1, dtype=np.uint64)
+            block *= np.uint64(_GOLDEN)
+            block += np.uint64((self._key + self._count * _GOLDEN) & _MASK64)
+            self._block, self._block_start, at = _mix64(block), self._count, 0
         self._count += n
-        return _mix64(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
+        return self._block[at:at + n]
 
     def _uniform_flat(self, n: int) -> np.ndarray:
         # top 53 bits -> float64 in [0, 1)
@@ -160,14 +195,16 @@ class Rng:
     def uniform(self, rows: int, cols: int | None = None,
                 low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Uniform draws in [low, high); 1-D if cols is None, else rows x cols."""
-        n = rows if cols is None else rows * cols
-        u = low + (high - low) * self._uniform_flat(n)
+        n = _draw_count(rows, cols)
+        u = self._uniform_flat(n)
+        if low != 0.0 or high != 1.0:   # else the affine map gives u's own bits
+            u = low + (high - low) * u
         return u if cols is None else u.reshape(rows, cols)
 
     def normal(self, rows: int, cols: int | None = None,
                mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on the uniform stream."""
-        n = rows if cols is None else rows * cols
+        n = _draw_count(rows, cols)
         pairs = (n + 1) // 2
         u1 = ((self._raw(pairs) >> np.uint64(11)) + np.uint64(1)) * (1.0 / (1 << 53))  # (0, 1]
         u2 = self._uniform_flat(pairs)
@@ -179,10 +216,11 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""
-        return np.argsort(self._uniform_flat(n), kind="stable")
+        return np.argsort(self._uniform_flat(_check_count(n, "n")), kind="stable")
 
     def subset(self, n: int, size: int) -> np.ndarray:
         """`size` distinct indices drawn from range(n)."""
+        n, size = _check_count(n, "n"), _check_count(size, "size")
         if size > n:
             raise ValueError(f"cannot draw {size} distinct indices from {n}")
         return self.permutation(n)[:size]

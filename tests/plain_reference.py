@@ -4,12 +4,55 @@ It reads a network only through layer_summary(), get_state() and its Rng,
 and computes every step with the textbook expressions the kernels replace:
 x @ W.T + b.T, np.where ELU, np.mean/np.var batch norm, one optimizer update
 per array, and momentum * running + (1 - momentum) * batch stats.
+
+PlainRng is the random generator drawn one request at a time, with no block
+computed ahead, for the same comparison of the drawn stream.
 """
 
 import numpy as np
 
 from resae.layers import BN_EPSILON, BN_MOMENTUM
 from resae.matrix import Rng
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def plain_mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array (wraparound arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _plain_mix64_int(value: int) -> int:
+    return int(plain_mix64(np.array([value & _MASK64], dtype=np.uint64))[0])
+
+
+class PlainRng(Rng):
+    """Rng that computes each request's draws on their own, with plain_mix64:
+    its _raw and uniform are Rng's before draws were computed ahead in a
+    block.  normal, permutation and subset are Rng's, on this _raw; the key
+    and spawned children use plain_mix64 too."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.state = (_plain_mix64_int(self.seed), 0)
+
+    def spawn(self, tag: int) -> "PlainRng":
+        return PlainRng(_plain_mix64_int(self._key + (int(tag) + 1) * _GOLDEN))
+
+    def _raw(self, n: int) -> np.ndarray:
+        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        return plain_mix64(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
+
+    def uniform(self, rows: int, cols: int | None = None,
+                low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        n = rows if cols is None else rows * cols
+        u = low + (high - low) * self._uniform_flat(n)
+        return u if cols is None else u.reshape(rows, cols)
 
 
 def adam_reference(w, m, v, g, t, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):

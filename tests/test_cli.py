@@ -362,6 +362,21 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    # In range, but numpy refuses each allocation at once, so nothing is allocated.
+    @pytest.mark.parametrize("dataset", [
+        {"source": "spatial-field", "n": 60, "n_bumps": 10 ** 15}, {"n": 10 ** 15}])
+    def test_size_beyond_memory_exits_2_writing_nothing(self, tmp_path, capsys, dataset):
+        cfg = tiny_train_config(tmp_path, dataset=dataset)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not (tmp_path / "run").exists()
+
+    def test_simulated_rows_beyond_memory_exit_2_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", str(10 ** 15), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("source, key, value", [
         ("simulate", "n_bumps", -1), ("simulate", "correlation_length", -2.0),
         ("simulate", "path", 5), ("simulate", "delimiter", ",,"),
