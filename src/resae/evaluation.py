@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, SplitIndices, split
 from .matrix import checked_json, checked_json_list
-from .network import NetworkSpec, build_network
+from .network import NetworkSpec, network_layout
 from .training import (
     FittedModel,
     Regularizer,
@@ -165,7 +165,7 @@ def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec
         model = train_model(dataset, split_idx, spec, cfg, regularizer, reconstruction_weight)
     except TrainingDiverged as exc:
         return RunResult(seed=cfg.seed, arm=arm, converged=False,
-                         parameter_count=build_network(spec, rng=0).count_parameters(),
+                         parameter_count=network_layout(spec).count_parameters(),
                          diagnostic=str(exc)), None
     return RunResult(seed=cfg.seed, arm=arm, converged=True,
                      parameter_count=model.network.count_parameters(),

@@ -6,15 +6,17 @@ output, backward(upstream) returns the gradient with respect to its input,
 and summary() returns its row of a serialized network's layer list.
 
 Conventions: batches are (n, width) float64 matrices; each step caches what
-its backward pass needs during forward; backward writes parameter gradients
-into preallocated arrays so optimizer references stay valid.  A kernel works
-in place only on arrays it allocated in the same call, never on its input,
-its cache or an array it returned before.  A layer's PARAMS names its
-trainable attributes, and the gradient buffer of attribute X is attribute dX;
-a Network rebinds both to views of its one flat parameter vector.  A
-batch-norm layer's train forward only records its batch stats; the owning
-Network blends every layer's into its running stats at once, with the
-constant momentum BN_MOMENTUM."""
+its backward needs during a train-mode forward, and an inference forward
+keeps nothing for it, so a backward pairs with the last train-mode forward (a
+dense, activation or batch-norm backward with none raises RuntimeError);
+backward writes parameter gradients into preallocated arrays so optimizer
+references stay valid.  A kernel works in place only on arrays it allocated
+in the same call, never on its input, its cache or an array it returned
+before.  A layer's PARAMS names its trainable attributes, and the gradient
+buffer of attribute X is attribute dX; a Network rebinds both to views of
+its one flat parameter vector.  A batch-norm layer's train forward only
+records its batch stats; the owning Network blends every layer's into its
+running stats at once, with the constant momentum BN_MOMENTUM."""
 
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1
 
 
 class Activation:
-    """Pointwise activation step with cached pre-activation."""
+    """Pointwise activation step; a train-mode forward caches its pre-activation."""
 
     def __init__(self, kind: str, alpha: float = 1.0):
         if kind not in ACTIVATION_KINDS:
@@ -81,12 +83,13 @@ class Activation:
         self._z: Matrix | None = None
 
     def forward(self, z: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
-        self._z = z
+        if train:
+            self._z = z
         return activation_forward(self.kind, z, self.alpha)
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._z is None:
-            raise RuntimeError("activation backward called before forward")
+            raise RuntimeError("activation backward called before a train-mode forward")
         return activation_backward(self.kind, self._z, upstream, self.alpha)
 
     def summary(self) -> dict:
@@ -120,14 +123,15 @@ class DenseLayer:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"dense layer expects (n, {self.n_in}) input, got "
                              f"{x.shape}; weights are {self.W.shape}")
-        self._x = x
+        if train:
+            self._x = x
         out = x @ self.W.T
         out += self.b.T
         return out
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._x is None:
-            raise RuntimeError("dense backward called before forward")
+            raise RuntimeError("dense backward called before a train-mode forward")
         np.matmul(upstream.T, self._x, out=self.dW)
         np.add.reduce(upstream, axis=0, keepdims=True, out=self.db.T)
         return upstream @ self.W
@@ -212,7 +216,10 @@ class BatchNormLayer:
 
 
 class DropoutLayer:
-    """Inverted dropout: train-mode masks scale by 1/(1-rate), inference is identity."""
+    """Inverted dropout: train-mode masks scale by 1/(1-rate), inference is identity.
+
+    An inference forward leaves the last train-mode mask in place; with no
+    mask (rate 0, or no train-mode forward yet) backward is identity too."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -222,7 +229,6 @@ class DropoutLayer:
 
     def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
         if not train or self.rate == 0.0:
-            self._mask = None
             return x
         keep = 1.0 - self.rate
         self._mask = (rng.uniform(x.shape[0], x.shape[1]) >= self.rate) / keep
@@ -240,9 +246,10 @@ class DropoutLayer:
 class ShortcutSave:
     """Encode end of an identity shortcut: keeps its input as tensor for the add step.
 
-    The add step's backward runs first and sets grad; this step's backward
-    adds the encode-path gradient in, so grad ends as the save point's total.
-    A new forward pass drops the last pass's grad.
+    It keeps the tensor in inference too, because the add step reads it later
+    in the same pass.  The add step's backward runs first and sets grad; this
+    step's backward adds the encode-path gradient in, so grad ends as the save
+    point's total.  A new forward pass drops the last pass's grad.
     """
 
     def __init__(self, slot: int, width: int):

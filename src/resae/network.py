@@ -292,7 +292,7 @@ class Network:
         """
         if not 0 <= checked_json(n_outermost, int, "n_outermost") <= len(self.shortcuts):
             raise ValueError(f"n_outermost must be in 0..{len(self.shortcuts)}, got {n_outermost}")
-        new = build_network(replace(self.spec, residual=n_outermost), rng=Rng(0))
+        new = network_layout(replace(self.spec, residual=n_outermost))
         new.set_state(self.get_state())
         return new
 
@@ -320,8 +320,7 @@ class Network:
         ValueError names the first bad one."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
-        net = build_network(NetworkSpec.from_dict(checked_entry(d, "spec", dict, "spec")),
-                            rng=Rng(0))
+        net = network_layout(NetworkSpec.from_dict(checked_entry(d, "spec", dict, "spec")))
         state = {}
         for name, entry in checked_entry(d, "weights", dict, "weights").items():
             where = f"weights.{name}"
@@ -353,6 +352,17 @@ def _pack(arrays: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
+    """spec's network_layout with its initial weights drawn from rng, which
+    the network keeps for its dropout masks."""
+    net = network_layout(spec)
+    net.rng = Rng(rng) if isinstance(rng, int) else rng
+    for i, step in enumerate(net.steps):
+        if isinstance(step, DenseLayer):   # scaled for the activation that follows it
+            step.init_weights(net.rng, net.steps[i + 1].kind)
+    return net
+
+
+def network_layout(spec: NetworkSpec) -> Network:
     """Realize a spec: symmetric encoder/decoder with nested identity shortcuts.
 
     The encoder walks nnode saving each pre-code output (and the raw input);
@@ -363,9 +373,11 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     additions are emitted whether or not the addition itself is wired, so
     residual count 0 is the regular network: the identical stack with all
     additions skipped.
+
+    Every weight is zero and the network holds a fresh Rng(0): it draws
+    nothing, so a loader that sets its state, or a caller that only counts
+    its parameters, pays no initialization.
     """
-    if isinstance(rng, int):
-        rng = Rng(rng)
     acts = spec.act_list()
     n_layers = len(spec.nnode)
     keep = spec.residual_count()   # slots 0..keep-1 stay wired
@@ -373,9 +385,7 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
     saves: list[ShortcutSave] = []   # indexed by slot
 
     def dense_block(n_in: int, n_out: int, act: str) -> None:
-        layer = DenseLayer(n_in, n_out)
-        layer.init_weights(rng, act)
-        steps.append(layer)
+        steps.append(DenseLayer(n_in, n_out))
         steps.append(Activation(act, spec.elu_alpha))
         if spec.use_batchnorm:
             steps.append(BatchNormLayer(n_out))
@@ -430,8 +440,6 @@ def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
 
     # output head
     head_out = spec.k + (spec.nfea if spec.output_option == 2 else 0)
-    head = DenseLayer(spec.nfea, head_out)
-    head.init_weights(rng, spec.output_activation)
-    steps.append(head)
+    steps.append(DenseLayer(spec.nfea, head_out))
     steps.append(Activation(spec.output_activation, spec.elu_alpha))
-    return Network(spec, steps, rng)
+    return Network(spec, steps, Rng(0))

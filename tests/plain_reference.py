@@ -13,6 +13,7 @@ import numpy as np
 
 from resae.layers import BN_EPSILON, BN_MOMENTUM
 from resae.matrix import Rng
+from resae.training import TrainingDiverged
 
 
 _MASK64 = (1 << 64) - 1
@@ -175,7 +176,8 @@ def plain_mse(head, y, x, k, weight):
 
 
 def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0):
-    """fit() on a copy of net's state with an MSE loss: the state dict it would end with."""
+    """fit() on a copy of net's state with an MSE loss: the state dict it would end
+    with, or the TrainingDiverged it would raise at the first non-finite loss."""
     rows, k = net.layer_summary(), y_train.shape[1]
     state = net.get_state()
     names = [p.name for p in net.parameters()]
@@ -185,16 +187,25 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
     shuffle_rng = Rng(cfg.seed).spawn(2)
     n = x_train.shape[0]
     best_val, best, t = np.inf, None, 0
-    for _ in range(cfg.max_epochs):
+    for epoch in range(cfg.max_epochs):
         order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+        batch = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if idx.shape[0] == 1 and n > 1:
                 continue
             xb, yb = x_train[idx], y_train[idx]
             head, caches = plain_forward(rows, state, xb, True, rng)
-            grads = plain_backward(rows, state, caches, plain_mse(head, yb, xb, k, weight)[1])
+            value, head_grad = plain_mse(head, yb, xb, k, weight)
+            if regularizer.kind == "l2":
+                value += regularizer.coefficient * sum(float((state[n] ** 2).sum()) for n in names)
+            elif regularizer.kind == "l1":
+                value += regularizer.coefficient * sum(float(np.abs(state[n]).sum()) for n in names)
+            if not np.isfinite(value):
+                raise TrainingDiverged(epoch, batch, value)
+            grads = plain_backward(rows, state, caches, head_grad)
             t += 1
+            batch += 1
             for name in names:
                 w, g = state[name], grads[name]
                 if regularizer.kind == "l2" and regularizer.coefficient != 0.0:
@@ -211,6 +222,8 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
                     moments[name] = (velocity, None)
         val_value = plain_mse(plain_forward(rows, state, x_val, False, rng)[0],
                               y_val, x_val, k, weight)[0]
+        if not np.isfinite(val_value):
+            raise TrainingDiverged(epoch, -1, val_value)
         if val_value < best_val:
             best_val, best = val_value, {name: arr.copy() for name, arr in state.items()}
     return state if best is None else best

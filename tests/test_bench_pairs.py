@@ -44,3 +44,18 @@ def test_claim_needs_nine_wins_in_ten_and_a_median_gain_beyond_the_parent_iqr(
     entry = {"better": better, "parent": {"q1": 10.0, "median": 11.0, "q3": 12.0, "iqr": 2.0},
              "change": {"median": median}, "change_wins": wins, "pairs": 10}
     assert bench_pairs.claim_holds(entry) is holds
+
+
+@pytest.mark.parametrize("bad_side, bad_run", [
+    ("parent", {"correct": False, "failed": 0}), ("change", {"correct": True, "failed": 1})])
+def test_claim_holds_only_when_every_run_passed_its_checks(bad_side, bad_run):
+    parent = [{"run_s": 2.0, "correct": True, "failed": 0} for _ in range(10)]
+    change = [{"run_s": 1.0, "correct": True, "failed": 0} for _ in range(10)]
+    summary = bench_pairs.summarize(_pairs(parent, change), {"run_s": "lower"})
+    record = bench_pairs.claim("w", "run_s", _pairs(parent, change), summary)
+    assert record["holds"] is True and "why" not in record
+    {"parent": parent, "change": change}[bad_side][3].update(bad_run)
+    record = bench_pairs.claim("w", "run_s", _pairs(parent, change), summary)
+    assert record["holds"] is False
+    assert record["why"] == [f"a run failed its checks (seed 3 {bad_side}: correct "
+                             f"{bad_run['correct']}, failed {bad_run['failed']})"]

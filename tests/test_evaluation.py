@@ -199,12 +199,18 @@ class TestCompare:
         import resae.training
         calls = []
 
-        def counting_build(*args, **kwargs):
-            calls.append(args[0])
-            return resae.network.build_network(*args, **kwargs)
+        def counting(make):
+            def counted(*args, **kwargs):
+                calls.append(args[0])
+                return make(*args, **kwargs)
+            return counted
 
-        for module in (resae.evaluation, resae.training):
-            monkeypatch.setattr(module, "build_network", counting_build)
+        # training builds the network it trains; evaluation lays one out only to count
+        # a diverged run's parameters
+        monkeypatch.setattr(resae.training, "build_network",
+                            counting(resae.network.build_network))
+        monkeypatch.setattr(resae.evaluation, "network_layout",
+                            counting(resae.network.network_layout))
         ds = generate_simulated(n=150, seed=0)
         report = compare(ds, make_spec(ds, (6, 3)), tiny_cfg(max_epochs=2), n_seeds=2)
         assert len(calls) == len(report.runs) == 4

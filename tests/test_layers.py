@@ -165,7 +165,7 @@ class TestDenseLayer:
         def loss():
             return float((layer.forward(x) * up).sum())
 
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(up)
         np.testing.assert_allclose(layer.dW, numeric_grad(loss, layer.W), rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(layer.db, numeric_grad(loss, layer.b), rtol=1e-6, atol=1e-8)
@@ -178,7 +178,7 @@ class TestDenseLayer:
         layer.W[...] = rng.normal(size=(n_out, n_in))
         x = rng.normal(size=(n, n_in))
         up = rng.normal(size=(n, n_out))
-        layer.forward(x)
+        layer.forward(x, train=True)
         dx = layer.backward(up)
         assert_same_bits(layer.dW, up.T @ x)
         assert_same_bits(layer.db, up.sum(axis=0, keepdims=True).T)
@@ -195,7 +195,7 @@ class TestDenseLayer:
 
     def test_gradient_shapes_mirror_parameters(self):
         layer = DenseLayer(4, 3)
-        layer.forward(np.zeros((2, 4)))
+        layer.forward(np.zeros((2, 4)), train=True)
         layer.backward(np.ones((2, 3)))
         assert layer.dW.shape == layer.W.shape
         assert layer.db.shape == layer.b.shape
@@ -207,6 +207,13 @@ class TestDenseLayer:
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             DenseLayer(2, 2).backward(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("step", [DenseLayer(2, 2), Activation("elu")], ids=["dense", "activation"])
+def test_backward_after_only_an_inference_forward_is_rejected(step):
+    step.forward(np.ones((3, 2)))
+    with pytest.raises(RuntimeError, match="before a train-mode forward"):
+        step.backward(np.ones((3, 2)))
 
 
 class TestBatchNorm:
@@ -466,7 +473,7 @@ def test_layer_summary_rows_at_each_residual_setting(residual, rows):
 def test_activation_layer_caches_preactivation():
     act = Activation("tanh")
     z = np.random.default_rng(0).normal(size=(3, 3))
-    act.forward(z)
+    act.forward(z, train=True)
     up = np.ones((3, 3))
     np.testing.assert_allclose(act.backward(up), 1.0 - np.tanh(z) ** 2)
     with pytest.raises(RuntimeError):

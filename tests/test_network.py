@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from spec_strategies import network_specs
 
-from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer
+from resae.layers import BN_MOMENTUM, Activation, BatchNormLayer, DenseLayer, DropoutLayer
+from resae.matrix import Rng
 from resae.network import Network, NetworkSpec, build_network
 
 
@@ -447,6 +448,59 @@ def test_drawn_spec_arms_match_and_saved_network_infers_bit_identically(spec, se
     net.forward(x, "train")   # moves the batch-norm running stats off their initial values
     loaded = Network.from_dict(json.loads(json.dumps(net.to_dict())))
     np.testing.assert_array_equal(loaded.forward(x, "infer").head, net.forward(x, "infer").head)
+
+
+def test_loading_and_truncating_draw_no_weights(monkeypatch):
+    net = build_network(NetworkSpec(nfea=4, nnode=(8, 4, 2), k=1), rng=2)
+    x = np.random.default_rng(3).normal(size=(6, 4))
+    net.forward(x, "train")
+    doc = json.loads(json.dumps(net.to_dict()))
+    drawn, normal = [], Rng.normal
+
+    def counted(self, *args, **kwargs):
+        values = normal(self, *args, **kwargs)
+        drawn.append(values.size)
+        return values
+
+    monkeypatch.setattr(Rng, "normal", counted)
+    loaded, cut = Network.from_dict(doc), net.truncate_residuals(1)
+    assert sum(drawn) == 0
+    monkeypatch.undo()
+    assert loaded.rng.state == Rng(0).state
+    np.testing.assert_array_equal(loaded.forward(x).head, net.forward(x).head)
+    other = build_network(replace(net.spec, residual=1), rng=5)
+    other.set_state(net.get_state())
+    np.testing.assert_array_equal(cut.forward(x).head, other.forward(x).head)
+
+
+def _held_row_counts(step) -> set[int]:
+    """The row count of each 2-d array a step holds, directly or in a tuple."""
+    held = [a for value in vars(step).values()
+            for a in (value if isinstance(value, tuple) else (value,))]
+    return {a.shape[0] for a in held if isinstance(a, np.ndarray) and a.ndim == 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_specs(), st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_inference_forward_keeps_no_rows_and_leaves_the_train_backward_bit_identical(
+        spec, seed, n):
+    x = np.random.default_rng(seed).normal(size=(n, spec.nfea))
+    x_infer = np.random.default_rng(seed + 1).normal(size=(40, spec.nfea))
+    results = []
+    for infer_between in (False, True):
+        net = build_network(spec, rng=seed)
+        preds = net.forward(x, "train")
+        if infer_between:   # 40 rows: more than any width a drawn spec has
+            net.forward(x_infer, "infer")
+            for step in net.steps:
+                if isinstance(step, (DenseLayer, Activation, BatchNormLayer, DropoutLayer)):
+                    assert 40 not in _held_row_counts(step), step.summary()
+        trace = {}
+        dx = net.backward(np.random.default_rng(seed + 2).normal(size=preds.head.shape),
+                          trace=trace)
+        results.append((net.flat.grad.tobytes(), dx.tobytes(),
+                        {key: g.tobytes() for key, g in trace.items()}))
+    assert results[0] == results[1]
 
 
 # values of another JSON type than each plain int, bool and float spec field takes

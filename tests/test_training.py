@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from plain_reference import adam_reference, plain_fit, sgd_reference
 from spec_strategies import network_specs
@@ -254,6 +254,11 @@ def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
 
 
 @settings(max_examples=40, deadline=None)
+@example(   # plain SGD on this draw overflows at the eleventh batch
+    NetworkSpec(nfea=3, nnode=(1, 9, 1, 1), k=2, acts=("linear", "elu", "relu", "relu"),
+                output_activation="relu", dropout_rate=0.0, residual="full",
+                residual_post_op="none", use_batchnorm=False),
+    "sgd", Regularizer(), 2, 1, 0)
 @given(network_specs(), st.sampled_from(["adam", "sgd"]),
        st.sampled_from([Regularizer(), Regularizer("l2", 1e-3), Regularizer("l1", 1e-3)]),
        st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -266,8 +271,16 @@ def test_fit_is_bit_identical_to_plain_per_array_reference(
     cfg = TrainConfig(batch_size=batch_size, max_epochs=epochs, learning_rate=0.01,
                       optimizer=optimizer, seed=seed)
     loss = LossSpec("mse_reconstruction", 0.5) if spec.output_option == 2 else LossSpec()
-    want = plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer,
-                     loss.reconstruction_weight)
+    try:   # a drawn network may diverge; then fit must stop at the same batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer,
+                             loss.reconstruction_weight)
+    except TrainingDiverged as diverged:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged) as got:
+            fit(net, x_train, y_train, x_val, y_val, loss, cfg, regularizer)
+        assert (got.value.epoch, got.value.batch) == (diverged.epoch, diverged.batch)
+        return
     fit(net, x_train, y_train, x_val, y_val, loss, cfg, regularizer)
     params = [p.name for p in net.parameters()]
     stats = [name for name in want if name not in params]   # running stats, in net.running order

@@ -27,8 +27,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-RULE = ("change wins at least 9 in 10 pairs, and its median is better than the parent's "
-        "by more than the parent's interquartile range")
+RULE = ("every run on both sides passes its checks, the change wins at least 9 in 10 pairs, "
+        "and its median is better than the parent's by more than the parent's interquartile "
+        "range")
 
 
 def end_to_end_metrics() -> dict[str, str]:
@@ -82,6 +83,21 @@ def claim_holds(entry: dict) -> bool:
     return entry["change_wins"] >= 0.9 * entry["pairs"] and gain > parent["iqr"]
 
 
+def claim(workload: str, metric: str, pairs: list[dict], summary: dict) -> dict:
+    """The claim record of RULE for one metric.  A claim holds only on correct
+    runs: when any run on either side has `correct` false or `failed` above
+    0, it does not hold, and `why` names each such run."""
+    bad_runs = [f"seed {pair['seed']} {side}: correct {pair[side]['correct']}, "
+                f"failed {pair[side]['failed']}"
+                for pair in pairs for side in SIDES
+                if not pair[side]["correct"] or pair[side]["failed"] > 0]
+    record = {"workload": workload, "metric": metric, "rule": RULE,
+              "holds": not bad_runs and claim_holds(summary[metric])}
+    if bad_runs:
+        record["why"] = [f"a run failed its checks ({run})" for run in bad_runs]
+    return record
+
+
 def run_pairs(checkouts: dict[str, Path], workload: str, seeds: list[int],
               seconds: float) -> list[dict]:
     pairs = []
@@ -124,8 +140,9 @@ def main(argv=None) -> int:
     doc["machine"] = {"python": platform.python_version(), "numpy": np.__version__,
                       "nproc": len(os.sched_getaffinity(0))}
     if args.claim is not None:
-        doc["claim"] = {"workload": args.workload, "metric": args.claim, "rule": RULE,
-                        "holds": claim_holds(summary[args.claim])}
+        doc["claim"] = claim(args.workload, args.claim, pairs, summary)
+        for why in doc["claim"].get("why", []):
+            print(f"claim on {args.claim} does not hold: {why}")
     doc.setdefault("workloads", {})[args.workload] = {
         "seeds": args.seeds,
         "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES},
