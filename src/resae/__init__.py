@@ -14,6 +14,7 @@ from .data import (
 )
 from .evaluation import (
     Metrics,
+    SharedSettings,
     classification_metrics,
     compare,
     evaluate_model,

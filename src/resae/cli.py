@@ -22,22 +22,18 @@ from . import data as data_mod
 from .evaluation import (
     GRID_AXES,
     NRMSE_DEFINITION,
+    Job,
+    SharedSettings,
     compare,
     grid_search,
     grid_variants,
     residual_sensitivity,
+    run_job,
     sensitivity_variants,
-    train_and_score,
 )
 from .matrix import checked_json, checked_json_list, checked_names, field_types
 from .network import NetworkSpec
-from .training import (
-    LossSpec,
-    Regularizer,
-    TrainConfig,
-    TrainingDiverged,
-    dataset_dims,
-)
+from .training import Regularizer, TrainConfig, TrainingDiverged, dataset_dims
 
 
 class ConfigError(ValueError):
@@ -209,18 +205,16 @@ def build_train_config(cfg: dict) -> TrainConfig:
                  prefix="invalid training config: ")
 
 
-def build_regularizer(cfg: dict) -> Regularizer:
-    """The loss section's penalty; a Regularizer validates itself when made."""
-    return _read(Regularizer, _checked(cfg["loss"]["regularizer"], str, "loss.regularizer"),
-                 _checked(cfg["loss"]["coefficient"], float, "loss.coefficient"),
-                 prefix="invalid loss config: ")
-
-
-def build_reconstruction_weight(cfg: dict) -> float:
-    """loss.reconstruction_weight, once a LossSpec made with it is valid.  Each
-    job's loss kind follows from its own spec (training.default_loss_for)."""
-    weight = _checked(cfg["loss"]["reconstruction_weight"], float, "loss.reconstruction_weight")
-    return _read(LossSpec, "mse", weight, prefix="invalid loss config: ").reconstruction_weight
+def build_shared(cfg: dict) -> SharedSettings:
+    """The loss section's penalty and reconstruction weight, and stratify, as the
+    record every job shares; a Regularizer and the record validate themselves."""
+    loss = cfg["loss"]
+    regularizer = _read(Regularizer, _checked(loss["regularizer"], str, "loss.regularizer"),
+                        _checked(loss["coefficient"], float, "loss.coefficient"),
+                        prefix="invalid loss config: ")
+    return _read(SharedSettings, regularizer,
+                 _checked(loss["reconstruction_weight"], float, "loss.reconstruction_weight"),
+                 _checked(cfg["stratify"], bool, "stratify"), prefix="invalid loss config: ")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -274,10 +268,8 @@ class _Run:
     dataset: data_mod.Dataset
     spec: NetworkSpec
     train_cfg: TrainConfig
-    regularizer: Regularizer
-    reconstruction_weight: float
+    shared: SharedSettings
     n_seeds: int
-    stratify: bool
     grid_axes: dict | None = None    # the grid axes that the config sets
 
 
@@ -293,11 +285,9 @@ def _set_up(args) -> _Run:
     cfg["out_dir"] = str(out)
     dataset = build_dataset(cfg)
     spec = build_spec(cfg, dataset)
-    run = _Run(cfg, out, dataset, spec, build_train_config(cfg),
-               build_regularizer(cfg), build_reconstruction_weight(cfg),
-               _checked(cfg["n_seeds"], int, "n_seeds"),
-               _checked(cfg["stratify"], bool, "stratify"))
-    if run.stratify and dataset.stratify is None:
+    run = _Run(cfg, out, dataset, spec, build_train_config(cfg), build_shared(cfg),
+               _checked(cfg["n_seeds"], int, "n_seeds"))
+    if run.shared.stratify and dataset.stratify is None:
         raise ConfigError("stratify is true, but the dataset has no stratify column")
     if args.command != "train" and run.n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
@@ -316,12 +306,9 @@ def _set_up(args) -> _Run:
 
 def cmd_train(args) -> int:
     run = _set_up(args)
-    cfg, out, dataset, train_cfg = run.cfg, run.out, run.dataset, run.train_cfg
-    _write_json(out / "dataset.json", dataset.manifest())
-
-    split_idx = data_mod.split(dataset, seed=train_cfg.seed, stratify=run.stratify)
-    result, model = train_and_score(dataset, split_idx, run.spec, train_cfg,
-                                    run.regularizer, run.reconstruction_weight)
+    cfg, out = run.cfg, run.out
+    _write_json(out / "dataset.json", run.dataset.manifest())
+    result, model = run_job(run.dataset, Job("train", run.spec, run.train_cfg), run.shared)
     metrics = {"config": cfg, "converged": result.converged, "seed": result.seed,
                "parameter_count": result.parameter_count}
     if model is None:
@@ -348,20 +335,18 @@ def cmd_sweep(args) -> int:
     run = _set_up(args)
     cfg, out = run.cfg, run.out
     sweep_args = (run.dataset, run.spec, run.train_cfg)
-    options = dict(n_seeds=run.n_seeds, regularizer=run.regularizer,
-                   reconstruction_weight=run.reconstruction_weight, stratify=run.stratify)
     if args.command == "compare":
-        result = compare(*sweep_args, **options)
+        result = compare(*sweep_args, run.n_seeds, run.shared)
         tables = {"runs.csv": result.write_runs_csv}
         done = f"comparison artifacts in {out}"
     elif args.command == "grid":
-        result = grid_search(*sweep_args, run.grid_axes, **options)
+        result = grid_search(*sweep_args, run.grid_axes, run.n_seeds, run.shared)
         tables = {"grid.csv": result.write_cells_csv}
         if set(run.grid_axes) == {"batch_sizes"}:
             tables["curve.csv"] = result.write_curve_csv
         done = f"grid artifacts in {out}; best cell: {result.best().label}"
     else:
-        result = residual_sensitivity(*sweep_args, **options)
+        result = residual_sensitivity(*sweep_args, run.n_seeds, run.shared)
         tables = {"sensitivity.csv": result.write_csv}
         done = f"sensitivity artifacts in {out}"
     _write_json(out / "report.json", {**result.to_dict(), "config": cfg})
@@ -404,7 +389,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults used if omitted)")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, help="override training seed")
-        p.add_argument("--n-seeds", type=_positive_int, help="override number of seeds")
+        if fn is cmd_sweep:   # train runs one seed
+            p.add_argument("--n-seeds", type=_positive_int, help="override number of seeds")
         p.add_argument("--residual", help="on, off, or number of outermost shortcuts")
         p.set_defaults(fn=fn)
     return parser

@@ -14,11 +14,12 @@ from itertools import product
 
 import numpy as np
 
-from .data import Dataset, SplitIndices, split
+from .data import Dataset, split
 from .matrix import checked_json, checked_json_list
 from .network import NetworkSpec, network_layout
 from .training import (
     FittedModel,
+    LossSpec,
     Regularizer,
     TrainConfig,
     TrainingDiverged,
@@ -135,7 +136,7 @@ def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# The shared sweep: (seed, variant) jobs on shared splits
+# One job path: run_job, and the sweep of (seed, variant) jobs on shared splits
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -154,32 +155,54 @@ class RunResult:
                 "test": self.test.to_dict() if self.test else None}
 
 
-def train_and_score(dataset: Dataset, split_idx: SplitIndices, spec: NetworkSpec,
-                    cfg: TrainConfig, regularizer: Regularizer | None = None,
-                    reconstruction_weight: float = 1.0,
-                    arm: str = "train") -> tuple[RunResult, FittedModel | None]:
-    """One job: train with cfg's seed on the split, then score the
-    validation and test rows.  Returns the run and the fitted model; on a
-    non-finite loss the model is None and the run carries the diagnostic."""
+@dataclass(frozen=True)
+class SharedSettings:
+    """What every job shares besides the dataset, checked when made: the loss
+    section's penalty and reconstruction weight, and whether splits are stratified."""
+
+    regularizer: Regularizer = Regularizer()
+    reconstruction_weight: float = 1.0
+    stratify: bool = False
+
+    def __post_init__(self):
+        LossSpec("mse", self.reconstruction_weight)   # the weight's type and range
+        checked_json(self.stratify, bool, "stratify")
+
+
+@dataclass(frozen=True)
+class Job:
+    """One training run: a label, a spec and a train config at the run's seed;
+    with the dataset and SharedSettings it fixes the run, bit for bit."""
+
+    label: str
+    spec: NetworkSpec
+    cfg: TrainConfig
+
+
+def run_job(dataset: Dataset, job: Job,
+            shared: SharedSettings) -> tuple[RunResult, FittedModel | None]:
+    """Split on the job's seed, train, then score the validation and test rows.
+    Returns the run and the fitted model; on a non-finite loss the model is
+    None and the run carries the diagnostic."""
+    split_idx = split(dataset, seed=job.cfg.seed, stratify=shared.stratify)
     try:
-        model = train_model(dataset, split_idx, spec, cfg, regularizer, reconstruction_weight)
+        model = train_model(dataset, split_idx, job.spec, job.cfg,
+                            shared.regularizer, shared.reconstruction_weight)
     except TrainingDiverged as exc:
-        return RunResult(seed=cfg.seed, arm=arm, converged=False,
-                         parameter_count=network_layout(spec).count_parameters(),
+        return RunResult(seed=job.cfg.seed, arm=job.label, converged=False,
+                         parameter_count=network_layout(job.spec).count_parameters(),
                          diagnostic=str(exc)), None
-    return RunResult(seed=cfg.seed, arm=arm, converged=True,
+    return RunResult(seed=job.cfg.seed, arm=job.label, converged=True,
                      parameter_count=model.network.count_parameters(),
                      validation=evaluate_model(model, dataset, split_idx.validation),
                      test=evaluate_model(model, dataset, split_idx.test)), model
 
 
-@dataclass
-class Variant:
-    """One configuration that a sweep trains once per seed, and its runs."""
+@dataclass(frozen=True)
+class Variant(Job):
+    """A job that a sweep trains once per seed, at the seeds counting up from
+    its own, and the runs that the sweep hands it."""
 
-    label: str
-    spec: NetworkSpec
-    cfg: TrainConfig
     runs: list[RunResult] = field(default_factory=list)
 
     def mean(self, part: str, metric: str) -> float | None:
@@ -188,23 +211,20 @@ class Variant:
 
 
 def _sweep(dataset: Dataset, variants: list[Variant], n_seeds: int,
-           regularizer: Regularizer | None, reconstruction_weight: float,
-           stratify: bool) -> list[RunResult]:
-    """The run table: every (seed, variant) job in seed-major order, so
-    variant i's runs, in seed order, are table[i::len(variants)].  The seeds
-    count up from the variants' shared train-config seed; each seed's split
-    is built once and shared by every variant, and the seed also fixes the
-    initial weights, so variants differ only in their spec and train config
-    (each job's loss follows from its own spec's output option).
+           shared: SharedSettings) -> list[RunResult]:
+    """The run table: every (seed, variant) job in seed-major order, each run
+    also handed to its variant.  The seeds count up from the variants' shared
+    train-config seed; a seed fixes the split and the initial weights, so
+    variants differ only in their spec and train config.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    seeds = range(variants[0].cfg.seed, variants[0].cfg.seed + n_seeds)
     table = []
-    for seed in range(variants[0].cfg.seed, variants[0].cfg.seed + n_seeds):
-        split_idx = split(dataset, seed=seed, stratify=stratify)
-        table += [train_and_score(dataset, split_idx, v.spec, replace(v.cfg, seed=seed),
-                                  regularizer, reconstruction_weight, v.label)[0]
-                  for v in variants]
+    for seed, v in product(seeds, variants):
+        run = run_job(dataset, Job(v.label, v.spec, replace(v.cfg, seed=seed)), shared)[0]
+        v.runs.append(run)
+        table.append(run)
     return table
 
 
@@ -280,8 +300,7 @@ class ComparisonReport:
 
 
 def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int = 5,
-            regularizer: Regularizer | None = None, reconstruction_weight: float = 1.0,
-            stratify: bool = False) -> ComparisonReport:
+            shared: SharedSettings = SharedSettings()) -> ComparisonReport:
     """Train residual and regular arms on identical splits for each seed.
 
     A non-finite training loss marks that arm non-convergent for the seed;
@@ -289,8 +308,7 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
     """
     arms = [Variant("residual", replace(spec, residual="full"), cfg),
             Variant("regular", replace(spec, residual="off"), cfg)]
-    return ComparisonReport(task=dataset.task, runs=_sweep(
-        dataset, arms, n_seeds, regularizer, reconstruction_weight, stratify))
+    return ComparisonReport(task=dataset.task, runs=_sweep(dataset, arms, n_seeds, shared))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +404,7 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
 
 def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
                 grid: dict, n_seeds: int = 3,
-                regularizer: Regularizer | None = None,
-                reconstruction_weight: float = 1.0,
-                stratify: bool = False) -> GridResult:
+                shared: SharedSettings = SharedSettings()) -> GridResult:
     """Full factorial search ranked by mean validation R^2 (or accuracy).
 
     Recognized axes: batch_sizes, nnodes, activations, output_options;
@@ -397,9 +413,8 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     are shared across cells.
     """
     axes, variants = grid_variants(spec, cfg, grid)
-    table = _sweep(dataset, variants, n_seeds, regularizer, reconstruction_weight, stratify)
-    result = GridResult(task=dataset.task, axes=axes, cells=[
-        replace(v, runs=table[i::len(variants)]) for i, v in enumerate(variants)])
+    _sweep(dataset, variants, n_seeds, shared)
+    result = GridResult(task=dataset.task, axes=axes, cells=variants)
     result.cells.sort(key=lambda c: (np.inf if (mean := result.mean_val_metric(c)) is None
                                      else -mean, c.runs[0].parameter_count, c.cfg.batch_size))
     return result
@@ -440,11 +455,9 @@ def sensitivity_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
 
 
 def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
-                         n_seeds: int = 5, regularizer: Regularizer | None = None,
-                         reconstruction_weight: float = 1.0,
-                         stratify: bool = False) -> SensitivityResult:
+                         n_seeds: int = 5,
+                         shared: SharedSettings = SharedSettings()) -> SensitivityResult:
     """Train variants keeping 0..all outermost shortcuts on shared splits."""
     variants = sensitivity_variants(spec, cfg)
-    table = _sweep(dataset, variants, n_seeds, regularizer, reconstruction_weight, stratify)
-    return SensitivityResult(task=dataset.task, rows=[replace(v, runs=table[i::len(variants)])
-                                                      for i, v in enumerate(variants)])
+    _sweep(dataset, variants, n_seeds, shared)
+    return SensitivityResult(task=dataset.task, rows=variants)

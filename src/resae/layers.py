@@ -246,10 +246,10 @@ class DropoutLayer:
 class ShortcutSave:
     """Encode end of an identity shortcut: keeps its input as tensor for the add step.
 
-    It keeps the tensor in inference too, because the add step reads it later
-    in the same pass.  The add step's backward runs first and sets grad; this
-    step's backward adds the encode-path gradient in, so grad ends as the save
-    point's total.  A new forward pass drops the last pass's grad.
+    The add step takes the tensor when it reads it, later in the same pass, so
+    no pass leaves rows here.  The add step's backward runs first and sets
+    grad; this step's backward adds the encode-path gradient in, so grad ends
+    as the save point's total.  A new forward pass drops the last pass's grad.
     """
 
     def __init__(self, slot: int, width: int):
@@ -271,10 +271,11 @@ class ShortcutSave:
 
 
 class ResidualAddNode:
-    """Decode end of an identity shortcut: adds the tensor kept by `save`.
+    """Decode end of an identity shortcut: adds the tensor kept by `save`,
+    taking it from `save` as it reads it.
 
     Backward hands the upstream gradient to the save step and passes it on
-    down the deep branch unchanged.
+    down the deep branch unchanged, so it reads nothing that a forward kept.
     """
 
     def __init__(self, save: ShortcutSave, label: str = ""):
@@ -283,15 +284,13 @@ class ResidualAddNode:
         self.label = label or f"shortcut slot {save.slot}"
 
     def forward(self, deep: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
-        shallow = self.save.tensor
+        shallow, self.save.tensor = self.save.tensor, None
         if shallow.shape != deep.shape:
             raise ValueError(f"residual shortcut shape mismatch at {self.label}: "
                              f"encode side {shallow.shape} vs decode side {deep.shape}")
         return shallow + deep
 
     def backward(self, upstream: Matrix) -> Matrix:
-        if self.save.tensor is None:
-            raise RuntimeError(f"{self.label}: backward called before forward")
         self.save.grad = upstream
         return upstream
 

@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from spec_strategies import network_specs
 
-from resae.cli import (DEFAULT_CONFIG, build_regularizer, build_spec, build_train_config,
-                        load_config, main)
+from resae.cli import (DEFAULT_CONFIG, build_dataset, build_shared, build_spec,
+                       build_train_config, load_config, main)
 from resae.data import Dataset, generate_simulated
-from resae.evaluation import GRID_AXES, grid_search
+from resae.evaluation import GRID_AXES, SharedSettings, compare, grid_search
 from resae.training import FittedModel
 
 
@@ -108,6 +108,27 @@ class TestTrain:
         echoed = json.loads((tmp_path / "run" / "config.json").read_text())
         assert echoed["network"]["residual"] == 1
 
+    def test_n_seeds_flag_is_a_usage_error(self, tmp_path):
+        # train runs one seed; n_seeds in its config is only echoed
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(tiny_train_config(tmp_path)), "--n-seeds", "2"])
+        assert info.value.code == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_metrics_equal_the_residual_arm_of_a_one_seed_compare(self, tmp_path):
+        # train and every sweep run a job through one path: same seed, same metrics
+        cfg = tiny_train_config(tmp_path, n_seeds=3,
+                                loss={"regularizer": "l2", "coefficient": 1e-3})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "compare"),
+                     "--n-seeds", "1"]) == 0
+        metrics = json.loads((tmp_path / "train" / "metrics.json").read_text())
+        runs = json.loads((tmp_path / "compare" / "report.json").read_text())["runs"]
+        residual = [run for run in runs if run["arm"] == "residual"]
+        assert len(runs) == 2 and len(residual) == 1
+        assert [residual[0][key] for key in ("seed", "parameter_count", "validation", "test")] \
+            == [metrics[key] for key in ("seed", "parameter_count", "validation", "test")]
+
     def test_divergence_exits_3(self, tmp_path):
         cfg = tiny_train_config(
             tmp_path,
@@ -162,6 +183,26 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert len(report["runs"]) == 2
 
+    def test_stratified_sweep_on_a_categorical_column_equals_the_library_run(self, tmp_path):
+        data = tmp_path / "strata.csv"
+        data.write_text("a,b,site,y\n" + "".join(
+            f"{i % 7},{i * 3 % 11},{'north' if i % 3 else 'south'},{i * 5 % 13}\n"
+            for i in range(90)))
+        cfg = tiny_train_config(tmp_path, n_seeds=2, stratify=True, dataset={
+            "source": "csv", "path": str(data), "stratify_column": "site",
+            "n": 1000, "seed": 7})
+        assert main(["compare", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        doc = load_config(str(cfg))
+        ds = build_dataset(doc)
+        assert set(ds.stratify) == {"north", "south"} and ds.features.shape[1] == 2
+        runs = {}
+        for stratify in (True, False):
+            library = compare(ds, build_spec(doc, ds), build_train_config(doc), n_seeds=2,
+                              shared=SharedSettings(stratify=stratify))
+            runs[stratify] = json.loads(json.dumps([r.to_dict() for r in library.runs]))
+        assert report["runs"] == runs[True] != runs[False]
+
 
 class TestGridCommand:
     def test_batch_curve_artifacts(self, tmp_path):
@@ -210,7 +251,7 @@ class TestGridCommand:
         doc = load_config(str(cfg))
         ds = generate_simulated(n=150, seed=3)
         library = grid_search(ds, build_spec(doc, ds), build_train_config(doc), grid,
-                              n_seeds=2, regularizer=build_regularizer(doc))
+                              n_seeds=2, shared=build_shared(doc))
         assert [(c["label"], c["output_option"], c["mean_val_metric"]) for c in ranked] == [
             (c.label, c.spec.output_option, library.mean_val_metric(c)) for c in library.cells]
         assert sorted(c["output_option"] for c in ranked) == [1, 2]

@@ -1,13 +1,16 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from resae.data import generate_simulated, split
+from resae.data import generate_simulated
 from resae.evaluation import (
     GridResult,
+    Job,
     Metrics,
     RunResult,
+    SharedSettings,
     Variant,
     classification_metrics,
     compare,
@@ -16,9 +19,9 @@ from resae.evaluation import (
     residual_sensitivity,
     rmse_and_nrmse,
     roc_auc,
-    train_and_score,
+    run_job,
 )
-from resae.training import TrainConfig, make_spec
+from resae.training import Regularizer, TrainConfig, make_spec
 
 
 def pairwise_auc_oracle(labels, scores):
@@ -179,20 +182,6 @@ class TestCompare:
         assert d["summary"]["residual"]["n_runs"] == 3
         assert "nrmse" in d["definitions"]
 
-    def test_each_run_equals_its_job_run_alone(self):
-        # each row of the run table depends only on its own seed and arm
-        ds = generate_simulated(n=150, seed=0)
-        spec = make_spec(ds, (6, 3))
-        cfg = tiny_cfg()
-        report = compare(ds, spec, cfg, n_seeds=2)
-        assert [(r.seed, r.arm) for r in report.runs] == [
-            (1, "residual"), (1, "regular"), (2, "residual"), (2, "regular")]
-        for run in report.runs:
-            arm_spec = replace(spec, residual="full" if run.arm == "residual" else "off")
-            alone, _ = train_and_score(ds, split(ds, seed=run.seed), arm_spec,
-                                       replace(cfg, seed=run.seed), arm=run.arm)
-            assert run == alone
-
     def test_each_job_builds_one_network(self, monkeypatch):
         import resae.evaluation
         import resae.network
@@ -237,6 +226,64 @@ class TestCompare:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("seed,arm,converged")
         assert len(lines) > 1
+
+
+def _compare_jobs(ds, spec, cfg, shared):
+    """(job, run) for each row of compare's run table, the jobs in seed-major order."""
+    report = compare(ds, spec, cfg, n_seeds=2, shared=shared)
+    jobs = [Job(arm, replace(spec, residual=residual), replace(cfg, seed=seed))
+            for seed in (1, 2) for arm, residual in (("residual", "full"), ("regular", "off"))]
+    return list(zip(jobs, report.runs, strict=True))
+
+
+def _variant_jobs(variants):
+    """(job, run) for each run of each variant, its runs at seeds 1 and 2."""
+    return [(Job(v.label, v.spec, replace(v.cfg, seed=seed)), run)
+            for v in variants for seed, run in zip((1, 2), v.runs, strict=True)]
+
+
+HARNESSES = {
+    "compare": _compare_jobs,
+    "grid": lambda ds, spec, cfg, shared: _variant_jobs(grid_search(
+        ds, spec, cfg, {"batch_sizes": [16, 32], "output_options": [1, 2]}, n_seeds=2,
+        shared=shared).cells),
+    "sensitivity": lambda ds, spec, cfg, shared: _variant_jobs(residual_sensitivity(
+        ds, spec, cfg, n_seeds=2, shared=shared).rows),
+}
+
+
+@pytest.mark.parametrize("harness", sorted(HARNESSES))
+def test_each_run_equals_its_job_run_alone(harness):
+    # each run depends only on its own job (label, spec, train config at its seed)
+    # and on what every job shares; a sweep adds nothing of its own
+    ds = generate_simulated(n=150, seed=0)
+    shared = SharedSettings(Regularizer("l2", 1e-3), reconstruction_weight=0.5)
+    pairs = HARNESSES[harness](ds, make_spec(ds, (6, 3)), tiny_cfg(), shared)
+    for job, run in pairs:
+        assert run == run_job(ds, job, shared)[0]
+
+
+def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip():
+    ds = generate_simulated(n=150, seed=0)
+    job = Job("residual", make_spec(ds, (6, 3), output_option=2), tiny_cfg(seed=4))
+    shared = SharedSettings(Regularizer("l1", 1e-3), reconstruction_weight=0.5)
+    job_back, shared_back = pickle.loads(pickle.dumps((job, shared)))
+    assert (job_back, shared_back) == (job, shared)
+    (run, model), (run_back, model_back) = run_job(ds, job, shared), run_job(ds, job_back,
+                                                                             shared_back)
+    assert run_back == run and run.converged
+    assert model_back.network.flat.value.tobytes() == model.network.flat.value.tobytes()
+    assert model_back.history == model.history
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reconstruction_weight": -0.5}, "reconstruction_weight must be >= 0"),
+    ({"reconstruction_weight": "1"}, "reconstruction_weight must be a number"),
+    ({"stratify": 1}, "stratify must be true or false"),
+])
+def test_shared_settings_are_checked_when_made(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SharedSettings(**kwargs)
 
 
 class TestGridSearch:

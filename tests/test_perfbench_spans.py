@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from resae import TrainConfig, compare, generate_simulated, make_spec
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -30,3 +32,17 @@ def test_every_traced_name_exists(layer, qualname):
         assert attribute in vars(getattr(module, class_name)), qualname
     else:
         assert callable(getattr(module, qualname)), qualname
+
+
+def test_a_two_seed_compare_records_one_split_and_one_train_model_span_per_job():
+    # the job path reaches split, train_model and evaluate_model as module globals,
+    # so the tracer's wrappers see every call
+    ds = generate_simulated(n=150, seed=0)
+    spec, cfg = make_spec(ds, (6, 3)), TrainConfig(batch_size=32, max_epochs=2, seed=1)
+    recorder = tracer.Tracer()
+    with tracer.instrument(recorder):
+        report = compare(ds, spec, cfg, n_seeds=2)
+    spans = [recorder.names[i] for i in recorder.span_name]
+    assert len(report.runs) == 4
+    assert [spans.count(name) for name in ("data.split", "training.train_model",
+                                           "evaluation.evaluate_model")] == [4, 4, 8]

@@ -1,0 +1,154 @@
+"""Plant each bug of a fixed list in a fresh copy of the repository and check
+that the tests named for it fail.
+
+    python tools/mutants.py
+
+Each mutant replaces one exact text in one file.  The copy is `git archive`
+of the working tree's tracked files as `git stash create` records them (of
+HEAD when nothing has changed), extracted into a new temporary directory for
+each mutant, so work can be checked before it is committed.  The tool first
+checks that every old text occurs exactly once
+in its file, so the list cannot go stale quietly, and that the named tests
+pass on the unmutated copy.  It then runs pytest on each mutant's named tests
+alone: the mutant is caught when pytest reports a failing test (exit 1).  It
+exits 1 unless every check holds and every mutant is caught.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                 # relative to the repository root
+    old: str                  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]    # pytest node ids; any failure catches the mutant
+
+
+MUTANTS = (
+    Mutant("elu-minimum-argument-order", "src/resae/layers.py",
+           "e = np.minimum(0.0, z)", "e = np.minimum(z, 0.0)",
+           ("tests/test_layers.py::test_elu_is_bit_identical_to_where_reference",)),
+    Mutant("running-stat-blend-literal", "src/resae/network.py",
+           "self.running += (1.0 - BN_MOMENTUM) * self._batch_stats",
+           "self.running += 0.1 * self._batch_stats",
+           ("tests/test_network.py::TestFlatParameters"
+            "::test_train_forwards_blend_running_stats_at_bn_momentum",)),
+    Mutant("adam-step-association", "src/resae/training.py",
+           "p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)",
+           "p.value -= (lr * m) / c1 / (np.sqrt(v / c2) + self.epsilon)",
+           ("tests/test_training.py::test_flat_step_is_bit_identical_to_per_array_steps",)),
+    Mutant("rng-block-one-counter-late", "src/resae/matrix.py",
+           "block = np.arange(1, size + 1, dtype=np.uint64)",
+           "block = np.arange(2, size + 2, dtype=np.uint64)",
+           ("tests/test_matrix.py::test_block_draws_match_the_plain_stream",)),
+    Mutant("rng-state-setter-keeps-block", "src/resae/matrix.py",
+           "        self._block = np.empty(0, dtype=np.uint64)"
+           "   # holds draws _block_start + 1, ...\n        self._block_start = self._count\n",
+           "        if not hasattr(self, '_block'):\n"
+           "            self._block = np.empty(0, dtype=np.uint64)\n"
+           "            self._block_start = self._count\n",
+           ("tests/test_matrix.py::TestRng"
+            "::test_new_key_at_the_same_counter_draws_that_key_stream",)),
+    Mutant("batchnorm-infer-subtracts-into-input", "src/resae/layers.py",
+           "out = x - self.running_mean", "out = np.subtract(x, self.running_mean, out=x)",
+           ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
+    Mutant("elu-backward-multiplies-into-upstream", "src/resae/layers.py",
+           "            e *= upstream\n            return e\n",
+           "            upstream *= e\n            return upstream\n",
+           ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
+    Mutant("sweep-hands-every-job-the-template-seed", "src/resae/evaluation.py",
+           "Job(v.label, v.spec, replace(v.cfg, seed=seed))", "Job(v.label, v.spec, v.cfg)",
+           ("tests/test_evaluation.py::test_each_run_equals_its_job_run_alone",)),
+    Mutant("job-split-ignores-stratify", "src/resae/evaluation.py",
+           "stratify=shared.stratify)", "stratify=False)",
+           ("tests/test_cli.py::TestCompareCommand"
+            "::test_stratified_sweep_on_a_categorical_column_equals_the_library_run",)),
+    Mutant("train-drops-the-shared-settings", "src/resae/cli.py",
+           'Job("train", run.spec, run.train_cfg), run.shared)',
+           'Job("train", run.spec, run.train_cfg), SharedSettings())',
+           ("tests/test_cli.py::TestTrain"
+            "::test_metrics_equal_the_residual_arm_of_a_one_seed_compare",)),
+    Mutant("add-step-keeps-the-saved-rows", "src/resae/layers.py",
+           "shallow, self.save.tensor = self.save.tensor, None", "shallow = self.save.tensor",
+           ("tests/test_network.py::test_inference_forward_keeps_no_rows"
+            "_and_leaves_the_train_backward_bit_identical",)),
+)
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    """text with the mutant's old text replaced by its new one; a ValueError
+    unless the old text occurs exactly once."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: its old text occurs {count} times in "
+                         f"{mutant.path}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def extract(archive: bytes, root: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(root, filter="data")
+
+
+def run_tests(root: Path, tests) -> int:
+    """pytest's exit code for the tests, run in root on root's own package."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(command, cwd=root, env=env, capture_output=True).returncode
+
+
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    archive = git("archive", git("stash", "create").decode().strip() or "HEAD")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        extract(archive, base)
+        stale = []
+        for m in MUTANTS:
+            try:
+                mutate((base / m.path).read_text(encoding="utf-8"), m)
+            except ValueError as exc:
+                stale.append(str(exc))
+        if stale:
+            print("stale mutants:\n  " + "\n  ".join(stale))
+            return 1
+        code = run_tests(base, sorted({test for m in MUTANTS for test in m.tests}))
+        if code != 0:
+            print(f"the named tests do not pass on the unmutated copy (pytest exit {code})")
+            return 1
+        missed = []
+        for m in MUTANTS:
+            root = Path(tmp) / m.name
+            extract(archive, root)
+            path = root / m.path
+            path.write_text(mutate(path.read_text(encoding="utf-8"), m), encoding="utf-8")
+            start = time.perf_counter()
+            code = run_tests(root, m.tests)
+            verdict = {0: "MISSED", 1: "caught"}.get(code, f"MISSED (pytest exit {code})")
+            print(f"{m.name}: {verdict} in {time.perf_counter() - start:.1f} s", flush=True)
+            if code != 1:
+                missed.append(m.name)
+    print(f"{len(MUTANTS) - len(missed)} of {len(MUTANTS)} mutants caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
