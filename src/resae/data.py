@@ -112,18 +112,13 @@ def _check_rows(n: int, least: int) -> None:
         raise ValueError(f"n must be at most {np.iinfo(np.intp).max}")
 
 
-def generate_simulated(n: int = 1000, seed: int = 0, noise_sd: float = 100.0,
-                       ranges=SIMULATED_RANGES) -> Dataset:
-    """Eight uniform inputs of different scales plus Gaussian noise on the target."""
+def generate_simulated(n: int = 1000, seed: int = 0, noise_sd: float = 100.0) -> Dataset:
+    """Eight uniform inputs of SIMULATED_RANGES plus Gaussian noise on the target."""
     _check_rows(n, 1)
-    if len(ranges) != 8:
-        raise ValueError("exactly eight feature ranges required")
-    if ranges[4][0] <= 0.0:
-        raise ValueError("x5 range must be strictly positive")
     if not noise_sd >= 0.0:
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     rng = Rng(seed)
-    cols = [rng.uniform(n, low=lo, high=hi) for lo, hi in ranges]
+    cols = [rng.uniform(n, low=lo, high=hi) for lo, hi in SIMULATED_RANGES]
     x = np.column_stack(cols)
     y = _noisy(simulated_response(x), rng, noise_sd)
     return Dataset(features=x, targets=y.reshape(-1, 1),
@@ -333,6 +328,10 @@ def split(ds: Dataset, seed: int = 0, stratify: bool = False) -> SplitIndices:
 # Spatial proxy features and the synthetic field
 # ---------------------------------------------------------------------------
 
+# Weights of the three Gaussian covariates in the spatial field's target
+SPATIAL_COVARIATE_COEF = (1.5, -1.0, 0.5)
+
+
 def spatial_features(x, y):
     """Coordinate proxies for spatial autocorrelation: (x, y, x^2, y^2, xy)."""
     x = np.asarray(x, dtype=np.float64)
@@ -355,15 +354,14 @@ def gaussian_bump_field(sites: Matrix, centers: Matrix, amplitudes: np.ndarray,
 def generate_spatial_field(n: int = 600, seed: int = 0,
                            correlation_length: float = 0.15,
                            n_bumps: int = 4, noise_sd: float = 0.5,
-                           covariate_coef=(1.5, -1.0, 0.5),
                            with_coordinates: bool = True) -> Dataset:
     """Random sites on the unit square with a smooth bump surface target.
 
-    target = bump field(site) + covariates . coef + noise.  Without coordinates
-    the features are only the three covariates, so the spatial part of the
-    signal is unreachable; with them, the five coordinate proxies follow.  The
-    draws do not depend on with_coordinates, so both variants of a seed share
-    one surface.
+    target = bump field(site) + covariates . SPATIAL_COVARIATE_COEF + noise.
+    Without coordinates the features are only the three covariates, so the
+    spatial part of the signal is unreachable; with them, the five coordinate
+    proxies follow.  The draws do not depend on with_coordinates, so both
+    variants of a seed share one surface.
     """
     _check_rows(n, 50)
     if n_bumps < 0:
@@ -379,7 +377,7 @@ def generate_spatial_field(n: int = 600, seed: int = 0,
     centers = rng.uniform(n_bumps, 2)
     amplitudes = rng.uniform(n_bumps, low=2.0, high=4.0) * np.where(
         rng.uniform(n_bumps) < 0.5, -1.0, 1.0)
-    coef = np.asarray(covariate_coef, dtype=np.float64)
+    coef = np.asarray(SPATIAL_COVARIATE_COEF, dtype=np.float64)
     features = rng.normal(n, len(coef))
     y = gaussian_bump_field(sites, centers, amplitudes, correlation_length)
     y = _noisy(y + features @ coef, rng, noise_sd)

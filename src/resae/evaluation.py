@@ -124,15 +124,18 @@ class Metrics:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) -> Metrics:
-    """Score a fitted model on the given dataset rows, in original units."""
-    predictions = model.predict(dataset.features[indices])
-    if dataset.task == "classification":
-        acc, ce, auc = classification_metrics(dataset.targets[indices], predictions)
+def score(task: str, observed: np.ndarray, predictions: np.ndarray) -> Metrics:
+    """The task's metrics of FittedModel.outputs against the observed targets."""
+    if task == "classification":
+        acc, ce, auc = classification_metrics(observed, predictions)
         return Metrics(accuracy=acc, cross_entropy=ce, auc=auc)
-    observed = dataset.targets[indices]
     rmse, nrmse = rmse_and_nrmse(observed, predictions)
     return Metrics(r2=r2(observed, predictions), rmse=rmse, nrmse=nrmse)
+
+
+def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) -> Metrics:
+    """Score a fitted model on the given dataset rows, in original units."""
+    return score(dataset.task, dataset.targets[indices], model.predict(dataset.features[indices]))
 
 
 # ---------------------------------------------------------------------------

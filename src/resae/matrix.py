@@ -265,17 +265,26 @@ class StandardizeStats:
 
     @classmethod
     def from_dict(cls, d: dict, name: str = "stats") -> "StandardizeStats":
-        """Inverse of to_dict; a ValueError names the first bad field.  Every
-        sd must be at least SD_FLOOR, as fitted ones are."""
+        """Inverse of to_dict; a ValueError names the first bad field.  sd has
+        one entry per mean, each at least SD_FLOOR as fitted ones are, and
+        constant_columns holds column indices."""
         d = checked_json(d, dict, name)
         mean = checked_entry(d, "mean", np.ndarray, f"{name}.mean")
         sd = checked_entry(d, "sd", np.ndarray, f"{name}.sd")
+        if sd.size != mean.size:
+            raise ValueError(f"{name}.sd must have one entry per {name}.mean entry "
+                             f"({mean.size}), got {sd.size}")
         small = np.flatnonzero(sd < SD_FLOOR)
         if small.size:
             raise ValueError(f"{name}.sd[{small[0]}] must be >= {SD_FLOOR}, "
                              f"got {float(sd[small[0]])!r}")
-        return cls(mean=mean.reshape(1, -1), sd=sd.reshape(1, -1), constant_columns=tuple(
-            checked_json_list(d.get("constant_columns", []), int, f"{name}.constant_columns")))
+        constant = tuple(checked_json_list(d.get("constant_columns", []), int,
+                                           f"{name}.constant_columns"))
+        for i, column in enumerate(constant):
+            if not 0 <= column < mean.size:
+                raise ValueError(f"{name}.constant_columns[{i}] must be a column index "
+                                 f"in [0, {mean.size}), got {column}")
+        return cls(mean=mean.reshape(1, -1), sd=sd.reshape(1, -1), constant_columns=constant)
 
 
 def standardize_fit_apply(x: Matrix) -> tuple[Matrix, StandardizeStats]:

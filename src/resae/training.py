@@ -265,9 +265,6 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
     shuffle_rng = Rng(cfg.seed).spawn(2)
     n = x_train.shape[0]
     history = TrainHistory()
-    best_val = np.inf
-    best = None     # flat copies of the parameters and running stats
-    stale = 0
 
     for epoch in range(cfg.max_epochs):
         order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
@@ -293,33 +290,19 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
         history.val_loss.append(float(val_value))
         history.val_metric.append(metric)
 
-        if val_value < best_val:
-            best_val = val_value
+        if epoch == 0 or val_value < history.val_loss[history.best_epoch]:
             best = (net.flat.value.copy(), net.running.copy())
             history.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
+        elif epoch - history.best_epoch >= cfg.early_stop_patience:
+            break
 
-    if best is not None:
-        net.flat.value[...], net.running[...] = best
+    net.flat.value[...], net.running[...] = best    # set at epoch 0, as max_epochs >= 1
     return history
 
 
 # ---------------------------------------------------------------------------
 # Dataset-level pipeline
 # ---------------------------------------------------------------------------
-
-def default_loss_for(task: str, output_option: int,
-                     reconstruction_weight: float = 1.0) -> LossSpec:
-    if task == "classification":
-        return LossSpec("cross_entropy", reconstruction_weight)
-    if output_option == 2:
-        return LossSpec("mse_reconstruction", reconstruction_weight)
-    return LossSpec("mse", reconstruction_weight)
-
 
 def dataset_dims(dataset) -> dict:
     """The spec fields an encoded dataset fixes: nfea and k."""
@@ -344,13 +327,17 @@ class FittedModel:
     loss: LossSpec
     history: TrainHistory | None = None
 
-    def predict(self, features_raw: Matrix) -> Matrix:
-        """Targets in original units (regression) or class probabilities."""
-        x = self.feature_stats.apply(features_raw)
-        preds = self.network.forward(x, "infer")
+    def outputs(self, y: Matrix) -> Matrix:
+        """The head's target columns as predictions: class probabilities, or
+        targets in original units."""
         if self.task == "classification":
-            return softmax(preds.y)
-        return self.target_stats.invert(preds.y)
+            return softmax(y)
+        return self.target_stats.invert(y)
+
+    def predict(self, features_raw: Matrix) -> Matrix:
+        """Predictions for raw feature rows: outputs of an inference pass on them, standardized."""
+        return self.outputs(self.network.forward(self.feature_stats.apply(features_raw),
+                                                 "infer").y)
 
     def to_dict(self) -> dict:
         return {
@@ -367,7 +354,8 @@ class FittedModel:
     def from_dict(cls, d: dict) -> "FittedModel":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
         ValueError names the first bad one.  target_stats is an object for
-        regression and null for classification."""
+        regression and null for classification; the stats' widths are the
+        network's nfea and k."""
         if d.get("format") != "resae-model":
             raise ValueError("not a serialized model document")
         task = checked_entry(d, "task", str, "task")
@@ -381,13 +369,19 @@ class FittedModel:
                                             "loss.reconstruction_weight"))
         if task == "classification" and d.get("target_stats") is not None:
             raise ValueError("target_stats must be null for a classification model")
-        return cls(
-            network=Network.from_dict(checked_entry(d, "network", dict, "network")),
-            feature_stats=StandardizeStats.from_dict(
-                checked_entry(d, "feature_stats", dict, "feature_stats"), "feature_stats"),
-            target_stats=(None if task == "classification" else
-                          StandardizeStats.from_dict(d.get("target_stats"), "target_stats")),
-            task=task, loss=loss)
+        network = Network.from_dict(checked_entry(d, "network", dict, "network"))
+        feature_stats = StandardizeStats.from_dict(
+            checked_entry(d, "feature_stats", dict, "feature_stats"), "feature_stats")
+        target_stats = (None if task == "classification" else
+                        StandardizeStats.from_dict(d.get("target_stats"), "target_stats"))
+        for name, stats, dim in (("feature_stats", feature_stats, "nfea"),
+                                 ("target_stats", target_stats, "k")):
+            width = getattr(network.spec, dim)
+            if stats is not None and stats.n_columns != width:
+                raise ValueError(f"{name} must have the network's {dim} = {width} columns, "
+                                 f"got {stats.n_columns}")
+        return cls(network=network, feature_stats=feature_stats, target_stats=target_stats,
+                   task=task, loss=loss)
 
 
 def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
@@ -395,38 +389,33 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
                 reconstruction_weight: float = 1.0) -> FittedModel:
     """Standardize, build, and fit one network on a train/validation split.
 
-    The loss is default_loss_for the task and the spec's output option.
-    Features are standardized on the training partition; regression targets
-    likewise, with predictions inverse-transformed back to original units.
+    The loss is cross entropy for classification, else squared error (with
+    reconstruction for output option 2).  Features, and regression targets,
+    are standardized on the training partition.  The history's val_metric
+    is the task's headline metric as evaluate_model scores it.
     """
-    loss = default_loss_for(dataset.task, spec.output_option, reconstruction_weight)
+    from .evaluation import TASK_METRICS, score   # evaluation imports this module
+
+    kind = ("cross_entropy" if dataset.task == "classification" else
+            "mse_reconstruction" if spec.output_option == 2 else "mse")
     x_tr, feature_stats = standardize_fit_apply(dataset.features[split.train])
     x_val = feature_stats.apply(dataset.features[split.validation])
-
+    y_tr, y_val = dataset.targets[split.train], dataset.targets[split.validation]
     target_stats = None
     if dataset.task == "regression":
-        y_tr, target_stats = standardize_fit_apply(dataset.targets[split.train])
-        y_val = target_stats.apply(dataset.targets[split.validation])
-        y_val_raw = dataset.targets[split.validation]
+        y_tr, target_stats = standardize_fit_apply(y_tr)
+    model = FittedModel(network=build_network(spec, rng=Rng(cfg.seed).spawn(1)),
+                        feature_stats=feature_stats, target_stats=target_stats,
+                        task=dataset.task, loss=LossSpec(kind, reconstruction_weight))
+    headline = TASK_METRICS[model.task][0]
 
-        def val_metric(preds: Predictions) -> float:
-            from .evaluation import r2
-            return r2(y_val_raw, target_stats.invert(preds.y))
-    else:
-        y_tr = dataset.targets[split.train]
-        y_val = dataset.targets[split.validation]
-        classes = np.asarray(y_val, dtype=np.int64).ravel()
+    def val_metric(preds: Predictions) -> float:
+        return getattr(score(model.task, y_val, model.outputs(preds.y)), headline)
 
-        def val_metric(preds: Predictions) -> float:
-            return float((softmax(preds.y).argmax(axis=1) == classes).mean())
-
-    root = Rng(cfg.seed)
-    net = build_network(spec, rng=root.spawn(1))
-    history = fit(net, x_tr, y_tr, x_val, y_val, loss, cfg,
-                  regularizer=regularizer, val_metric_fn=val_metric)
-    return FittedModel(network=net, feature_stats=feature_stats,
-                       target_stats=target_stats, task=dataset.task,
-                       loss=loss, history=history)
+    model.history = fit(model.network, x_tr, y_tr, x_val,
+                        target_stats.apply(y_val) if target_stats else y_val,
+                        model.loss, cfg, regularizer, val_metric)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tempfile
@@ -128,6 +129,25 @@ class TestTrain:
         assert len(runs) == 2 and len(residual) == 1
         assert [residual[0][key] for key in ("seed", "parameter_count", "validation", "test")] \
             == [metrics[key] for key in ("seed", "parameter_count", "validation", "test")]
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_history_val_metric_at_the_best_epoch_is_the_validation_headline(self, tmp_path,
+                                                                              task):
+        cfg = tiny_train_config(tmp_path)
+        if task == "classification":
+            data = tmp_path / "c.csv"
+            data.write_text("a,b,y\n" + "".join(f"{i % 11},{i * 7 % 5},{i % 3}\n"
+                                                 for i in range(90)))
+            cfg = tiny_train_config(tmp_path, dataset={
+                "source": "csv", "path": str(data), "targets": "y",
+                "task": "classification", "n": 1000, "seed": 7})
+        assert main(["train", "--config", str(cfg)]) == 0
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        with open(tmp_path / "run" / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        headline = {"regression": "r2", "classification": "accuracy"}[task]
+        assert 0 < metrics["best_epoch"] < len(rows)
+        assert rows[metrics["best_epoch"]]["val_metric"] == repr(metrics["validation"][headline])
 
     def test_divergence_exits_3(self, tmp_path):
         cfg = tiny_train_config(

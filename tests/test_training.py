@@ -380,6 +380,15 @@ class TestFit:
             replace(cfg, max_epochs=history.best_epoch + 1))
         assert json.dumps(net.to_dict()) == json.dumps(cut.to_dict())
 
+    @pytest.mark.parametrize("patience, best_epoch", [(2, 1), (5, 34)])
+    def test_an_early_stop_runs_patience_epochs_past_the_best(self, patience, best_epoch):
+        net, xtr, ytr, xv, yv = self._net_and_data(seed=4)
+        history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
+                      TrainConfig(batch_size=32, max_epochs=200, learning_rate=5e-2,
+                                  early_stop_patience=patience, seed=3))
+        assert history.best_epoch == best_epoch
+        assert len(history) == best_epoch + patience + 1
+
     def test_determinism(self):
         runs = []
         for _ in range(2):
@@ -565,9 +574,21 @@ class TestModelDocument:
         (lambda d: d.pop("target_stats"), "target_stats must be a JSON object, got null"),
         (lambda d: d.update(task="classification"),
          "target_stats must be null for a classification model"),
+        (lambda d: d["feature_stats"].update(sd=[1.0]),
+         r"feature_stats.sd must have one entry per feature_stats.mean entry \(8\), got 1"),
+        (lambda d: d["feature_stats"].update(mean=[0.0] * 3, sd=[1.0] * 3),
+         "feature_stats must have the network's nfea = 8 columns, got 3"),
+        (lambda d: d["target_stats"].update(mean=[0.0] * 2, sd=[1.0] * 2),
+         "target_stats must have the network's k = 1 columns, got 2"),
+        (lambda d: d["feature_stats"].update(constant_columns=[99, -4]),
+         r"feature_stats.constant_columns\[0\] must be a column index in \[0, 8\), got 99"),
+        (lambda d: d["feature_stats"].update(constant_columns=[2, -4]),
+         r"feature_stats.constant_columns\[1\] must be a column index in \[0, 8\), got -4"),
     ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "huge-integer-weight",
             "zero-sd", "no-weights", "no-feature-stats", "null-target-stats",
-            "no-target-stats", "classification-target-stats"])
+            "no-target-stats", "classification-target-stats", "sd-length",
+            "feature-stats-width", "target-stats-width", "constant-column-too-large",
+            "constant-column-negative"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)

@@ -86,6 +86,15 @@ MUTANTS = (
            "shallow, self.save.tensor = self.save.tensor, None", "shallow = self.save.tensor",
            ("tests/test_network.py::test_inference_forward_keeps_no_rows"
             "_and_leaves_the_train_backward_bit_identical",)),
+    Mutant("early-stop-patience-off-by-one", "src/resae/training.py",
+           "epoch - history.best_epoch >= cfg.early_stop_patience",
+           "epoch - history.best_epoch > cfg.early_stop_patience",
+           ("tests/test_training.py::TestFit"
+            "::test_an_early_stop_runs_patience_epochs_past_the_best",)),
+    Mutant("val-metric-reads-the-second-metric", "src/resae/training.py",
+           "headline = TASK_METRICS[model.task][0]", "headline = TASK_METRICS[model.task][1]",
+           ("tests/test_cli.py::TestTrain"
+            "::test_history_val_metric_at_the_best_epoch_is_the_validation_headline",)),
 )
 
 
