@@ -55,9 +55,6 @@ DEFAULT_CONFIG = {
         "stratify_column": None,
         "target_bins": None,
         "delimiter": ",",
-        "correlation_length": 0.15,
-        "n_bumps": 4,
-        "spatial_noise_sd": 0.5,
         "with_coordinates": True,
     },
     "network": {   # nnode, then NetworkSpec's own defaults; nfea and k come from the data
@@ -148,8 +145,6 @@ DATASET_KEYS = {
              "target_bins": ("target_bins", NUMBERS), "delimiter": ("delimiter", str)}),
     "spatial-field": (lambda **arguments: data_mod.generate_spatial_field(**arguments),
                       {"n": ("n", int), "seed": ("seed", int),
-                       "correlation_length": ("correlation_length", float),
-                       "n_bumps": ("n_bumps", int), "spatial_noise_sd": ("noise_sd", float),
                        "with_coordinates": ("with_coordinates", bool)}),
 }
 _DATASET_KINDS = {key: kind for _, keys in DATASET_KEYS.values()

@@ -328,8 +328,12 @@ def split(ds: Dataset, seed: int = 0, stratify: bool = False) -> SplitIndices:
 # Spatial proxy features and the synthetic field
 # ---------------------------------------------------------------------------
 
-# Weights of the three Gaussian covariates in the spatial field's target
+# The spatial field's constants: the weights of its three Gaussian covariates in the
+# target, the width and count of its bumps, and the sd of the noise on the target
 SPATIAL_COVARIATE_COEF = (1.5, -1.0, 0.5)
+SPATIAL_CORRELATION_LENGTH = 0.15
+SPATIAL_N_BUMPS = 4
+SPATIAL_NOISE_SD = 0.5
 
 
 def spatial_features(x, y):
@@ -352,35 +356,27 @@ def gaussian_bump_field(sites: Matrix, centers: Matrix, amplitudes: np.ndarray,
 
 
 def generate_spatial_field(n: int = 600, seed: int = 0,
-                           correlation_length: float = 0.15,
-                           n_bumps: int = 4, noise_sd: float = 0.5,
                            with_coordinates: bool = True) -> Dataset:
     """Random sites on the unit square with a smooth bump surface target.
 
-    target = bump field(site) + covariates . SPATIAL_COVARIATE_COEF + noise.
+    target = bump field(site) + covariates . SPATIAL_COVARIATE_COEF + noise,
+    with SPATIAL_N_BUMPS bumps of width SPATIAL_CORRELATION_LENGTH and noise
+    of sd SPATIAL_NOISE_SD.
     Without coordinates the features are only the three covariates, so the
     spatial part of the signal is unreachable; with them, the five coordinate
     proxies follow.  The draws do not depend on with_coordinates, so both
     variants of a seed share one surface.
     """
     _check_rows(n, 50)
-    if n_bumps < 0:
-        raise ValueError(f"n_bumps must be >= 0, got {n_bumps}")
-    if n_bumps > np.iinfo(np.intp).max:
-        raise ValueError(f"n_bumps must be at most {np.iinfo(np.intp).max}")
-    if not correlation_length > 0.0:
-        raise ValueError(f"correlation_length must be > 0, got {correlation_length}")
-    if not noise_sd >= 0.0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     rng = Rng(seed)
     sites = rng.uniform(n, 2)
-    centers = rng.uniform(n_bumps, 2)
-    amplitudes = rng.uniform(n_bumps, low=2.0, high=4.0) * np.where(
-        rng.uniform(n_bumps) < 0.5, -1.0, 1.0)
+    centers = rng.uniform(SPATIAL_N_BUMPS, 2)
+    amplitudes = rng.uniform(SPATIAL_N_BUMPS, low=2.0, high=4.0) * np.where(
+        rng.uniform(SPATIAL_N_BUMPS) < 0.5, -1.0, 1.0)
     coef = np.asarray(SPATIAL_COVARIATE_COEF, dtype=np.float64)
     features = rng.normal(n, len(coef))
-    y = gaussian_bump_field(sites, centers, amplitudes, correlation_length)
-    y = _noisy(y + features @ coef, rng, noise_sd)
+    y = gaussian_bump_field(sites, centers, amplitudes, SPATIAL_CORRELATION_LENGTH)
+    y = _noisy(y + features @ coef, rng, SPATIAL_NOISE_SD)
     names = [f"c{i}" for i in range(1, len(coef) + 1)]
     if with_coordinates:
         features = np.column_stack([features, spatial_feature_matrix(sites)])

@@ -45,6 +45,12 @@ def r2(y: np.ndarray, y_pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def accuracy(y: np.ndarray, probabilities: np.ndarray) -> float:
+    """Share of rows whose most probable class is the observed class."""
+    classes = np.asarray(y, dtype=np.int64).ravel()
+    return float((np.asarray(probabilities).argmax(axis=1) == classes).mean())
+
+
 def rmse_and_nrmse(y: np.ndarray, y_pred: np.ndarray) -> tuple[float, float | None]:
     """RMSE in target units and range-normalized RMSE (None if range is zero)."""
     y = np.asarray(y, dtype=np.float64)
@@ -89,22 +95,24 @@ def classification_metrics(y: np.ndarray, probabilities: np.ndarray
     if not (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all():   # also false for a NaN or inf row
         raise ValueError("probability rows must be finite and sum to 1 within 1e-6")
     n = classes.shape[0]
-    accuracy = float((p.argmax(axis=1) == classes).mean())
+    acc = accuracy(classes, p)
     cross_entropy = float(-np.log(np.maximum(p[np.arange(n), classes], 1e-15)).mean())
     present = np.unique(classes)
     if present.size < 2:
-        return accuracy, cross_entropy, None
+        return acc, cross_entropy, None
     if p.shape[1] == 2:
         auc = roc_auc((classes == 1).astype(int), p[:, 1])
     else:
         auc = float(np.mean([roc_auc((classes == c).astype(int), p[:, c])
                              for c in present]))
-    return accuracy, cross_entropy, auc
+    return acc, cross_entropy, auc
 
 
 # Each task's metrics, headline first: R^2 ranks regression runs, accuracy classification ones
 TASK_METRICS = {"regression": ("r2", "rmse", "nrmse"),
                 "classification": ("accuracy", "cross_entropy", "auc")}
+# Each task's headline alone, as a function of the observed targets and FittedModel.outputs
+HEADLINE_METRIC = {"regression": r2, "classification": accuracy}
 
 
 def _headline(task: str) -> str:

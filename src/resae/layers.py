@@ -29,17 +29,15 @@ BN_MOMENTUM = 0.9     # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * ba
 BN_EPSILON = 1e-5
 
 
-def activation_forward(kind: str, z: Matrix, alpha: float = 1.0) -> Matrix:
+def activation_forward(kind: str, z: Matrix) -> Matrix:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "elu":
-        # max(z, 0) + alpha * expm1(min(z, 0)) has the bits of np.where(z >= 0, z, ...):
+    if kind == "elu":     # ELU with alpha = 1
+        # max(z, 0) + expm1(min(z, 0)) has the bits of np.where(z >= 0, z, ...):
         # numpy's minimum returns its second argument on a tie, so a z of -0.0 gives
         # -0.0 + -0.0 and keeps its sign; expm1 of at most 0 never overflows
         e = np.minimum(0.0, z)
         np.expm1(e, out=e)
-        if alpha != 1.0:
-            e *= alpha
         out = np.maximum(-0.0, z)
         out += e
         return out
@@ -50,7 +48,7 @@ def activation_forward(kind: str, z: Matrix, alpha: float = 1.0) -> Matrix:
     raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
-def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1.0) -> Matrix:
+def activation_backward(kind: str, z: Matrix, upstream: Matrix) -> Matrix:
     if z.shape != upstream.shape:
         raise ValueError(f"activation backward shape mismatch: {z.shape} vs {upstream.shape}")
     if kind == "relu":
@@ -58,12 +56,8 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1
     if kind == "elu":     # exp(min(z, 0)) is 1 where z >= 0 (so 1 at 0) and never overflows
         e = np.minimum(z, 0.0)
         np.exp(e, out=e)
-        if alpha == 1.0:
-            e *= upstream
-            return e
-        e *= alpha
         e *= upstream
-        return np.where(z >= 0.0, upstream, e)
+        return e
     if kind == "tanh":
         t = np.tanh(z)
         return upstream * (1.0 - t * t)
@@ -75,25 +69,24 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix, alpha: float = 1
 class Activation:
     """Pointwise activation step; a train-mode forward caches its pre-activation."""
 
-    def __init__(self, kind: str, alpha: float = 1.0):
+    def __init__(self, kind: str):
         if kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {kind!r}")
         self.kind = kind
-        self.alpha = float(alpha)
         self._z: Matrix | None = None
 
     def forward(self, z: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
         if train:
             self._z = z
-        return activation_forward(self.kind, z, self.alpha)
+        return activation_forward(self.kind, z)
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._z is None:
             raise RuntimeError("activation backward called before a train-mode forward")
-        return activation_backward(self.kind, self._z, upstream, self.alpha)
+        return activation_backward(self.kind, self._z, upstream)
 
     def summary(self) -> dict:
-        return {"kind": "activation", "fn": self.kind, "alpha": self.alpha}
+        return {"kind": "activation", "fn": self.kind}
 
 
 class DenseLayer:

@@ -15,7 +15,6 @@ set of the residual and regular variants of one spec is identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -56,13 +55,11 @@ class NetworkSpec:
     nnode: tuple[int, ...]
     k: int
     acts: tuple[str, ...] | str = "elu"
-    output_activation: str = "linear"
     dropout_rate: float = 0.1
     residual: int | str = "full"
     residual_post_op: str = "activation_batchnorm"
     output_option: int = 1
     use_batchnorm: bool = True
-    elu_alpha: float = 1.0
     dropout_placement: str = "code"   # "code" (innermost layer only) or "all"
 
     @property
@@ -96,7 +93,7 @@ class NetworkSpec:
         acts = self.act_list()
         if len(acts) != len(self.nnode):
             raise ValueError(f"acts has {len(acts)} entries for {len(self.nnode)} layers")
-        for a in acts + (self.output_activation,):
+        for a in acts:
             if a not in ACTIVATION_KINDS:
                 raise ValueError(f"unknown activation {a!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -108,8 +105,6 @@ class NetworkSpec:
             raise ValueError(f"unknown residual_post_op {self.residual_post_op!r}")
         if self.output_option not in (1, 2):
             raise ValueError(f"output_option must be 1 or 2, got {self.output_option}")
-        if not 0.0 < self.elu_alpha < math.inf:
-            raise ValueError(f"elu_alpha must be finite and > 0, got {self.elu_alpha}")
         if self.dropout_placement not in ("code", "all"):
             raise ValueError(f"dropout_placement must be 'code' or 'all', "
                              f"got {self.dropout_placement!r}")
@@ -386,14 +381,14 @@ def network_layout(spec: NetworkSpec) -> Network:
 
     def dense_block(n_in: int, n_out: int, act: str) -> None:
         steps.append(DenseLayer(n_in, n_out))
-        steps.append(Activation(act, spec.elu_alpha))
+        steps.append(Activation(act))
         if spec.use_batchnorm:
             steps.append(BatchNormLayer(n_out))
 
     def post_op(act: str, width: int) -> None:
         if spec.residual_post_op == "none":
             return
-        steps.append(Activation(act, spec.elu_alpha))
+        steps.append(Activation(act))
         if spec.residual_post_op == "activation_batchnorm":
             steps.append(BatchNormLayer(width))
 
@@ -441,5 +436,5 @@ def network_layout(spec: NetworkSpec) -> Network:
     # output head
     head_out = spec.k + (spec.nfea if spec.output_option == 2 else 0)
     steps.append(DenseLayer(spec.nfea, head_out))
-    steps.append(Activation(spec.output_activation, spec.elu_alpha))
+    steps.append(Activation("linear"))   # a linear head; build_network scales its weights for it
     return Network(spec, steps, Rng(0))

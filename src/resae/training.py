@@ -154,14 +154,13 @@ class SgdMomentum:
 
 
 class Adam:
-    """Adam (Kingma & Ba 2015), bound to one Param, with bias-corrected moments."""
+    """Adam (Kingma & Ba 2015) at its published constants, bound to one Param,
+    with bias-corrected moments."""
 
-    def __init__(self, param: Param, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+
+    def __init__(self, param: Param):
         self.param = param
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self._m = np.zeros_like(param.value)
         self._v = np.zeros_like(param.value)
         self._t = 0
@@ -185,12 +184,8 @@ class TrainConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adam"        # "adam" | "sgd"
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     early_stop_patience: int = 50
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         check_field_types(self)
@@ -202,11 +197,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("momentum", "adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_epsilon > 0.0:
-            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -214,7 +206,7 @@ class TrainConfig:
         """The configured optimizer, bound to param."""
         if self.optimizer == "sgd":
             return SgdMomentum(param, self.momentum)
-        return Adam(param, self.adam_beta1, self.adam_beta2, self.adam_epsilon)
+        return Adam(param)
 
 
 @dataclass
@@ -267,7 +259,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
     history = TrainHistory()
 
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         epoch_losses = []
         for b, idx in enumerate(_mini_batches(n, cfg.batch_size, order)):
             xb, yb = x_train[idx], y_train[idx]
@@ -394,7 +386,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
     are standardized on the training partition.  The history's val_metric
     is the task's headline metric as evaluate_model scores it.
     """
-    from .evaluation import TASK_METRICS, score   # evaluation imports this module
+    from .evaluation import HEADLINE_METRIC   # evaluation imports this module
 
     kind = ("cross_entropy" if dataset.task == "classification" else
             "mse_reconstruction" if spec.output_option == 2 else "mse")
@@ -407,10 +399,10 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
     model = FittedModel(network=build_network(spec, rng=Rng(cfg.seed).spawn(1)),
                         feature_stats=feature_stats, target_stats=target_stats,
                         task=dataset.task, loss=LossSpec(kind, reconstruction_weight))
-    headline = TASK_METRICS[model.task][0]
+    headline = HEADLINE_METRIC[model.task]
 
     def val_metric(preds: Predictions) -> float:
-        return getattr(score(model.task, y_val, model.outputs(preds.y)), headline)
+        return headline(y_val, model.outputs(preds.y))
 
     model.history = fit(model.network, x_tr, y_tr, x_val,
                         target_stats.apply(y_val) if target_stats else y_val,

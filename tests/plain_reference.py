@@ -81,12 +81,12 @@ def _named_rows(rows):
         yield row, prefix
 
 
-def plain_activation(fn, z, alpha):
+def plain_activation(fn, z):
     if fn == "relu":
         return np.maximum(z, 0.0)
     if fn == "elu":
         with np.errstate(over="ignore"):
-            return np.where(z >= 0.0, z, alpha * np.expm1(z))
+            return np.where(z >= 0.0, z, np.expm1(z))
     if fn == "tanh":
         return np.tanh(z)
     return z
@@ -100,7 +100,7 @@ def plain_forward(rows, state, x, train, rng):
         if kind == "dense":
             x = x @ state[p + ".W"].T + state[p + ".b"].T
         elif kind == "activation":
-            x = plain_activation(row["fn"], x, row["alpha"])
+            x = plain_activation(row["fn"], x)
         elif kind == "batchnorm" and train:
             mean, var = np.mean(x, axis=0, keepdims=True), np.var(x, axis=0, keepdims=True)
             inv = 1.0 / np.sqrt(var + BN_EPSILON)
@@ -139,7 +139,7 @@ def plain_backward(rows, state, caches, g):
             g = g * (cache > 0.0)
         elif kind == "activation" and row["fn"] == "elu":
             with np.errstate(over="ignore"):
-                g = g * np.where(cache >= 0.0, 1.0, row["alpha"] * np.exp(cache))
+                g = g * np.where(cache >= 0.0, 1.0, np.exp(cache))
         elif kind == "activation" and row["fn"] == "tanh":
             t = np.tanh(cache)
             g = g * (1.0 - t * t)
@@ -188,7 +188,7 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
     n = x_train.shape[0]
     best_val, best, t = np.inf, None, 0
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         batch = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -214,8 +214,7 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
                     g = g + regularizer.coefficient * np.sign(w)
                 if cfg.optimizer == "adam":
                     state[name], *moments[name] = adam_reference(
-                        w, *moments[name], g, t, cfg.learning_rate,
-                        cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+                        w, *moments[name], g, t, cfg.learning_rate)
                 else:
                     state[name], velocity = sgd_reference(w, moments[name][0], g,
                                                           cfg.learning_rate, cfg.momentum)

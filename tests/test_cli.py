@@ -366,10 +366,7 @@ class TestConfigErrors:
           for command in ("train", "compare", "grid", "sensitivity")),
         *(("train", {"training": {field: value}}, f"invalid training config: {field}")
           for field, value in (("early_stop_patience", 0), ("early_stop_patience", -7),
-                               ("adam_beta1", 1.0), ("adam_beta2", -0.5),
-                               ("momentum", 1.0), ("momentum", -3.0),
-                               ("adam_epsilon", 0.0), ("adam_epsilon", -1e-3),
-                               ("batch_size", 1))),
+                               ("momentum", 1.0), ("momentum", -3.0), ("batch_size", 1))),
     ])
     def test_invalid_variant_or_split_exits_2_writing_nothing(self, tmp_path, capsys,
                                                                command, override, key):
@@ -381,6 +378,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("override, key", [
         ({"stratify_column": ["a"]}, "dataset.stratify_column"),
         ({"delimiter": ",,"}, "dataset.delimiter"),
+        ({"path": 5}, "dataset.path"),
+        ({"targets": ["y", 3]}, "dataset.targets[1]"),
+        ({"task": None}, "dataset.task"),
+        ({"target_bins": [1.0, "2"]}, "dataset.target_bins[1]"),
     ])
     def test_csv_option_of_wrong_type_or_length_exits_2_naming_key(self, tmp_path, capsys,
                                                                    override, key):
@@ -392,29 +393,30 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
         assert not (tmp_path / "run").exists()
 
-    def test_negative_n_bumps_exits_2_writing_nothing(self, tmp_path, capsys):
-        cfg = tiny_train_config(tmp_path, dataset={"source": "spatial-field", "n": 60,
-                                                   "n_bumps": -1})
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "adam_beta1", 0.9), ("training", "adam_beta2", 0.999),
+        ("training", "adam_epsilon", 1e-8), ("training", "shuffle", True),
+        ("network", "output_activation", "linear"), ("network", "elu_alpha", 1.0),
+        ("dataset", "correlation_length", 0.15), ("dataset", "n_bumps", 4),
+        ("dataset", "spatial_noise_sd", 0.5),
+    ])
+    def test_a_setting_that_is_now_a_constant_is_an_unknown_key(self, tmp_path, capsys,
+                                                                 section, key, value):
+        override = {key: value, **({"source": "spatial-field"} if section == "dataset" else {})}
+        cfg = tiny_train_config(tmp_path, **{section: override})   # at its old default
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "config error: dataset.n_bumps must be >= 0, got -1\n"
+        assert capsys.readouterr().err == (f"config error: unknown config keys: "
+                                           f"['{section}.{key}']\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("dataset, message", [
-        ({"source": "spatial-field", "n": 60, "spatial_noise_sd": -1.0},
-         "dataset.spatial_noise_sd must be >= 0, got -1.0"),
-        ({"source": "spatial-field", "n": 60, "correlation_length": -2.0},
-         "dataset.correlation_length must be > 0, got -2.0"),
         ({"source": "spatial-field", "n": 10}, "dataset.n must be >= 50, got 10"),
         ({"noise_sd": -1.0}, "dataset.noise_sd must be >= 0, got -1.0"),
         ({"n": 0}, "dataset.n must be >= 1, got 0"),
         *((dataset, f"dataset.n must be at most {np.iinfo(np.intp).max}")
           for dataset in ({"n": 10 ** 40}, {"source": "spatial-field", "n": 10 ** 40})),
-        ({"source": "spatial-field", "n": 60, "n_bumps": 10 ** 40},
-         f"dataset.n_bumps must be at most {np.iinfo(np.intp).max}"),
         ({"n": 100, "noise_sd": 1e308},
          "dataset.noise_sd must leave the targets finite, got 1e+308"),
-        ({"source": "spatial-field", "n": 60, "spatial_noise_sd": 1e308},
-         "dataset.spatial_noise_sd must leave the targets finite, got 1e+308"),
     ])
     def test_generator_range_error_names_the_config_key(self, tmp_path, capsys,
                                                         dataset, message):
@@ -424,10 +426,8 @@ class TestConfigErrors:
         assert not (tmp_path / "run").exists()
 
     # In range, but numpy refuses each allocation at once, so nothing is allocated.
-    @pytest.mark.parametrize("dataset", [
-        {"source": "spatial-field", "n": 60, "n_bumps": 10 ** 15}, {"n": 10 ** 15}])
-    def test_size_beyond_memory_exits_2_writing_nothing(self, tmp_path, capsys, dataset):
-        cfg = tiny_train_config(tmp_path, dataset=dataset)
+    def test_size_beyond_memory_exits_2_writing_nothing(self, tmp_path, capsys):
+        cfg = tiny_train_config(tmp_path, dataset={"n": 10 ** 15})
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: Unable to allocate ")
         assert not (tmp_path / "run").exists()
@@ -439,10 +439,10 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("source, key, value", [
-        ("simulate", "n_bumps", -1), ("simulate", "correlation_length", -2.0),
+        ("simulate", "target_bins", [1.0]), ("simulate", "task", "classification"),
         ("simulate", "path", 5), ("simulate", "delimiter", ",,"),
         ("simulate", "with_coordinates", False), ("spatial-field", "noise_sd", 5.0),
-        ("spatial-field", "targets", ["z"]), ("csv", "n", 150), ("csv", "spatial_noise_sd", 0.1),
+        ("spatial-field", "targets", ["z"]), ("csv", "n", 150), ("csv", "seed", 8),
     ])
     def test_key_of_another_source_exits_2_writing_nothing(self, tmp_path, capsys,
                                                             source, key, value):
@@ -457,7 +457,7 @@ class TestConfigErrors:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("source, key, value, expected", [
-        ("simulate", "n_bumps", 4.0, "an integer, got 4.0"),
+        ("csv", "seed", 7.0, "an integer, got 7.0"),
         ("simulate", "with_coordinates", 1, "true or false, got 1"),
         ("csv", "n", 1000.0, "an integer, got 1000.0"),
         ("csv", "with_coordinates", 1, "true or false, got 1"),
@@ -495,7 +495,6 @@ class TestConfigErrors:
         assert not (tmp_path / "run" / "config.json").exists()
 
     @pytest.mark.parametrize("command, override, key", [
-        ("train", {"training": {"shuffle": "false"}}, "training.shuffle"),
         ("train", {"training": {"batch_size": 32.9}}, "training.batch_size"),
         ("train", {"training": {"seed": True}}, "training.seed"),
         ("train", {"network": {"batchnorm": "no"}}, "network.batchnorm"),
@@ -506,13 +505,24 @@ class TestConfigErrors:
         ("train", {"dataset": {"n": None}}, "dataset.n"),
         ("grid", {"grid": {"batch_sizes": [None]}, "n_seeds": 1}, "grid.batch_sizes[0]"),
         ("grid", {"grid": {"nnodes": [[8, 4.5]]}, "n_seeds": 1}, "grid.nnodes[0][1]"),
-        ("train", {"network": {"output_activation": 5}}, "network.output_activation"),
         ("train", {"network": {"residual_post_op": None}}, "network.residual_post_op"),
         ("train", {"network": {"dropout_placement": ["all"]}}, "network.dropout_placement"),
         ("grid", {"grid": {"activations": [["elu"]]}, "n_seeds": 1}, "grid.activations[0]"),
         ("train", {"loss": {"regularizer": 1}}, "loss.regularizer"),
+        ("train", {"loss": {"reconstruction_weight": "1"}}, "loss.reconstruction_weight"),
+        ("train", {"loss": {"coefficient": True}}, "loss.coefficient"),
+        ("train", {"training": {"max_epochs": 8.0}}, "training.max_epochs"),
+        ("train", {"training": {"early_stop_patience": 2.5}}, "training.early_stop_patience"),
+        ("train", {"training": {"optimizer": 5}}, "training.optimizer"),
+        ("train", {"training": {"momentum": "0.9"}}, "training.momentum"),
+        ("train", {"dataset": {"seed": 3.5}}, "dataset.seed"),
+        ("train", {"dataset": {"source": "spatial-field", "n": 60, "with_coordinates": 0}},
+         "dataset.with_coordinates"),
+        ("compare", {"n_seeds": 2.0}, "n_seeds"),
+        ("train", {"stratify": "yes"}, "stratify"),
+        ("grid", {"grid": {"output_options": [1.5]}, "n_seeds": 1}, "grid.output_options[0]"),
         *(("train", {section: {key: 10 ** 400}}, f"{section}.{key}")   # beyond float range
-          for section, key in (("training", "learning_rate"), ("network", "elu_alpha"),
+          for section, key in (("training", "learning_rate"), ("network", "dropout_rate"),
                                ("dataset", "noise_sd"))),
     ])
     def test_wrong_json_type_exits_2_naming_key(self, tmp_path, capsys, command, override, key):

@@ -6,12 +6,15 @@ import pytest
 
 from resae.data import generate_simulated
 from resae.evaluation import (
+    HEADLINE_METRIC,
+    TASK_METRICS,
     GridResult,
     Job,
     Metrics,
     RunResult,
     SharedSettings,
     Variant,
+    accuracy,
     classification_metrics,
     compare,
     grid_search,
@@ -20,6 +23,7 @@ from resae.evaluation import (
     rmse_and_nrmse,
     roc_auc,
     run_job,
+    score,
 )
 from resae.training import Regularizer, TrainConfig, make_spec
 
@@ -116,6 +120,26 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_auc(np.ones(4), np.arange(4.0))
+
+
+def test_accuracy_is_the_share_of_rows_whose_most_probable_class_is_observed():
+    p = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.2, 0.5, 0.3], [0.4, 0.5, 0.1]])
+    assert accuracy(np.array([[0.0], [2.0], [0.0], [1.0]]), p) == 0.75
+
+
+@pytest.mark.parametrize("task, k", [("regression", 1), ("regression", 3),
+                                     ("classification", 2), ("classification", 3)])
+def test_headline_metric_alone_is_the_headline_that_score_reports(task, k):
+    rng = np.random.default_rng(k)
+    if task == "classification":
+        observed = rng.integers(0, k, size=(40, 1)).astype(float)
+        e = np.exp(rng.normal(size=(40, k)))
+        predictions = e / e.sum(axis=1, keepdims=True)
+    else:
+        observed = rng.normal(size=(40, k))
+        predictions = observed + rng.normal(scale=0.5, size=(40, k))
+    headline = getattr(score(task, observed, predictions), TASK_METRICS[task][0])
+    assert HEADLINE_METRIC[task](observed, predictions) == headline   # the same bits
 
 
 class TestClassificationMetrics:

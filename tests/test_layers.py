@@ -41,23 +41,20 @@ class TestActivationForward:
         z = np.array([[-2.0, 3.0]])
         np.testing.assert_array_equal(activation_forward("relu", z), [[0.0, 3.0]])
 
-    def test_elu_zero_for_any_alpha(self):
-        for alpha in (0.5, 1.0, 2.0):
-            assert activation_forward("elu", np.array([[0.0]]), alpha)[0, 0] == 0.0
+    def test_elu_zero_at_zero(self):
+        assert activation_forward("elu", np.array([[0.0]]))[0, 0] == 0.0
 
     def test_elu_negative_formula(self):
-        out = activation_forward("elu", np.array([[-1.0]]), alpha=1.0)
+        out = activation_forward("elu", np.array([[-1.0]]))
         assert out[0, 0] == pytest.approx(math.expm1(-1.0))   # ~ -0.63212
 
-    def test_elu_alpha_scales_negative_branch(self):
-        out = activation_forward("elu", np.array([[-2.0]]), alpha=3.0)
-        assert out[0, 0] == pytest.approx(3.0 * math.expm1(-2.0))
+    def test_elu_saturates_at_minus_one(self):
+        assert activation_forward("elu", np.array([[-50.0]]))[0, 0] == -1.0
 
     def test_relu_equals_elu_for_nonnegative(self):
         z = np.linspace(0.0, 8.0, 33).reshape(3, 11)
-        for alpha in (0.3, 1.0, 5.0):
-            np.testing.assert_array_equal(activation_forward("relu", z),
-                                          activation_forward("elu", z, alpha))
+        np.testing.assert_array_equal(activation_forward("relu", z),
+                                      activation_forward("elu", z))
 
     def test_tanh_and_linear(self):
         z = np.array([[0.5, -0.5]])
@@ -80,6 +77,10 @@ class TestActivationBackward:
 
     def test_elu_derivative_one_at_zero(self):
         out = activation_backward("elu", np.array([[0.0]]), np.array([[7.0]]))
+        assert out[0, 0] == 7.0
+
+    def test_elu_derivative_is_continuous_at_zero(self):
+        out = activation_backward("elu", np.array([[-1e-300]]), np.array([[7.0]]))
         assert out[0, 0] == 7.0
 
     def test_linear_passthrough(self):
@@ -109,8 +110,7 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.7])
-def test_elu_is_bit_identical_to_where_reference(alpha):
+def test_elu_is_bit_identical_to_where_reference():
     rng = np.random.default_rng(11)
     z = np.concatenate([rng.normal(scale=3.0, size=(20, 6)),
                         [[0.0, -0.0, -30.0, -745.0, -1e300, 1e-310],
@@ -119,12 +119,12 @@ def test_elu_is_bit_identical_to_where_reference(alpha):
     upstream[-2, :3] = [0.0, -0.0, -2.5]
     upstream[-1] = 0.0     # exp(z) overflows here, so an unclipped exp * 0 is nan
     with np.errstate(over="ignore", invalid="ignore"):
-        forward_ref = np.where(z >= 0.0, z, alpha * np.expm1(z))
-        backward_ref = upstream * np.where(z >= 0.0, 1.0, alpha * np.exp(z))
+        forward_ref = np.where(z >= 0.0, z, np.expm1(z))
+        backward_ref = upstream * np.where(z >= 0.0, 1.0, np.exp(z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # no overflow or invalid-value warnings either
-        forward = activation_forward("elu", z, alpha)
-        backward = activation_backward("elu", z, upstream, alpha)
+        forward = activation_forward("elu", z)
+        backward = activation_backward("elu", z, upstream)
     assert_same_bits(forward, forward_ref)
     assert_same_bits(backward, backward_ref)
 
@@ -434,7 +434,7 @@ def _dense(n_in, n_out):
 
 
 def _act(fn="elu"):
-    return {"kind": "activation", "fn": fn, "alpha": 1.0}
+    return {"kind": "activation", "fn": fn}
 
 
 def _bn(width):
@@ -495,16 +495,15 @@ def _step(name):
         return seeded_batchnorm(WIDTH, seed=4)
     if name.startswith("dropout"):
         return DropoutLayer(0.3)
-    fn, _, alpha = name.partition("-")
-    return Activation(fn, float(alpha or 1.0))
+    return Activation(name)
 
 
-# the four kernels that fill an array they just made, and the arrays they read
-REWRITTEN = {"dense": ("W", "b"), "elu": (), "elu-0.7": (),
+# the three kernels that fill an array they just made, and the arrays they read
+REWRITTEN = {"dense": ("W", "b"), "elu": (),
              "batchnorm-infer": ("gamma", "beta", "running_mean", "running_var")}
 
 
-@pytest.mark.parametrize("name", ["dense", "relu", "elu", "elu-0.7", "tanh", "linear",
+@pytest.mark.parametrize("name", ["dense", "relu", "elu", "tanh", "linear",
                                   "batchnorm-train", "batchnorm-infer",
                                   "dropout-train", "dropout-infer"])
 def test_no_step_writes_into_its_input_upstream_or_output(name):
@@ -517,7 +516,7 @@ def test_no_step_writes_into_its_input_upstream_or_output(name):
     returned = out.tobytes()
     if name != "batchnorm-infer":    # a batch-norm backward needs a train-mode forward
         grad = step.backward(upstream)
-        if name == "elu":            # the rewritten backward, at alpha 1
+        if name == "elu":            # the rewritten backward
             assert not np.shares_memory(grad, x) and not np.shares_memory(grad, upstream)
     assert (x.tobytes(), upstream.tobytes()) == given
     assert out.tobytes() == returned

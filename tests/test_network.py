@@ -99,8 +99,6 @@ class TestBuilder:
         ("use_batchnorm", "no", "use_batchnorm must be true or false"),
         ("nfea", 3.0, "nfea must be an integer"),
         ("dropout_rate", "0.1", "dropout_rate must be a number"),
-        *(("elu_alpha", value, "elu_alpha must be finite and > 0")
-          for value in (float("nan"), float("inf"), 0.0, -1.0)),
         ("dropout_rate", float("nan"), r"dropout_rate must be in \[0, 1\)"),
         ("residual", 3, "residual count 3 out of range 0..2"),
     ])
@@ -507,7 +505,7 @@ _WRONG_TYPE = {int: st.floats() | st.booleans() | st.text(max_size=3) | st.none(
                bool: st.integers() | st.floats() | st.text(max_size=3) | st.none(),
                float: st.booleans() | st.text(max_size=3) | st.none() | st.lists(st.floats())}
 _PLAIN_FIELDS = {"nfea": int, "k": int, "output_option": int, "use_batchnorm": bool,
-                 "dropout_rate": float, "elu_alpha": float}
+                 "dropout_rate": float}
 
 
 @settings(max_examples=100, deadline=None)

@@ -67,8 +67,8 @@ MUTANTS = (
            "out = x - self.running_mean", "out = np.subtract(x, self.running_mean, out=x)",
            ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
     Mutant("elu-backward-multiplies-into-upstream", "src/resae/layers.py",
-           "            e *= upstream\n            return e\n",
-           "            upstream *= e\n            return upstream\n",
+           "        e *= upstream\n        return e\n",
+           "        upstream *= e\n        return upstream\n",
            ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
     Mutant("sweep-hands-every-job-the-template-seed", "src/resae/evaluation.py",
            "Job(v.label, v.spec, replace(v.cfg, seed=seed))", "Job(v.label, v.spec, v.cfg)",
@@ -91,10 +91,19 @@ MUTANTS = (
            "epoch - history.best_epoch > cfg.early_stop_patience",
            ("tests/test_training.py::TestFit"
             "::test_an_early_stop_runs_patience_epochs_past_the_best",)),
-    Mutant("val-metric-reads-the-second-metric", "src/resae/training.py",
-           "headline = TASK_METRICS[model.task][0]", "headline = TASK_METRICS[model.task][1]",
+    Mutant("val-metric-reads-the-second-metric", "src/resae/evaluation.py",
+           '"classification": accuracy}',
+           '"classification": lambda y, p: classification_metrics(y, p)[1]}',
            ("tests/test_cli.py::TestTrain"
             "::test_history_val_metric_at_the_best_epoch_is_the_validation_headline",)),
+    Mutant("fit-stops-shuffling", "src/resae/training.py",
+           "order = shuffle_rng.permutation(n)", "order = np.arange(n)",
+           ("tests/test_training.py::test_fit_is_bit_identical_to_plain_per_array_reference",)),
+    Mutant("accuracy-takes-the-least-probable-class", "src/resae/evaluation.py",
+           "np.asarray(probabilities).argmax(axis=1)", "np.asarray(probabilities).argmin(axis=1)",
+           ("tests/test_evaluation.py"
+            "::test_accuracy_is_the_share_of_rows_whose_most_probable_class_is_observed",
+            "tests/test_evaluation.py::TestClassificationMetrics::test_perfect_one_hot")),
 )
 
 
