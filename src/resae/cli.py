@@ -52,7 +52,6 @@ DEFAULT_CONFIG = {
         "path": None,
         "targets": ["y"],
         "task": "regression",
-        "stratify_column": None,
         "target_bins": None,
         "delimiter": ",",
         "with_coordinates": True,
@@ -69,7 +68,6 @@ DEFAULT_CONFIG = {
         "coefficient": 0.0,
     },
     "n_seeds": 5,
-    "stratify": False,
     "grid": dict.fromkeys(GRID_AXES),   # every axis unset
     "out_dir": "runs/out",
 }
@@ -141,7 +139,6 @@ DATASET_KEYS = {
                  {"n": ("n", int), "seed": ("seed", int), "noise_sd": ("noise_sd", float)}),
     "csv": (lambda **arguments: data_mod.load_csv(**arguments),
             {"path": ("path", str), "targets": ("target_columns", NAMES), "task": ("task", str),
-             "stratify_column": ("stratify_column", str),
              "target_bins": ("target_bins", NUMBERS), "delimiter": ("delimiter", str)}),
     "spatial-field": (lambda **arguments: data_mod.generate_spatial_field(**arguments),
                       {"n": ("n", int), "seed": ("seed", int),
@@ -201,15 +198,15 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 
 def build_shared(cfg: dict) -> SharedSettings:
-    """The loss section's penalty and reconstruction weight, and stratify, as the
-    record every job shares; a Regularizer and the record validate themselves."""
+    """The loss section's penalty and reconstruction weight as the record every
+    job shares; a Regularizer and the record validate themselves."""
     loss = cfg["loss"]
     regularizer = _read(Regularizer, _checked(loss["regularizer"], str, "loss.regularizer"),
                         _checked(loss["coefficient"], float, "loss.coefficient"),
                         prefix="invalid loss config: ")
     return _read(SharedSettings, regularizer,
                  _checked(loss["reconstruction_weight"], float, "loss.reconstruction_weight"),
-                 _checked(cfg["stratify"], bool, "stratify"), prefix="invalid loss config: ")
+                 prefix="invalid loss config: ")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -282,12 +279,9 @@ def _set_up(args) -> _Run:
     spec = build_spec(cfg, dataset)
     run = _Run(cfg, out, dataset, spec, build_train_config(cfg), build_shared(cfg),
                _checked(cfg["n_seeds"], int, "n_seeds"))
-    if run.shared.stratify and dataset.stratify is None:
-        raise ConfigError("stratify is true, but the dataset has no stratify column")
     if args.command != "train" and run.n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {run.n_seeds}")
-    run.grid_axes = {key: values for key, values in cfg["grid"].items()
-                     if values is not None and values != []}
+    run.grid_axes = {key: values for key, values in cfg["grid"].items() if values is not None}
     if args.command == "grid" and not run.grid_axes:
         raise ConfigError(f"grid config is empty: set at least one of {', '.join(GRID_AXES)}")
     if run.grid_axes:   # every command checks the grid it echoes, though only grid runs it

@@ -6,7 +6,6 @@ coordinate-covariate ablation.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ class Dataset:
     target_names: list[str]
     task: str                         # one of TASKS
     n_classes: int | None = None
-    stratify: np.ndarray | None = None   # per-row labels
     n_dropped: int = 0
     encodings: dict = field(default_factory=dict)
 
@@ -49,9 +47,6 @@ class Dataset:
         if self.targets.shape[0] != n:
             raise ValueError(f"row mismatch: {n} feature rows vs "
                              f"{self.targets.shape[0]} target rows")
-        if self.stratify is not None and len(self.stratify) != n:
-            raise ValueError(f"row mismatch: {n} rows vs {len(self.stratify)} "
-                             f"stratify labels")
 
     @property
     def n_rows(self) -> int:
@@ -143,8 +138,8 @@ def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[s
     bounds = [float(b) for b in upper_bounds]
     if not bounds:
         raise ValueError("target_bins must be non-empty: give at least one class bound")
-    if sorted(bounds) != bounds:
-        raise ValueError(f"bin bounds must be increasing, got {upper_bounds}")
+    if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError(f"target_bins must be strictly increasing, got {upper_bounds}")
     classes = np.zeros(len(values), dtype=np.int64)
     for b in bounds:
         classes += values > b
@@ -161,8 +156,8 @@ def checked_delimiter(value, name: str = "delimiter") -> str:
     return value
 
 
-def load_csv(path, target_columns, task: str, stratify_column: str | None = None,
-             target_bins=None, delimiter: str = ",") -> Dataset:
+def load_csv(path, target_columns, task: str, target_bins=None,
+             delimiter: str = ",") -> Dataset:
     """Load a header-ed CSV into a Dataset.
 
     Blank lines are skipped, short rows are padded with missing cells, and a
@@ -179,6 +174,8 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
         raise ValueError(f"task must be regression or classification, got {task!r}")
     if isinstance(target_columns, str):
         target_columns = [target_columns]
+    if len(set(target_columns)) != len(target_columns):
+        raise ValueError(f"target_columns must be distinct names, got {list(target_columns)}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=checked_delimiter(delimiter))
         try:
@@ -189,7 +186,7 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
 
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names in header {header}")
-    for col in list(target_columns) + ([stratify_column] if stratify_column else []):
+    for col in target_columns:
         if col not in header:
             raise ValueError(f"{path}: column {col!r} not in header {header}")
 
@@ -226,7 +223,7 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
 
     encodings, feature_blocks, feature_names = {}, [], []
     for name in header:
-        if name in target_columns or name == stratify_column:
+        if name in target_columns:
             continue
         if name in numeric:
             feature_blocks.append(numeric[name][keep].reshape(-1, 1))
@@ -259,14 +256,11 @@ def load_csv(path, target_columns, task: str, stratify_column: str | None = None
         targets = np.column_stack([numeric[name][keep] for name in target_columns])
 
     if not feature_blocks:
-        raise ValueError(f"{path}: no feature columns left after removing "
-                         f"targets and the stratify column")
+        raise ValueError(f"{path}: no feature columns left after removing the targets")
 
-    stratify = np.array(kept[stratify_column].tolist()) if stratify_column else None
     return Dataset(features=np.column_stack(feature_blocks), targets=targets,
                    feature_names=feature_names, target_names=list(target_columns),
-                   task=task, n_classes=n_classes, stratify=stratify,
-                   n_dropped=n_dropped, encodings=encodings)
+                   task=task, n_classes=n_classes, n_dropped=n_dropped, encodings=encodings)
 
 
 # ---------------------------------------------------------------------------
@@ -280,48 +274,17 @@ class SplitIndices:
     test: np.ndarray
 
 
-def _split_three(indices: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(indices)
-    order = indices[rng.permutation(n)]
-    n_test = int(round(0.2 * n))
-    rest = n - n_test
-    n_val = int(round(0.2 * rest))
-    test = order[:n_test]
-    val = order[n_test:n_test + n_val]
-    train = order[n_test + n_val:]
-    return train, val, test
-
-
-def split(ds: Dataset, seed: int = 0, stratify: bool = False) -> SplitIndices:
-    """20% independent test, then 20% of the rest validation, 64% train.
-
-    Stratified mode applies the same proportions inside each label of the
-    dataset's stratify column; strata smaller than 5 rows force a fallback
-    to the plain random split (with a warning).
-    """
+def split(ds: Dataset, seed: int = 0) -> SplitIndices:
+    """20% independent test, then 20% of the rest validation, 64% train, all
+    drawn from one seeded permutation of the rows."""
     n = ds.n_rows
     if n < 10:
         raise ValueError(f"need at least 10 rows to split, got {n}")
-    rng = Rng(seed)
-    if stratify:
-        if ds.stratify is None:
-            raise ValueError("dataset has no stratify column")
-        labels, counts = np.unique(ds.stratify, return_counts=True)
-        if counts.min() < 5:
-            warnings.warn(f"stratified split fell back to plain random: smallest "
-                          f"stratum has {counts.min()} rows (< 5)", stacklevel=2)
-        else:
-            trains, vals, tests = [], [], []
-            for label in labels:
-                part_tr, part_val, part_te = _split_three(
-                    np.flatnonzero(ds.stratify == label), rng)
-                trains.append(part_tr)
-                vals.append(part_val)
-                tests.append(part_te)
-            return SplitIndices(np.concatenate(trains), np.concatenate(vals),
-                                np.concatenate(tests))
-    train, val, test = _split_three(np.arange(n), rng)
-    return SplitIndices(train, val, test)
+    order = Rng(seed).permutation(n)
+    n_test = int(round(0.2 * n))
+    n_val = int(round(0.2 * (n - n_test)))
+    return SplitIndices(train=order[n_test + n_val:], validation=order[n_test:n_test + n_val],
+                        test=order[:n_test])
 
 
 # ---------------------------------------------------------------------------

@@ -169,15 +169,13 @@ class RunResult:
 @dataclass(frozen=True)
 class SharedSettings:
     """What every job shares besides the dataset, checked when made: the loss
-    section's penalty and reconstruction weight, and whether splits are stratified."""
+    section's penalty and reconstruction weight."""
 
     regularizer: Regularizer = Regularizer()
     reconstruction_weight: float = 1.0
-    stratify: bool = False
 
     def __post_init__(self):
         LossSpec("mse", self.reconstruction_weight)   # the weight's type and range
-        checked_json(self.stratify, bool, "stratify")
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def run_job(dataset: Dataset, job: Job,
     """Split on the job's seed, train, then score the validation and test rows.
     Returns the run and the fitted model; on a non-finite loss the model is
     None and the run carries the diagnostic."""
-    split_idx = split(dataset, seed=job.cfg.seed, stratify=shared.stratify)
+    split_idx = split(dataset, seed=job.cfg.seed)
     try:
         model = train_model(dataset, split_idx, job.spec, job.cfg,
                             shared.regularizer, shared.reconstruction_weight)
@@ -381,8 +379,9 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
 
     Each value's JSON type is checked (nnodes are lists of integers,
     activations strings, the other axes integers), and an unknown axis, a
-    wrong type or an invalid cell is a ValueError naming the grid values,
-    e.g. "grid.nnodes[0][1] must be an integer" or
+    wrong type, an empty axis, a repeated value or an invalid cell is a
+    ValueError naming the grid values, e.g. "grid.nnodes[0][1] must be an
+    integer", "grid.batch_sizes[1] repeats grid.batch_sizes[0]" or
     "grid.batch_sizes[0]: batch_size must be >= 2".
     """
     axes = {"batch_sizes": [cfg.batch_size], "nnodes": [spec.nnode],
@@ -397,8 +396,11 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
         else:
             axes[key] = checked_json_list(values, str if key == "activations" else int,
                                           f"grid.{key}")
-    if any(len(v) == 0 for v in axes.values()):
-        raise ValueError("grid axes must be non-empty")
+        if not axes[key]:
+            raise ValueError(f"grid.{key} must be non-empty")
+        for i, value in enumerate(axes[key]):
+            if value in axes[key][:i]:
+                raise ValueError(f"grid.{key}[{i}] repeats grid.{key}[{axes[key].index(value)}]")
     variants = []
     for index in product(*(range(len(axes[key])) for key in GRID_AXES)):
         nnode, act, option, batch = (axes[key][i] for key, i in zip(GRID_AXES, index))

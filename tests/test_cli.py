@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -14,7 +15,7 @@ from spec_strategies import network_specs
 from resae.cli import (DEFAULT_CONFIG, build_dataset, build_shared, build_spec,
                        build_train_config, load_config, main)
 from resae.data import Dataset, generate_simulated
-from resae.evaluation import GRID_AXES, SharedSettings, compare, grid_search
+from resae.evaluation import GRID_AXES, compare, grid_search
 from resae.training import FittedModel
 
 
@@ -203,25 +204,39 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert len(report["runs"]) == 2
 
-    def test_stratified_sweep_on_a_categorical_column_equals_the_library_run(self, tmp_path):
-        data = tmp_path / "strata.csv"
+    def test_sweep_on_a_categorical_column_equals_the_library_run(self, tmp_path):
+        data = tmp_path / "sites.csv"
         data.write_text("a,b,site,y\n" + "".join(
             f"{i % 7},{i * 3 % 11},{'north' if i % 3 else 'south'},{i * 5 % 13}\n"
             for i in range(90)))
-        cfg = tiny_train_config(tmp_path, n_seeds=2, stratify=True, dataset={
-            "source": "csv", "path": str(data), "stratify_column": "site",
-            "n": 1000, "seed": 7})
+        cfg = tiny_train_config(tmp_path, n_seeds=2, dataset={
+            "source": "csv", "path": str(data), "n": 1000, "seed": 7})
         assert main(["compare", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         doc = load_config(str(cfg))
         ds = build_dataset(doc)
-        assert set(ds.stratify) == {"north", "south"} and ds.features.shape[1] == 2
-        runs = {}
-        for stratify in (True, False):
-            library = compare(ds, build_spec(doc, ds), build_train_config(doc), n_seeds=2,
-                              shared=SharedSettings(stratify=stratify))
-            runs[stratify] = json.loads(json.dumps([r.to_dict() for r in library.runs]))
-        assert report["runs"] == runs[True] != runs[False]
+        assert ds.feature_names == ["a", "b", "site=north", "site=south"]
+        library = compare(ds, build_spec(doc, ds), build_train_config(doc), n_seeds=2,
+                          shared=build_shared(doc))
+        assert report["runs"] == json.loads(json.dumps([r.to_dict() for r in library.runs]))
+
+    @pytest.mark.parametrize("command, tables", [
+        ("train", ("config.json", "dataset.json", "model.json", "history.csv", "metrics.json")),
+        ("compare", ("config.json", "report.json", "runs.csv")),
+    ])
+    def test_seed_flag_writes_the_artifacts_of_that_config_seed(self, tmp_path, command,
+                                                                 tables):
+        """--seed 3 on a seed-1 config writes what a config of seed 3 writes."""
+        written = []
+        for seed, flags in ((1, ["--seed", "3"]), (3, [])):
+            cfg = tiny_train_config(tmp_path, n_seeds=2, training={"seed": seed})
+            assert main([command, "--config", str(cfg), *flags]) == 0
+            run = tmp_path / "run"   # one out_dir, so the echoed configs can match
+            written.append({name: (run / name).read_bytes() for name in tables})
+            assert sorted(p.name for p in run.iterdir()) == sorted(tables)
+            shutil.rmtree(run)
+        assert written[0] == written[1]
+        assert json.loads(written[0]["config.json"])["training"]["seed"] == 3
 
 
 class TestGridCommand:
@@ -252,6 +267,17 @@ class TestGridCommand:
         assert main(["grid", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "run" / "config.json").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"batch_sizes": [16], "nnodes": []}, "grid.nnodes must be non-empty"),
+        ({"batch_sizes": [16, 16]}, "grid.batch_sizes[1] repeats grid.batch_sizes[0]"),
+    ])
+    def test_empty_or_repeating_axis_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                             grid, message):
+        cfg = tiny_train_config(tmp_path, n_seeds=1, grid=grid)
+        assert main(["grid", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_batch_size_of_one_exits_2(self, tmp_path, capsys):
         cfg = tiny_train_config(tmp_path, n_seeds=1, grid={"batch_sizes": [1]})
@@ -310,7 +336,7 @@ class TestSensitivityCommand:
 class TestSweepReruns:
     @pytest.mark.parametrize("command, grid, tables", [
         ("compare", None, {"runs.csv"}),
-        ("grid", {"batch_sizes": [16, 32, 16]}, {"grid.csv", "curve.csv"}),
+        ("grid", {"batch_sizes": [16, 32, 24]}, {"grid.csv", "curve.csv"}),
         ("sensitivity", None, {"sensitivity.csv"}),
     ])
     def test_rerun_into_the_same_directory_is_byte_identical(self, tmp_path, command, grid,
@@ -362,8 +388,6 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command, override, key", [
         ("sensitivity", {"network": {"nnode": [4]}}, "network.nnode"),
-        *((command, {"stratify": True}, "stratify")
-          for command in ("train", "compare", "grid", "sensitivity")),
         *(("train", {"training": {field: value}}, f"invalid training config: {field}")
           for field, value in (("early_stop_patience", 0), ("early_stop_patience", -7),
                                ("momentum", 1.0), ("momentum", -3.0), ("batch_size", 1))),
@@ -376,12 +400,13 @@ class TestConfigErrors:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override, key", [
-        ({"stratify_column": ["a"]}, "dataset.stratify_column"),
         ({"delimiter": ",,"}, "dataset.delimiter"),
         ({"path": 5}, "dataset.path"),
         ({"targets": ["y", 3]}, "dataset.targets[1]"),
         ({"task": None}, "dataset.task"),
         ({"target_bins": [1.0, "2"]}, "dataset.target_bins[1]"),
+        ({"task": "classification", "target_bins": [3.0, 3.0]}, "dataset.target_bins"),
+        ({"targets": ["y", "y"]}, "dataset.targets"),
     ])
     def test_csv_option_of_wrong_type_or_length_exits_2_naming_key(self, tmp_path, capsys,
                                                                    override, key):
@@ -519,7 +544,6 @@ class TestConfigErrors:
         ("train", {"dataset": {"source": "spatial-field", "n": 60, "with_coordinates": 0}},
          "dataset.with_coordinates"),
         ("compare", {"n_seeds": 2.0}, "n_seeds"),
-        ("train", {"stratify": "yes"}, "stratify"),
         ("grid", {"grid": {"output_options": [1.5]}, "n_seeds": 1}, "grid.output_options[0]"),
         *(("train", {section: {key: 10 ** 400}}, f"{section}.{key}")   # beyond float range
           for section, key in (("training", "learning_rate"), ("network", "dropout_rate"),
@@ -583,8 +607,7 @@ def _config_keys():
 
 
 # the JSON kinds a key takes where its default's kind does not tell them
-_KINDS = {"dataset.path": (str,), "dataset.stratify_column": (str,),
-          "dataset.target_bins": (list,), "dataset.targets": (str, list),
+_KINDS = {"dataset.path": (str,), "dataset.target_bins": (list,), "dataset.targets": (str, list),
           "network.activation": (str, list), "network.residual": (str, int),
           **{f"grid.{axis}": (list,) for axis in GRID_AXES}}
 _JSON_VALUES = [None, True, 3, 2.5, "x", [], {"a": 1}]

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tempfile
 from pathlib import Path
@@ -142,12 +143,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not numeric"):
             load_csv(p, ["y"], "regression")
 
-    def test_stratify_column_kept_out_of_features(self, tmp_path):
+    def test_repeated_target_column_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("a,day,y\n1,d1,2\n2,d1,3\n3,d2,4\n")
-        ds = load_csv(p, ["y"], "regression", stratify_column="day")
-        assert ds.feature_names == ["a"]
-        assert list(ds.stratify) == ["d1", "d1", "d2"]
+        p.write_text("a,y\n1,2\n2,3\n")
+        with pytest.raises(ValueError, match=r"^target_columns must be distinct names, "
+                                             r"got \['y', 'y'\]$"):
+            load_csv(p, ["y", "y"], "regression")
 
     def test_manifest_reports_counts(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -240,6 +241,11 @@ class TestBinToClasses:
         with pytest.raises(ValueError):
             bin_to_classes(np.array([1.0]), [10, 8])
 
+    @pytest.mark.parametrize("bounds", [[10.0, 10.0], [1, 5, 5, 9]])
+    def test_repeated_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match=r"^target_bins must be strictly increasing"):
+            bin_to_classes(np.array([1.0]), bounds)
+
     def test_empty_bounds_rejected(self):
         with pytest.raises(ValueError, match="target_bins must be non-empty"):
             bin_to_classes(np.array([1.0]), [])
@@ -271,33 +277,27 @@ class TestSplit:
         ds = generate_simulated(n=77, seed=0)
         assert not np.array_equal(split(ds, seed=1).test, split(ds, seed=2).test)
 
-    def test_stratified_preserves_per_label_proportions(self):
-        rng = np.random.default_rng(0)
-        n = 200
-        labels = np.array(["a"] * 120 + ["b"] * 50 + ["c"] * 30)
-        ds = Dataset(features=rng.normal(size=(n, 2)), targets=rng.normal(size=(n, 1)),
-                     feature_names=["f1", "f2"], target_names=["y"],
-                     task="regression", stratify=labels)
-        s = split(ds, seed=3, stratify=True)
-        for label, count in (("a", 120), ("b", 50), ("c", 30)):
-            n_test = sum(labels[i] == label for i in s.test)
-            assert abs(n_test - round(0.2 * count)) <= 1
-
-    def test_small_stratum_falls_back_with_warning(self):
-        rng = np.random.default_rng(1)
-        labels = np.array(["a"] * 46 + ["b"] * 4)
-        ds = Dataset(features=rng.normal(size=(50, 2)), targets=rng.normal(size=(50, 1)),
-                     feature_names=["f1", "f2"], target_names=["y"],
-                     task="regression", stratify=labels)
-        with pytest.warns(UserWarning, match="fell back"):
-            s = split(ds, seed=0, stratify=True)
-        merged = np.concatenate([s.train, s.validation, s.test])
-        assert sorted(merged.tolist()) == list(range(50))
-
-    def test_stratify_without_column_rejected(self):
-        ds = generate_simulated(n=30, seed=0)
-        with pytest.raises(ValueError, match="stratify"):
-            split(ds, seed=0, stratify=True)
+    # sha256 of train, validation and test indices, concatenated as int64 bytes
+    @pytest.mark.parametrize("n, seed, sizes, digest", [
+        (10, 0, (6, 2, 2),
+         "0ef386fceaf67c1bc772dc2abc47726afc0d9f86afdbd9935820327630ab805c"),
+        (37, 1, (24, 6, 7),
+         "d98590a5dc639855190c2548c02d73a43dab835f09f9eb6daa2e1e4e5eb06e94"),
+        (299, 2, (191, 48, 60),
+         "763ac647c7632e6d4ee09c44831aff5f38af265ab5fa0c7d38e0bd87cb860849"),
+        (1000, 7, (640, 160, 200),
+         "17779fe7d59eb82e525929ba51b0dc4b5fd58e05df43023ef3bd91910cc4d96e"),
+        (5000, 123456, (3200, 800, 1000),
+         "b732e8285aa046ed7fa245efb7da04030bd1da8dd10a4032efcd029f305b0c51"),
+    ])
+    def test_indices_match_their_pinned_digest(self, n, seed, sizes, digest):
+        ds = Dataset(features=np.zeros((n, 1)), targets=np.zeros((n, 1)),
+                     feature_names=["x"], target_names=["y"], task="regression")
+        s = split(ds, seed=seed)
+        parts = (s.train, s.validation, s.test)
+        assert tuple(len(a) for a in parts) == sizes
+        assert all(a.dtype == np.int64 for a in parts)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest() == digest
 
     def test_too_small_rejected(self):
         ds = generate_simulated(n=9, seed=0)

@@ -303,7 +303,6 @@ def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip()
 @pytest.mark.parametrize("kwargs, message", [
     ({"reconstruction_weight": -0.5}, "reconstruction_weight must be >= 0"),
     ({"reconstruction_weight": "1"}, "reconstruction_weight must be a number"),
-    ({"stratify": 1}, "stratify must be true or false"),
 ])
 def test_shared_settings_are_checked_when_made(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -353,6 +352,22 @@ class TestGridSearch:
         spec = make_spec(ds, (6, 3))
         with pytest.raises(ValueError):
             grid_search(ds, spec, tiny_cfg(), {"batch_sizes": []}, n_seeds=1)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"batch_sizes": [16], "nnodes": []}, "grid.nnodes must be non-empty"),
+        ({"batch_sizes": [16, 32, 16]}, r"grid.batch_sizes\[2\] repeats grid.batch_sizes\[0\]"),
+        ({"nnodes": [[6, 3], [8, 4], [8, 4]]}, r"grid.nnodes\[2\] repeats grid.nnodes\[1\]"),
+        ({"activations": ["elu", "tanh", "elu"]},
+         r"grid.activations\[2\] repeats grid.activations\[0\]"),
+        ({"output_options": [2, 2]},
+         r"grid.output_options\[1\] repeats grid.output_options\[0\]"),
+    ], ids=["empty-nnodes", "repeated-batch", "repeated-nnode",
+            "repeated-activation", "repeated-option"])
+    def test_empty_or_repeating_axis_rejected_naming_it(self, grid, message):
+        ds = generate_simulated(n=150, seed=0)
+        spec = make_spec(ds, (6, 3))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_search(ds, spec, tiny_cfg(), grid, n_seeds=1)
 
     @pytest.mark.parametrize("grid, message", [
         ({"batch_sizes": [16, 32.9]}, r"grid.batch_sizes\[1\] must be an integer, got 32.9"),

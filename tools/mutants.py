@@ -73,10 +73,19 @@ MUTANTS = (
     Mutant("sweep-hands-every-job-the-template-seed", "src/resae/evaluation.py",
            "Job(v.label, v.spec, replace(v.cfg, seed=seed))", "Job(v.label, v.spec, v.cfg)",
            ("tests/test_evaluation.py::test_each_run_equals_its_job_run_alone",)),
-    Mutant("job-split-ignores-stratify", "src/resae/evaluation.py",
-           "stratify=shared.stratify)", "stratify=False)",
-           ("tests/test_cli.py::TestCompareCommand"
-            "::test_stratified_sweep_on_a_categorical_column_equals_the_library_run",)),
+    Mutant("split-swaps-validation-and-test", "src/resae/data.py",
+           "validation=order[n_test:n_test + n_val],\n"
+           "                        test=order[:n_test])",
+           "validation=order[:n_test],\n"
+           "                        test=order[n_test:n_test + n_val])",
+           ("tests/test_data.py::TestSplit::test_indices_match_their_pinned_digest",)),
+    Mutant("grid-repeat-check-skips-the-previous-value", "src/resae/evaluation.py",
+           "if value in axes[key][:i]:", "if value in axes[key][:i - 1]:",
+           ("tests/test_evaluation.py::TestGridSearch"
+            "::test_empty_or_repeating_axis_rejected_naming_it",)),
+    Mutant("bin-bounds-allow-a-repeat", "src/resae/data.py",
+           "any(lo >= hi for", "any(lo > hi for",
+           ("tests/test_data.py::TestBinToClasses::test_repeated_bound_rejected",)),
     Mutant("train-drops-the-shared-settings", "src/resae/cli.py",
            'Job("train", run.spec, run.train_cfg), run.shared)',
            'Job("train", run.spec, run.train_cfg), SharedSettings())',
