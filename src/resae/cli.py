@@ -31,9 +31,9 @@ from .evaluation import (
     run_job,
     sensitivity_variants,
 )
-from .matrix import checked_json, checked_json_list, checked_names, field_types
+from .matrix import checked_json, checked_json_list, checked_names, read_record
 from .network import NetworkSpec
-from .training import Regularizer, TrainConfig, TrainingDiverged, dataset_dims
+from .training import TrainConfig, TrainingDiverged, dataset_dims
 
 
 class ConfigError(ValueError):
@@ -62,11 +62,7 @@ DEFAULT_CONFIG = {
            for f in fields(NetworkSpec) if f.default is not MISSING},
     },
     "training": asdict(TrainConfig(seed=1)),   # the section is TrainConfig's fields
-    "loss": {
-        "reconstruction_weight": 1.0,
-        "regularizer": "none",
-        "coefficient": 0.0,
-    },
+    "loss": asdict(SharedSettings()),          # and this one SharedSettings'
     "n_seeds": 5,
     "grid": dict.fromkeys(GRID_AXES),   # every axis unset
     "out_dir": "runs/out",
@@ -123,56 +119,49 @@ def _read(check, *args, prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _checked(value, kind: type, name: str):
-    """The config value `name` as kind, if its JSON type fits (see checked_json)."""
+def _checked(value, kind, name: str):
+    """The config value `name` as kind, if it fits (see checked_json)."""
     return _read(checked_json, value, kind, name)
 
 
-# Readers of the two dataset kinds that are not one JSON type (see checked_json)
-NAMES, NUMBERS = checked_names, lambda value, name: checked_json_list(value, float, name)
-
-
-# {source: (maker, {config key: (maker argument, JSON kind)})}; null fits a key whose
-# default is null.  Makers look data_mod's functions up when called, as a tracer may wrap them.
+# {source: (maker, {config key, also the maker's argument: JSON kind or reader})}; null fits
+# a key whose default is null.  Makers look data_mod's functions up when called, as a tracer
+# may wrap them.
 DATASET_KEYS = {
     "simulate": (lambda **arguments: data_mod.generate_simulated(**arguments),
-                 {"n": ("n", int), "seed": ("seed", int), "noise_sd": ("noise_sd", float)}),
+                 {"n": int, "seed": int, "noise_sd": float}),
     "csv": (lambda **arguments: data_mod.load_csv(**arguments),
-            {"path": ("path", str), "targets": ("target_columns", NAMES), "task": ("task", str),
-             "target_bins": ("target_bins", NUMBERS), "delimiter": ("delimiter", str)}),
+            {"path": str, "targets": checked_names, "task": str, "delimiter": str,
+             "target_bins": lambda value, name: checked_json_list(value, float, name)}),
     "spatial-field": (lambda **arguments: data_mod.generate_spatial_field(**arguments),
-                      {"n": ("n", int), "seed": ("seed", int),
-                       "with_coordinates": ("with_coordinates", bool)}),
+                      {"n": int, "seed": int, "with_coordinates": bool}),
 }
-_DATASET_KINDS = {key: kind for _, keys in DATASET_KEYS.values()
-                 for key, (_, kind) in keys.items()}
+_DATASET_KINDS = {key: kind for _, keys in DATASET_KEYS.values() for key, kind in keys.items()}
 
 
 def _dataset_value(d: dict, key: str):
     """dataset.key as its JSON kind, if it fits; a ConfigError names it otherwise."""
-    value, kind, name = d[key], _DATASET_KINDS[key], f"dataset.{key}"
-    if value is None and DEFAULT_CONFIG["dataset"][key] is None:
+    if d[key] is None and DEFAULT_CONFIG["dataset"][key] is None:
         return None
-    return _checked(value, kind, name) if isinstance(kind, type) else _read(kind, value, name)
+    return _checked(d[key], _DATASET_KINDS[key], f"dataset.{key}")
 
 
 def build_dataset(cfg: dict):
-    """The chosen source's dataset, its keys read as their JSON kinds.  A maker's
-    message that starts with one of its arguments becomes a ConfigError naming that
-    argument's config key.  A key of another source must keep its default and kind."""
+    """The chosen source's dataset, its keys read as their kinds and passed as the
+    maker's arguments; a maker's message that starts with one of them becomes a
+    ConfigError naming it.  A key of another source must keep its default and kind."""
     d = cfg["dataset"]
     if not isinstance(d["source"], str) or d["source"] not in DATASET_KEYS:
         raise ConfigError(f"unknown dataset source {d['source']!r}")
     maker, keys = DATASET_KEYS[d["source"]]
     if d["source"] == "csv" and not d["path"]:
         raise ConfigError("dataset.path is required for source=csv")
-    arguments = {argument: _dataset_value(d, key) for key, (argument, _) in keys.items()}
+    arguments = {key: _dataset_value(d, key) for key in keys}
     try:
         dataset = maker(**arguments)
     except ValueError as exc:
-        argument, _, rest = str(exc).partition(" ")
-        key = {arg: key for key, (arg, _) in keys.items()}.get(argument)
-        if key is None:
+        key, _, rest = str(exc).partition(" ")
+        if key not in keys:
             raise
         raise ConfigError(f"dataset.{key} {rest}") from None
     for key, value in d.items():
@@ -184,29 +173,19 @@ def build_dataset(cfg: dict):
 
 
 def build_spec(cfg: dict, dataset) -> NetworkSpec:
-    """The network section, read by NetworkSpec.from_dict, with nfea and k from the data."""
-    return _read(NetworkSpec.from_dict, {**cfg["network"], **dataset_dims(dataset)},
+    """The network section, read by read_record as a NetworkSpec; nfea and k from the data."""
+    return _read(read_record, NetworkSpec, {**cfg["network"], **dataset_dims(dataset)},
                  "network", NETWORK_KEYS)
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    """Each of TrainConfig's fields, read from the training section as its annotated
-    type, in field order; a TrainConfig checks its ranges when made."""
-    return _read(TrainConfig, *(_checked(cfg["training"][key], kind, f"training.{key}")
-                                for key, kind in field_types(TrainConfig)),
-                 prefix="invalid training config: ")
+    """The training section, read by read_record as a TrainConfig."""
+    return _read(read_record, TrainConfig, cfg["training"], "training")
 
 
 def build_shared(cfg: dict) -> SharedSettings:
-    """The loss section's penalty and reconstruction weight as the record every
-    job shares; a Regularizer and the record validate themselves."""
-    loss = cfg["loss"]
-    regularizer = _read(Regularizer, _checked(loss["regularizer"], str, "loss.regularizer"),
-                        _checked(loss["coefficient"], float, "loss.coefficient"),
-                        prefix="invalid loss config: ")
-    return _read(SharedSettings, regularizer,
-                 _checked(loss["reconstruction_weight"], float, "loss.reconstruction_weight"),
-                 prefix="invalid loss config: ")
+    """The loss section, read by read_record as the SharedSettings every job shares."""
+    return _read(read_record, SharedSettings, cfg["loss"], "loss")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -149,14 +149,7 @@ def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[s
     return classes, names
 
 
-def checked_delimiter(value, name: str = "delimiter") -> str:
-    """A one-character string; anything else is a ValueError naming `name`."""
-    if len(checked_json(value, str, name)) != 1:
-        raise ValueError(f"{name} must be one character, got {value!r}")
-    return value
-
-
-def load_csv(path, target_columns, task: str, target_bins=None,
+def load_csv(path, targets, task: str, target_bins=None,
              delimiter: str = ",") -> Dataset:
     """Load a header-ed CSV into a Dataset.
 
@@ -172,12 +165,13 @@ def load_csv(path, target_columns, task: str, target_bins=None,
     """
     if task not in TASKS:
         raise ValueError(f"task must be regression or classification, got {task!r}")
-    if isinstance(target_columns, str):
-        target_columns = [target_columns]
+    target_columns = [targets] if isinstance(targets, str) else list(targets)
     if len(set(target_columns)) != len(target_columns):
-        raise ValueError(f"target_columns must be distinct names, got {list(target_columns)}")
+        raise ValueError(f"targets must be distinct names, got {target_columns}")
+    if len(checked_json(delimiter, str, "delimiter")) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=checked_delimiter(delimiter))
+        reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -237,29 +231,29 @@ def load_csv(path, target_columns, task: str, target_bins=None,
     n_classes = None
     if task == "classification":
         if len(target_columns) != 1:
-            raise ValueError("classification expects a single target column")
+            raise ValueError(f"targets must name one column to classify, got {target_columns}")
         name = target_columns[0]
         if target_bins is not None:
             if name not in numeric:
-                raise ValueError(f"target {name!r} must be numeric to bin")
+                raise ValueError(f"target_bins needs a numeric target, {name!r} is not numeric")
             classes, class_names = bin_to_classes(numeric[name][keep], target_bins)
         else:
             labels, classes = np.unique(kept[name], return_inverse=True)
             class_names = labels.tolist()
         encodings[name] = class_names
-        targets = classes.astype(np.float64).reshape(-1, 1)
+        y = classes.astype(np.float64).reshape(-1, 1)
         n_classes = len(class_names)
     else:
         for name in target_columns:
             if name not in numeric:
-                raise ValueError(f"regression target {name!r} is not numeric")
-        targets = np.column_stack([numeric[name][keep] for name in target_columns])
+                raise ValueError(f"targets must be numeric columns, {name!r} is not numeric")
+        y = np.column_stack([numeric[name][keep] for name in target_columns])
 
     if not feature_blocks:
         raise ValueError(f"{path}: no feature columns left after removing the targets")
 
-    return Dataset(features=np.column_stack(feature_blocks), targets=targets,
-                   feature_names=feature_names, target_names=list(target_columns),
+    return Dataset(features=np.column_stack(feature_blocks), targets=y,
+                   feature_names=feature_names, target_names=target_columns,
                    task=task, n_classes=n_classes, n_dropped=n_dropped, encodings=encodings)
 
 

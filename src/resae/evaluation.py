@@ -15,11 +15,10 @@ from itertools import product
 import numpy as np
 
 from .data import Dataset, split
-from .matrix import checked_json, checked_json_list
+from .matrix import check_field_types, checked_json_list
 from .network import NetworkSpec, network_layout
 from .training import (
     FittedModel,
-    LossSpec,
     Regularizer,
     TrainConfig,
     TrainingDiverged,
@@ -169,13 +168,21 @@ class RunResult:
 @dataclass(frozen=True)
 class SharedSettings:
     """What every job shares besides the dataset, checked when made: the loss
-    section's penalty and reconstruction weight."""
+    section, a weight penalty and the reconstruction weight."""
 
-    regularizer: Regularizer = Regularizer()
+    regularizer: str = "none"   # the penalty's kind: "none" | "l1" | "l2"
+    coefficient: float = 0.0
     reconstruction_weight: float = 1.0
 
     def __post_init__(self):
-        LossSpec("mse", self.reconstruction_weight)   # the weight's type and range
+        check_field_types(self)
+        self.penalty   # a Regularizer checks its kind and coefficient when made
+        if not self.reconstruction_weight >= 0:
+            raise ValueError("reconstruction_weight must be >= 0")
+
+    @property
+    def penalty(self) -> Regularizer:
+        return Regularizer(self.regularizer, self.coefficient)
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,7 @@ def run_job(dataset: Dataset, job: Job,
     split_idx = split(dataset, seed=job.cfg.seed)
     try:
         model = train_model(dataset, split_idx, job.spec, job.cfg,
-                            shared.regularizer, shared.reconstruction_weight)
+                            shared.penalty, shared.reconstruction_weight)
     except TrainingDiverged as exc:
         return RunResult(seed=job.cfg.seed, arm=job.label, converged=False,
                          parameter_count=network_layout(job.spec).count_parameters(),
@@ -369,7 +376,10 @@ class GridResult:
         _write_csv(path, ["batch_size", "mean_val_metric"], self.batch_size_curve())
 
 
-GRID_AXES = ("nnodes", "activations", "output_options", "batch_sizes")   # product order
+# each grid axis's value kind (see checked_json), in product order
+GRID_KINDS = {"nnodes": NetworkSpec.READERS["nnode"], "activations": str,
+              "output_options": int, "batch_sizes": int}
+GRID_AXES = tuple(GRID_KINDS)
 
 
 def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
@@ -390,12 +400,7 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
         if key not in axes:
             raise ValueError(f"grid.{key} is not a grid axis; the axes are "
                              f"{', '.join(GRID_AXES)}")
-        if key == "nnodes":
-            axes[key] = [tuple(checked_json_list(nnode, int, f"grid.nnodes[{i}]"))
-                         for i, nnode in enumerate(checked_json(values, list, "grid.nnodes"))]
-        else:
-            axes[key] = checked_json_list(values, str if key == "activations" else int,
-                                          f"grid.{key}")
+        axes[key] = checked_json_list(values, GRID_KINDS[key], f"grid.{key}")
         if not axes[key]:
             raise ValueError(f"grid.{key} must be non-empty")
         for i, value in enumerate(axes[key]):

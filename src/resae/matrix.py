@@ -12,7 +12,7 @@ import functools
 import json
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -39,10 +39,14 @@ _JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                list: ((list, tuple), "a list"), dict: ((dict,), "a JSON object")}
 
 
-def checked_json(value, kind: type, name: str):
+def checked_json(value, kind, name: str):
     """value as kind, if its JSON type fits: bool takes only true/false, int
     only integers, float any number that a float holds; a boolean is never a
-    number, and null fits no kind.  Otherwise a ValueError names `name`."""
+    number, and null fits no kind.  Otherwise a ValueError names `name`.  A
+    kind that is not a type reads a value that is not one JSON type, called
+    as kind(value, name)."""
+    if not isinstance(kind, type):
+        return kind(value, name)
     types, expected = _JSON_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         raise ValueError(f"{name} must be {expected}, got {json.dumps(value, default=repr)}")
@@ -53,7 +57,7 @@ def checked_json(value, kind: type, name: str):
                          "got an integer too large for a float") from None
 
 
-def checked_json_list(value, kind: type, name: str) -> list:
+def checked_json_list(value, kind, name: str) -> list:
     return [checked_json(v, kind, f"{name}[{i}]")
             for i, v in enumerate(checked_json(value, list, name))]
 
@@ -70,15 +74,43 @@ def checked_names(value, name: str) -> str | tuple[str, ...]:
 
 @functools.cache
 def field_types(cls: type) -> tuple[tuple[str, type], ...]:
-    """(name, annotated type) of each of a dataclass's fields, resolved once
-    per class: get_type_hints evaluates every annotation on each call."""
-    return tuple(get_type_hints(cls).items())
+    """(name, kind) of each of a dataclass's fields, resolved once per class
+    (get_type_hints evaluates every annotation on each call): its annotated
+    type, or the reader that the class's READERS maps it to (see checked_json)."""
+    readers = getattr(cls, "READERS", {})
+    return tuple((name, readers.get(name, kind)) for name, kind in get_type_hints(cls).items())
 
 
 def check_field_types(record) -> None:
-    """Each field of a dataclass record checked as its annotated type (see checked_json)."""
+    """Each field of a dataclass record read as its kind (see field_types); a
+    field that a reader reads keeps what it returns, such as a list as a tuple."""
     for name, kind in field_types(type(record)):
-        checked_json(getattr(record, name), kind, name)
+        value = checked_json(getattr(record, name), kind, name)
+        if not isinstance(kind, type):
+            object.__setattr__(record, name, value)
+
+
+def read_record(cls, doc: dict, where: str, keys: dict[str, str] | None = None):
+    """The dataclass record cls read from the JSON object doc, the one reader of
+    a config section or a saved record: each field is read as its kind (see
+    field_types), never coerced, and a ValueError names it as where.key, then a
+    range error from cls's own checks as "invalid {where} config".  A field with
+    a default may be absent; keys maps a field to the document's key, where
+    they differ."""
+    key_of = {name: (keys or {}).get(name, name) for name, _ in field_types(cls)}
+    missing = [key_of[f.name] for f in fields(cls) if key_of[f.name] not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{where} is missing fields {missing}")
+    unknown = sorted(set(doc) - set(key_of.values()))
+    if unknown:
+        raise ValueError(f"{where} has unknown fields {unknown}")
+    values = {name: checked_json(doc[key_of[name]], kind, f"{where}.{key_of[name]}")
+              for name, kind in field_types(cls) if key_of[name] in doc}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"invalid {where} config: {exc}") from None
 
 
 def checked_entry(doc: dict, key: str, kind: type, name: str):

@@ -15,7 +15,7 @@ set of the residual and regular variants of one spec is identical.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,14 +32,16 @@ from .layers import (
 from .matrix import (
     Matrix,
     Rng,
+    check_field_types,
     checked_entry,
     checked_json,
     checked_json_list,
     checked_names,
-    field_types,
+    read_record,
 )
 
 RESIDUAL_POST_OPS = ("none", "activation", "activation_batchnorm")
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -62,6 +64,13 @@ class NetworkSpec:
     use_batchnorm: bool = True
     dropout_placement: str = "code"   # "code" (innermost layer only) or "all"
 
+    # the fields that are not one JSON type: a list of integers, kept as a tuple,
+    # one activation name or a list of names, and "full", "off" or an integer
+    READERS = {"nnode": lambda value, name: tuple(checked_json_list(value, int, name)),
+               "acts": checked_names,
+               "residual": lambda value, name: value if value in ("full", "off") else
+                   checked_json(value, int, f'{name}, if not "full" or "off",')}
+
     @property
     def n_shortcut_pairs(self) -> int:
         """Available identity pairs: one per hidden mirror plus the input pair."""
@@ -80,10 +89,7 @@ class NetworkSpec:
     def __post_init__(self):
         """Each field's type, then its range, checked when made; a ValueError names it.
         nnode, and acts if a list, are kept as tuples, so a spec hashes and equals its twin."""
-        for field_name, kind in field_types(NetworkSpec):
-            value = _checked_field(field_name, kind, getattr(self, field_name), field_name)
-            if field_name in ("nnode", "acts"):
-                object.__setattr__(self, field_name, value)
+        check_field_types(self)
         if len(self.nnode) == 0:
             raise ValueError("nnode must be non-empty")
         if any(w < 1 for w in self.nnode):
@@ -115,38 +121,9 @@ class NetworkSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "spec",
                   keys: dict[str, str] | None = None) -> "NetworkSpec":
-        """Inverse of to_dict, and the one reader of a spec from JSON: each
-        field's JSON type is checked, never coerced, and a ValueError names
-        it as where.key, then a range error as "invalid {where} config".  Fields
-        other than nfea, nnode and k default when absent; keys maps a field to
-        the document's key, where they differ."""
-        key_of = {f.name: (keys or {}).get(f.name, f.name) for f in fields(cls)}
-        missing = [key_of[f] for f in ("nfea", "nnode", "k") if key_of[f] not in d]
-        if missing:
-            raise ValueError(f"{where} is missing fields {missing}")
-        unknown = sorted(set(d) - set(key_of.values()))
-        if unknown:
-            raise ValueError(f"{where} has unknown fields {unknown}")
-        values = {field_name: _checked_field(field_name, kind, d[key_of[field_name]],
-                                             f"{where}.{key_of[field_name]}")
-                  for field_name, kind in field_types(cls) if key_of[field_name] in d}
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            raise ValueError(f"invalid {where} config: {exc}") from None
-
-
-def _checked_field(field_name: str, kind, value, name: str):
-    """A spec field's value as its type (see checked_json): nnode a list of integers, as a
-    tuple, acts one name or a list of names, residual "full", "off" or an integer."""
-    if field_name == "nnode":
-        return tuple(checked_json_list(value, int, name))
-    if field_name == "acts":
-        return checked_names(value, name)
-    if field_name == "residual":
-        kind, name = ((str, name) if value in ("full", "off") else
-                      (int, f'{name}, if not "full" or "off",'))
-    return checked_json(value, kind, name)
+        """Inverse of to_dict, by read_record: fields other than nfea, nnode
+        and k default when absent."""
+        return read_record(cls, d, where, keys)
 
 
 @dataclass
@@ -312,10 +289,17 @@ class Network:
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one."""
+        ValueError names the first bad one; layers and parameter_count must be
+        the spec's own."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
         net = network_layout(NetworkSpec.from_dict(checked_entry(d, "spec", dict, "spec")))
+        if checked_entry(d, "layers", list, "layers") != net.layer_summary():
+            raise ValueError("layers must be the layer summary of the spec's network")
+        count = checked_entry(d, "parameter_count", int, "parameter_count")
+        if count != net.count_parameters():
+            raise ValueError(f"parameter_count must be the spec's network's "
+                             f"{net.count_parameters()}, got {count}")
         state = {}
         for name, entry in checked_entry(d, "weights", dict, "weights").items():
             where = f"weights.{name}"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import TASKS
 from .matrix import (Matrix, Rng, StandardizeStats, check_field_types, checked_entry,
-                     standardize_fit_apply)
+                     read_record, standardize_fit_apply)
 from .network import Network, NetworkSpec, Param, Predictions, build_network
 
 LOSS_KINDS = ("mse", "mse_reconstruction", "cross_entropy")
@@ -308,6 +308,13 @@ def make_spec(dataset, nnode, **overrides) -> NetworkSpec:
                    **overrides)
 
 
+def loss_kind(task: str, spec: NetworkSpec) -> str:
+    """The loss a network trains on: cross entropy for classification, else
+    squared error, with reconstruction for output option 2."""
+    return ("cross_entropy" if task == "classification" else
+            "mse_reconstruction" if spec.output_option == 2 else "mse")
+
+
 @dataclass
 class FittedModel:
     """A trained network plus the preprocessing needed to score raw rows."""
@@ -353,12 +360,7 @@ class FittedModel:
         task = checked_entry(d, "task", str, "task")
         if task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-        loss_doc = checked_entry(d, "loss", dict, "loss")
-        kind = checked_entry(loss_doc, "kind", str, "loss.kind")
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"loss.kind must be one of {LOSS_KINDS}, got {kind!r}")
-        loss = LossSpec(kind, checked_entry(loss_doc, "reconstruction_weight", float,
-                                            "loss.reconstruction_weight"))
+        loss = read_record(LossSpec, checked_entry(d, "loss", dict, "loss"), "loss")
         if task == "classification" and d.get("target_stats") is not None:
             raise ValueError("target_stats must be null for a classification model")
         network = Network.from_dict(checked_entry(d, "network", dict, "network"))
@@ -372,6 +374,10 @@ class FittedModel:
             if stats is not None and stats.n_columns != width:
                 raise ValueError(f"{name} must have the network's {dim} = {width} columns, "
                                  f"got {stats.n_columns}")
+        kind = loss_kind(task, network.spec)
+        if loss.kind != kind:
+            raise ValueError(f"loss.kind must be {kind!r} for a {task} network with "
+                             f"output_option {network.spec.output_option}, got {loss.kind!r}")
         return cls(network=network, feature_stats=feature_stats, target_stats=target_stats,
                    task=task, loss=loss)
 
@@ -381,15 +387,13 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
                 reconstruction_weight: float = 1.0) -> FittedModel:
     """Standardize, build, and fit one network on a train/validation split.
 
-    The loss is cross entropy for classification, else squared error (with
-    reconstruction for output option 2).  Features, and regression targets,
-    are standardized on the training partition.  The history's val_metric
-    is the task's headline metric as evaluate_model scores it.
+    The loss is loss_kind's, at the given reconstruction weight.  Features,
+    and regression targets, are standardized on the training partition.  The
+    history's val_metric is the task's headline metric as evaluate_model
+    scores it.
     """
     from .evaluation import HEADLINE_METRIC   # evaluation imports this module
 
-    kind = ("cross_entropy" if dataset.task == "classification" else
-            "mse_reconstruction" if spec.output_option == 2 else "mse")
     x_tr, feature_stats = standardize_fit_apply(dataset.features[split.train])
     x_val = feature_stats.apply(dataset.features[split.validation])
     y_tr, y_val = dataset.targets[split.train], dataset.targets[split.validation]
@@ -398,7 +402,8 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
         y_tr, target_stats = standardize_fit_apply(y_tr)
     model = FittedModel(network=build_network(spec, rng=Rng(cfg.seed).spawn(1)),
                         feature_stats=feature_stats, target_stats=target_stats,
-                        task=dataset.task, loss=LossSpec(kind, reconstruction_weight))
+                        task=dataset.task,
+                        loss=LossSpec(loss_kind(dataset.task, spec), reconstruction_weight))
     headline = HEADLINE_METRIC[model.task]
 
     def val_metric(preds: Predictions) -> float:

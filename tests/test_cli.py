@@ -4,6 +4,7 @@ import json
 import shutil
 import tempfile
 from contextlib import redirect_stderr
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from spec_strategies import network_specs
 
-from resae.cli import (DEFAULT_CONFIG, build_dataset, build_shared, build_spec,
+from resae.cli import (DEFAULT_CONFIG, NETWORK_KEYS, build_dataset, build_shared, build_spec,
                        build_train_config, load_config, main)
 from resae.data import Dataset, generate_simulated
-from resae.evaluation import GRID_AXES, compare, grid_search
-from resae.training import FittedModel
+from resae.evaluation import GRID_AXES, SharedSettings, compare, grid_search
+from resae.network import NetworkSpec
+from resae.training import FittedModel, TrainConfig
 
 
 def tiny_train_config(tmp_path, **overrides):
@@ -498,6 +500,23 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: dataset.{key} must be {expected}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"targets": ["y", "a"], "task": "classification"},
+         "dataset.targets must name one column to classify, got ['y', 'a']"),
+        ({"targets": ["site"]}, "dataset.targets must be numeric columns, 'site' is not numeric"),
+        ({"targets": "site", "task": "classification", "target_bins": [1.0]},
+         "dataset.target_bins needs a numeric target, 'site' is not numeric"),
+    ], ids=["two-classification-targets", "text-regression-target", "bins-on-a-text-target"])
+    def test_csv_target_that_cannot_be_read_exits_2_naming_key(self, tmp_path, capsys,
+                                                               override, message):
+        data = tmp_path / "t.csv"
+        data.write_text("a,site,y\n" + "".join(f"{i},s{i % 3},{2 * i}\n" for i in range(20)))
+        cfg = tiny_train_config(tmp_path, dataset={"source": "csv", "path": str(data),
+                                                   **override})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_key_of_another_source_may_be_an_integer_where_a_number_is_read(self, tmp_path):
         data = tmp_path / "t.csv"
         data.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{2 * i}\n" for i in range(30)))
@@ -527,6 +546,7 @@ class TestConfigErrors:
         ("train", {"network": {"nnode": [8.9, 4]}}, "network.nnode[0]"),
         ("train", {"network": {"residual": 1.5}}, "network.residual"),
         ("train", {"network": {"activation": None}}, "network.activation"),
+        ("train", {"network": {"activation": ["elu", 3]}}, "network.activation[1]"),
         ("train", {"dataset": {"n": None}}, "dataset.n"),
         ("grid", {"grid": {"batch_sizes": [None]}, "n_seeds": 1}, "grid.batch_sizes[0]"),
         ("grid", {"grid": {"nnodes": [[8, 4.5]]}, "n_seeds": 1}, "grid.nnodes[0][1]"),
@@ -595,6 +615,15 @@ def test_network_section_written_from_a_spec_reads_back_to_that_spec(spec):
                       feature_names=[f"x{i}" for i in range(spec.nfea)],
                       target_names=[f"y{i}" for i in range(spec.k)], task="regression")
     assert build_spec(cfg, dataset).to_dict() == spec.to_dict()
+
+
+def test_each_record_section_defaults_to_its_records_own_defaults():
+    assert DEFAULT_CONFIG["training"] == asdict(TrainConfig(seed=1))
+    assert DEFAULT_CONFIG["loss"] == asdict(SharedSettings())
+    spec = asdict(NetworkSpec(nfea=3, nnode=(32, 16, 8, 4), k=1))
+    assert DEFAULT_CONFIG["network"] == {
+        NETWORK_KEYS.get(name, name): list(value) if name == "nnode" else value
+        for name, value in spec.items() if name not in ("nfea", "k")}
 
 
 def _config_keys():

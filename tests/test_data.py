@@ -146,7 +146,7 @@ class TestLoadCsv:
     def test_repeated_target_column_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,y\n1,2\n2,3\n")
-        with pytest.raises(ValueError, match=r"^target_columns must be distinct names, "
+        with pytest.raises(ValueError, match=r"^targets must be distinct names, "
                                              r"got \['y', 'y'\]$"):
             load_csv(p, ["y", "y"], "regression")
 

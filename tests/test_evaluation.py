@@ -281,7 +281,7 @@ def test_each_run_equals_its_job_run_alone(harness):
     # each run depends only on its own job (label, spec, train config at its seed)
     # and on what every job shares; a sweep adds nothing of its own
     ds = generate_simulated(n=150, seed=0)
-    shared = SharedSettings(Regularizer("l2", 1e-3), reconstruction_weight=0.5)
+    shared = SharedSettings("l2", 1e-3, reconstruction_weight=0.5)
     pairs = HARNESSES[harness](ds, make_spec(ds, (6, 3)), tiny_cfg(), shared)
     for job, run in pairs:
         assert run == run_job(ds, job, shared)[0]
@@ -290,7 +290,7 @@ def test_each_run_equals_its_job_run_alone(harness):
 def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip():
     ds = generate_simulated(n=150, seed=0)
     job = Job("residual", make_spec(ds, (6, 3), output_option=2), tiny_cfg(seed=4))
-    shared = SharedSettings(Regularizer("l1", 1e-3), reconstruction_weight=0.5)
+    shared = SharedSettings("l1", 1e-3, reconstruction_weight=0.5)
     job_back, shared_back = pickle.loads(pickle.dumps((job, shared)))
     assert (job_back, shared_back) == (job, shared)
     (run, model), (run_back, model_back) = run_job(ds, job, shared), run_job(ds, job_back,
@@ -303,10 +303,19 @@ def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip()
 @pytest.mark.parametrize("kwargs, message", [
     ({"reconstruction_weight": -0.5}, "reconstruction_weight must be >= 0"),
     ({"reconstruction_weight": "1"}, "reconstruction_weight must be a number"),
+    ({"regularizer": "l3"}, "unknown regularizer 'l3'"),
+    ({"regularizer": ["l2"]}, "regularizer must be a string"),
+    ({"regularizer": "l1", "coefficient": -1e-3}, "regularizer coefficient must be >= 0"),
+    ({"coefficient": True}, "coefficient must be a number"),
 ])
 def test_shared_settings_are_checked_when_made(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SharedSettings(**kwargs)
+
+
+def test_penalty_is_the_loss_sections_regularizer():
+    assert SharedSettings().penalty == Regularizer()
+    assert SharedSettings("l2", 1e-3, reconstruction_weight=0.5).penalty == Regularizer("l2", 1e-3)
 
 
 class TestGridSearch:

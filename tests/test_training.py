@@ -598,7 +598,8 @@ class TestModelDocument:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(task="regresion"), r"task must be one of .*'regresion'"),
-        (lambda d: d.update(loss={"kind": "mae"}), r"loss.kind must be one of .*'mae'"),
+        (lambda d: d.update(loss={"kind": "mae"}),
+         r"^invalid loss config: unknown loss kind 'mae', expected \("),
         (lambda d: _set_weight(d, 3, "0.5"),
          r'weights.L000.dense.W.data\[3\] must be a number, got "0.5"'),
         (lambda d: _set_weight(d, 0, True),
@@ -623,11 +624,28 @@ class TestModelDocument:
          r"feature_stats.constant_columns\[0\] must be a column index in \[0, 8\), got 99"),
         (lambda d: d["feature_stats"].update(constant_columns=[2, -4]),
          r"feature_stats.constant_columns\[1\] must be a column index in \[0, 8\), got -4"),
+        (lambda d: d["loss"].update(kind="cross_entropy"),
+         "^loss.kind must be 'mse' for a regression network with output_option 1, "
+         "got 'cross_entropy'$"),
+        (lambda d: d["loss"].update(kind="mse_reconstruction"),
+         "^loss.kind must be 'mse' for a regression network with output_option 1, "
+         "got 'mse_reconstruction'$"),
+        (lambda d: d["network"].update(parameter_count=7),
+         r"^parameter_count must be the spec's network's \d+, got 7$"),
+        (lambda d: d["network"].update(parameter_count="7"),
+         '^parameter_count must be an integer, got "7"$'),
+        (lambda d: d["network"].update(layers=[]),
+         "^layers must be the layer summary of the spec's network$"),
+        (lambda d: d["network"]["layers"][0].update(out=7),
+         "^layers must be the layer summary of the spec's network$"),
+        (lambda d: d["network"].pop("layers"), "^layers is missing$"),
     ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "huge-integer-weight",
             "zero-sd", "no-weights", "no-feature-stats", "null-target-stats",
             "no-target-stats", "classification-target-stats", "sd-length",
             "feature-stats-width", "target-stats-width", "constant-column-too-large",
-            "constant-column-negative"])
+            "constant-column-negative", "classification-loss-kind", "reconstruction-loss-kind",
+            "parameter-count", "string-parameter-count", "no-layer-summary",
+            "other-layer-summary", "missing-layer-summary"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)

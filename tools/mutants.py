@@ -108,6 +108,17 @@ MUTANTS = (
     Mutant("fit-stops-shuffling", "src/resae/training.py",
            "order = shuffle_rng.permutation(n)", "order = np.arange(n)",
            ("tests/test_training.py::test_fit_is_bit_identical_to_plain_per_array_reference",)),
+    Mutant("record-reader-names-the-field-not-the-key", "src/resae/matrix.py",
+           'f"{where}.{key_of[name]}"', 'f"{where}.{name}"',
+           ("tests/test_cli.py::TestConfigErrors::test_wrong_json_type_exits_2_naming_key",)),
+    Mutant("penalty-drops-the-coefficient", "src/resae/evaluation.py",
+           "return Regularizer(self.regularizer, self.coefficient)",
+           "return Regularizer(self.regularizer)",
+           ("tests/test_evaluation.py::test_penalty_is_the_loss_sections_regularizer",)),
+    Mutant("model-loader-trusts-the-loss-kind", "src/resae/training.py",
+           "if loss.kind != kind:", "if loss.kind not in LOSS_KINDS:",
+           ("tests/test_training.py::TestModelDocument"
+            "::test_bad_document_rejected_naming_field",)),
     Mutant("accuracy-takes-the-least-probable-class", "src/resae/evaluation.py",
            "np.asarray(probabilities).argmax(axis=1)", "np.asarray(probabilities).argmin(axis=1)",
            ("tests/test_evaluation.py"
