@@ -182,7 +182,7 @@ def load_csv(path, targets, task: str, target_bins=None,
         raise ValueError(f"{path}: duplicate column names in header {header}")
     for col in target_columns:
         if col not in header:
-            raise ValueError(f"{path}: column {col!r} not in header {header}")
+            raise ValueError(f"targets must name header columns, {col!r} is not in {header}")
 
     # one (rows, columns) table of stripped cells, and the mask of present ones
     width = len(header)

@@ -1,9 +1,13 @@
 """Network steps: dense, activations, batch norm, dropout, and the two ends
 of an identity shortcut.
 
-Every step has one interface: forward(x, train=False, rng=None) returns its
-output, backward(upstream) returns the gradient with respect to its input,
-and summary() returns its row of a serialized network's layer list.
+Every step has one interface: forward(x, train=False, scale=None) returns
+its output, backward(upstream) returns the gradient with respect to its
+input, and summary() returns its row of a serialized network's layer list.
+scale is the factor that the pass computes once for every step of a kind:
+a dropout step's mask in a train pass (one of dropout_masks), a batch-norm
+step's inverse sd in an inference pass (a view of inverse_sd's result); the
+other steps ignore it, and no step writes into it.
 
 Conventions: batches are (n, width) float64 matrices; each step caches what
 its backward needs during a train-mode forward, and an inference forward
@@ -66,6 +70,24 @@ def activation_backward(kind: str, z: Matrix, upstream: Matrix) -> Matrix:
     raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
+def inverse_sd(var: Matrix, out: Matrix | None = None) -> Matrix:
+    """1 / sqrt(var + BN_EPSILON), the scale batch norm normalizes by, in out if given."""
+    out = np.add(var, BN_EPSILON, out=out)
+    np.sqrt(out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def dropout_masks(rng: Rng, rate: float, n: int, bounds) -> list[Matrix]:
+    """Inverted-dropout masks (entries 0 or 1/(1-rate)) for a pass of n rows
+    through dropout steps whose columns, laid end to end, are the ranges
+    (lo, hi) of bounds: one draw of n * (last hi) uniforms, thresholded and
+    scaled at once.  A step's mask is the (n, hi - lo) view of its block
+    n*lo:n*hi of the draw, the blocks whole and in step order, so the masks
+    are those of one draw per step, in step order."""
+    keep = (rng.uniform(n * bounds[-1][1]) >= rate) / (1.0 - rate)
+    return [keep[n * lo:n * hi].reshape(n, hi - lo) for lo, hi in bounds]
+
+
 class Activation:
     """Pointwise activation step; a train-mode forward caches its pre-activation."""
 
@@ -75,7 +97,7 @@ class Activation:
         self.kind = kind
         self._z: Matrix | None = None
 
-    def forward(self, z: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+    def forward(self, z: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
         if train:
             self._z = z
         return activation_forward(self.kind, z)
@@ -112,7 +134,7 @@ class DenseLayer:
         self.W[...] = rng.normal(self.n_out, self.n_in, sd=scale)
         self.b[...] = 0.0
 
-    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"dense layer expects (n, {self.n_in}) input, got "
                              f"{x.shape}; weights are {self.W.shape}")
@@ -138,7 +160,8 @@ class BatchNormLayer:
 
     A train-mode forward normalizes with the batch stats and writes them into
     batch_mean and batch_var; the owning Network blends those into
-    running_mean and running_var, which an inference forward uses.
+    running_mean and running_var, which an inference forward uses, scaled by
+    the inverse sd of running_var that it is given.
     """
 
     PARAMS = ("gamma", "beta")
@@ -155,13 +178,12 @@ class BatchNormLayer:
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
         if x.shape[1] != self.width:
             raise ValueError(f"batchnorm expects width {self.width}, got {x.shape}")
-        if not train:
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
+        if not train:   # scale is inverse_sd(running_var)
             out = x - self.running_mean        # gamma * ((x - running_mean) * inv) + beta
-            out *= inv
+            out *= scale
             np.multiply(self.gamma, out, out=out)
             out += self.beta
             return out
@@ -176,7 +198,7 @@ class BatchNormLayer:
         xhat = x - mean
         var = np.add.reduce(xhat * xhat, axis=0, keepdims=True, out=self.batch_var)
         var /= n                                                    # population variance
-        inv = 1.0 / np.sqrt(var + BN_EPSILON)
+        inv = inverse_sd(var)
         xhat *= inv
         self._cache = (xhat, inv)
         out = self.gamma * xhat
@@ -211,8 +233,10 @@ class BatchNormLayer:
 class DropoutLayer:
     """Inverted dropout: train-mode masks scale by 1/(1-rate), inference is identity.
 
-    An inference forward leaves the last train-mode mask in place; with no
-    mask (rate 0, or no train-mode forward yet) backward is identity too."""
+    A train-mode forward applies the mask it is given (see dropout_masks) and
+    keeps it for backward.  An inference forward leaves the last train-mode
+    mask in place; with no mask (rate 0, or no train-mode forward yet)
+    backward is identity too."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -220,12 +244,11 @@ class DropoutLayer:
         self.rate = float(rate)
         self._mask: Matrix | None = None
 
-    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
         if not train or self.rate == 0.0:
             return x
-        keep = 1.0 - self.rate
-        self._mask = (rng.uniform(x.shape[0], x.shape[1]) >= self.rate) / keep
-        return x * self._mask
+        self._mask = scale
+        return x * scale
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._mask is None:
@@ -251,7 +274,7 @@ class ShortcutSave:
         self.tensor: Matrix | None = None
         self.grad: Matrix | None = None
 
-    def forward(self, x: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+    def forward(self, x: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
         self.tensor, self.grad = x, None
         return x
 
@@ -276,7 +299,7 @@ class ResidualAddNode:
         self.slot = save.slot
         self.label = label or f"shortcut slot {save.slot}"
 
-    def forward(self, deep: Matrix, train: bool = False, rng: Rng | None = None) -> Matrix:
+    def forward(self, deep: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
         shallow, self.save.tensor = self.save.tensor, None
         if shallow.shape != deep.shape:
             raise ValueError(f"residual shortcut shape mismatch at {self.label}: "

@@ -90,16 +90,18 @@ def check_field_types(record) -> None:
             object.__setattr__(record, name, value)
 
 
-def read_record(cls, doc: dict, where: str, keys: dict[str, str] | None = None):
+def read_record(cls, doc: dict, where: str, keys: dict[str, str] | None = None,
+                saved: bool = False):
     """The dataclass record cls read from the JSON object doc, the one reader of
     a config section or a saved record: each field is read as its kind (see
     field_types), never coerced, and a ValueError names it as where.key, then a
-    range error from cls's own checks as "invalid {where} config".  A field with
-    a default may be absent; keys maps a field to the document's key, where
+    range error from cls's own checks as "invalid {where} config".  A config
+    section may omit a field with a default; a saved record (saved) holds every
+    field its to_dict wrote.  keys maps a field to the document's key, where
     they differ."""
     key_of = {name: (keys or {}).get(name, name) for name, _ in field_types(cls)}
-    missing = [key_of[f.name] for f in fields(cls) if key_of[f.name] not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
+    missing = [key_of[f.name] for f in fields(cls) if key_of[f.name] not in doc and
+               (saved or f.default is MISSING and f.default_factory is MISSING)]
     if missing:
         raise ValueError(f"{where} is missing fields {missing}")
     unknown = sorted(set(doc) - set(key_of.values()))

@@ -28,6 +28,8 @@ from .layers import (
     DropoutLayer,
     ResidualAddNode,
     ShortcutSave,
+    dropout_masks,
+    inverse_sd,
 )
 from .matrix import (
     Matrix,
@@ -159,6 +161,10 @@ class Network:
     stats into the running ones with two in-place updates for the whole
     network, at the constant momentum BN_MOMENTUM.  The named views that
     parameters(), get_state, set_state and to_dict read are built once here.
+
+    A train pass draws every dropout mask with one request to rng, and an
+    inference pass computes every batch-norm layer's inverse sd from
+    net.running into one vector; each step is handed its part as its scale.
     """
 
     def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
@@ -181,6 +187,28 @@ class Network:
                         for name, layer in stateful for attr in layer.PARAMS]
         self._views = {p.name: p.value for p in self._params}
         self._views.update({f"{name}.{attr}": getattr(bn, attr) for name, bn, attr in stats})
+        self._dropout_at, self._dropout_bounds, norm_at, var_index = [], [], [], []
+        width, cols = spec.nfea, 0   # a step's width is that of the dense layer before it
+        for i, step in enumerate(steps):
+            if isinstance(step, DenseLayer):
+                width = step.n_out
+            elif isinstance(step, DropoutLayer):   # its columns of the pass's one draw
+                self._dropout_at.append(i)
+                self._dropout_bounds.append((cols, cols + width))
+                cols += width
+            elif isinstance(step, BatchNormLayer):   # running holds its mean, then its var
+                at = len(var_index)
+                norm_at.append((i, at))
+                var_index.extend(range(2 * at + step.width, 2 * at + 2 * step.width))
+        rates = {steps[i].rate for i in self._dropout_at}
+        if len(rates) > 1:
+            raise ValueError(f"the dropout steps of one network share one rate, "
+                             f"got {sorted(rates)}")
+        self._dropout_rate = rates.pop() if rates else 0.0
+        self._var_index, self._inv = np.array(var_index, dtype=np.intp), np.empty(len(var_index))
+        self._inverse_sds = [None] * len(steps)
+        for i, at in norm_at:
+            self._inverse_sds[i] = self._inv[at:at + steps[i].width].reshape(1, -1)
 
     # -- forward / backward -------------------------------------------------
 
@@ -190,9 +218,19 @@ class Network:
         if x.ndim != 2 or x.shape[1] != self.spec.nfea:
             raise ValueError(f"forward expects (n, {self.spec.nfea}) input, got {x.shape}")
         train = mode == "train"
+        if train:
+            scales = [None] * len(self.steps)
+            if self._dropout_at:
+                masks = dropout_masks(self.rng, self._dropout_rate, x.shape[0],
+                                      self._dropout_bounds)
+                for i, mask in zip(self._dropout_at, masks):
+                    scales[i] = mask
+        else:
+            scales = self._inverse_sds
+            inverse_sd(np.take(self.running, self._var_index, out=self._inv), out=self._inv)
         cur = x
         for i, step in enumerate(self.steps):
-            cur = step.forward(cur, train, self.rng)
+            cur = step.forward(cur, train, scales[i])
             if trace is not None:
                 trace[i] = cur
         if train:   # momentum * running + (1 - momentum) * batch, for every layer at once
@@ -289,11 +327,12 @@ class Network:
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one; layers and parameter_count must be
-        the spec's own."""
+        ValueError names the first bad one; the spec must hold every field, and
+        layers and parameter_count must be the spec's own."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
-        net = network_layout(NetworkSpec.from_dict(checked_entry(d, "spec", dict, "spec")))
+        net = network_layout(read_record(NetworkSpec, checked_entry(d, "spec", dict, "spec"),
+                                         "spec", saved=True))
         if checked_entry(d, "layers", list, "layers") != net.layer_summary():
             raise ValueError("layers must be the layer summary of the spec's network")
         count = checked_entry(d, "parameter_count", int, "parameter_count")

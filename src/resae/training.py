@@ -81,9 +81,9 @@ class Regularizer:
 
 
 def softmax(logits: Matrix) -> Matrix:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
@@ -352,15 +352,16 @@ class FittedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one.  target_stats is an object for
-        regression and null for classification; the stats' widths are the
-        network's nfea and k."""
+        ValueError names the first bad one; the loss, like the network's spec,
+        must hold every field.  target_stats is an object for regression and
+        null for classification; the stats' widths are the network's nfea and
+        k."""
         if d.get("format") != "resae-model":
             raise ValueError("not a serialized model document")
         task = checked_entry(d, "task", str, "task")
         if task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-        loss = read_record(LossSpec, checked_entry(d, "loss", dict, "loss"), "loss")
+        loss = read_record(LossSpec, checked_entry(d, "loss", dict, "loss"), "loss", saved=True)
         if task == "classification" and d.get("target_stats") is not None:
             raise ValueError("target_stats must be null for a classification model")
         network = Network.from_dict(checked_entry(d, "network", dict, "network"))

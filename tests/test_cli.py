@@ -506,7 +506,10 @@ class TestConfigErrors:
         ({"targets": ["site"]}, "dataset.targets must be numeric columns, 'site' is not numeric"),
         ({"targets": "site", "task": "classification", "target_bins": [1.0]},
          "dataset.target_bins needs a numeric target, 'site' is not numeric"),
-    ], ids=["two-classification-targets", "text-regression-target", "bins-on-a-text-target"])
+        ({"targets": ["nope"]},
+         "dataset.targets must name header columns, 'nope' is not in ['a', 'site', 'y']"),
+    ], ids=["two-classification-targets", "text-regression-target", "bins-on-a-text-target",
+            "target-not-in-the-header"])
     def test_csv_target_that_cannot_be_read_exits_2_naming_key(self, tmp_path, capsys,
                                                                override, message):
         data = tmp_path / "t.csv"

@@ -15,6 +15,8 @@ from resae.layers import (
     ShortcutSave,
     activation_backward,
     activation_forward,
+    dropout_masks,
+    inverse_sd,
 )
 from resae.matrix import Rng
 from resae.network import Network, NetworkSpec, build_network
@@ -240,7 +242,8 @@ class TestBatchNorm:
         bn = BatchNormLayer(3)
         bn.forward(np.random.default_rng(2).normal(size=(16, 3)), train=True)
         x = np.random.default_rng(3).normal(size=(5, 3))
-        np.testing.assert_array_equal(bn.forward(x, train=False), bn.forward(x, train=False))
+        np.testing.assert_array_equal(bn.forward(x, False, inverse_sd(bn.running_var)),
+                                      bn.forward(x, False, inverse_sd(bn.running_var)))
 
     def test_running_stats_momentum_blend(self):
         # the layer only records its batch stats; the network that owns it
@@ -354,7 +357,7 @@ def test_batchnorm_inference_is_bit_identical_to_running_stats_reference(batch, 
     x = np.random.default_rng(width).normal(loc=3.0, scale=2.5, size=(batch, width))
     x[0, 0] = -0.0
     inv = 1.0 / np.sqrt(bn.running_var + BN_EPSILON)
-    assert_same_bits(bn.forward(x, train=False),
+    assert_same_bits(bn.forward(x, False, inverse_sd(bn.running_var)),
                      bn.gamma * ((x - bn.running_mean) * inv) + bn.beta)
 
 
@@ -362,18 +365,18 @@ class TestDropout:
     def test_infer_is_identity(self):
         layer = DropoutLayer(0.4)
         x = np.random.default_rng(0).normal(size=(6, 5))
-        assert layer.forward(x, train=False, rng=Rng(0)) is x
+        assert layer.forward(x, train=False) is x
 
     def test_rate_zero_is_identity_in_train(self):
         layer = DropoutLayer(0.0)
         x = np.random.default_rng(1).normal(size=(6, 5))
-        assert layer.forward(x, train=True, rng=Rng(0)) is x
+        assert layer.forward(x, True, dropout_masks(Rng(0), 0.0, 6, [(0, 5)])[0]) is x
 
     def test_train_preserves_expectation(self):
         layer = DropoutLayer(0.3)
         rng = Rng(42)
         x = np.ones((10_000, 1))
-        out = layer.forward(x, train=True, rng=rng)
+        out = layer.forward(x, True, dropout_masks(rng, 0.3, 10_000, [(0, 1)])[0])
         # kept entries scale to 1/0.7; mean stays 1 within 3 standard errors
         se = np.sqrt(0.3 / 0.7 / 10_000)
         assert abs(out.mean() - 1.0) < 3 * se
@@ -381,7 +384,7 @@ class TestDropout:
     def test_backward_applies_same_mask(self):
         layer = DropoutLayer(0.5)
         x = np.ones((4, 4))
-        out = layer.forward(x, train=True, rng=Rng(3))
+        out = layer.forward(x, True, dropout_masks(Rng(3), 0.5, 4, [(0, 4)])[0])
         g = layer.backward(np.ones((4, 4)))
         np.testing.assert_array_equal(g, out)
 
@@ -511,18 +514,20 @@ def test_no_step_writes_into_its_input_upstream_or_output(name):
     x, upstream = rng.normal(size=(8, WIDTH)), rng.normal(size=(8, WIDTH))
     x[0, :2], upstream[0, :2] = [0.0, -0.0], [-0.0, 0.0]
     step = _step(name)
-    given = (x.tobytes(), upstream.tobytes())
-    out = step.forward(x, not name.endswith("-infer"), Rng(0))
+    scale = {"batchnorm-infer": inverse_sd(np.full((1, WIDTH), 0.5)),
+             "dropout-train": dropout_masks(Rng(0), 0.3, 8, [(0, WIDTH)])[0]}.get(name)
+    given = (x.tobytes(), upstream.tobytes(), None if scale is None else scale.tobytes())
+    out = step.forward(x, not name.endswith("-infer"), scale)
     returned = out.tobytes()
     if name != "batchnorm-infer":    # a batch-norm backward needs a train-mode forward
         grad = step.backward(upstream)
         if name == "elu":            # the rewritten backward
             assert not np.shares_memory(grad, x) and not np.shares_memory(grad, upstream)
-    assert (x.tobytes(), upstream.tobytes()) == given
+    assert (x.tobytes(), upstream.tobytes(), None if scale is None else scale.tobytes()) == given
     assert out.tobytes() == returned
     if name in REWRITTEN:
-        for array in (x, *(getattr(step, attr) for attr in REWRITTEN[name])):
-            assert not np.shares_memory(out, array)
+        for array in (x, scale, *(getattr(step, attr) for attr in REWRITTEN[name])):
+            assert array is None or not np.shares_memory(out, array)
 
 
 def test_shortcut_steps_write_into_no_array_they_are_given():

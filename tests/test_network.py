@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plain_reference import PlainRng, plain_forward
 from spec_strategies import network_specs
 
-from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer
+from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer, DropoutLayer
 from resae.matrix import Rng
 from resae.network import Network, NetworkSpec, build_network
+from resae.training import LossSpec, TrainConfig, TrainingDiverged, fit
 
 
 def random_spec(rng: np.random.Generator, **forced) -> NetworkSpec:
@@ -525,3 +527,74 @@ def test_drawn_spec_equals_its_twins_made_with_lists_and_tuples(spec):
                                            if not isinstance(values[name], str)}})
         assert twin == spec and hash(twin) == hash(spec)
         assert twin.to_dict() == spec.to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(network_specs(), st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_a_train_pass_draws_the_masks_of_one_draw_per_dropout_step_in_step_order(spec, seed, n):
+    net = build_network(spec, rng=seed)
+    plain = PlainRng(0)
+    plain.state = net.rng.state
+    x = np.random.default_rng(seed).normal(size=(n, spec.nfea))
+    _, caches = plain_forward(net.layer_summary(), net.get_state(), x, True, plain)
+    net.forward(x, "train")
+    for step, cache in zip(net.steps, caches):
+        if isinstance(step, DropoutLayer):
+            assert step._mask.shape == cache.shape and step._mask.tobytes() == cache.tobytes()
+    assert net.rng.state == plain.state
+
+
+def test_a_train_pass_makes_one_uniform_request_and_an_inference_pass_none(monkeypatch):
+    net = build_network(NetworkSpec(nfea=4, nnode=(8, 4, 2), k=1, dropout_placement="all"),
+                        rng=1)
+    assert sum(isinstance(step, DropoutLayer) for step in net.steps) == 5
+    sizes, uniform = [], Rng.uniform
+
+    def counted(self, *args, **kwargs):
+        values = uniform(self, *args, **kwargs)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(Rng, "uniform", counted)
+    x = np.random.default_rng(2).normal(size=(6, 4))
+    net.forward(x, "train")
+    assert sizes == [6 * (8 + 4 + 2 + 4 + 8)]   # after each encode layer and decode mirror
+    net.forward(x, "infer")
+    assert len(sizes) == 1
+
+
+def test_dropout_steps_of_other_rates_are_not_one_network():
+    steps = [DropoutLayer(0.1), DropoutLayer(0.2)]
+    with pytest.raises(ValueError, match=r"share one rate, got \[0.1, 0.2\]"):
+        Network(NetworkSpec(nfea=1, nnode=(1,), k=1), steps, Rng(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_specs(), st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_inference_after_each_state_write_is_the_plain_forward(spec, seed, n):
+    data = np.random.default_rng(seed)
+    x, y = data.normal(size=(n, spec.nfea)), data.normal(size=(n, spec.k))
+
+    def assert_plain_inference(net):
+        want, _ = plain_forward(net.layer_summary(), net.get_state(), x, False, None)
+        assert net.forward(x, "infer").head.tobytes() == want.tobytes()
+
+    net = build_network(spec, rng=seed)
+    assert_plain_inference(net)
+    net.forward(x, "train")                          # blends the running stats
+    assert_plain_inference(net)
+    other = build_network(spec, rng=seed + 1)
+    other.forward(data.normal(size=(n, spec.nfea)), "train")
+    net.set_state(other.get_state())
+    assert_plain_inference(net)
+    assert_plain_inference(Network.from_dict(json.loads(json.dumps(net.to_dict()))))
+    for keep in range(len(net.shortcuts) + 1):
+        assert_plain_inference(net.truncate_residuals(keep))
+    loss = LossSpec("mse_reconstruction" if spec.output_option == 2 else "mse")
+    cfg = TrainConfig(batch_size=max(2, n // 3), max_epochs=3, learning_rate=0.01, seed=seed)
+    try:                                             # ends with the best-weights restore
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit(net, x, y, x, y, loss, cfg)
+    except TrainingDiverged:
+        return
+    assert_plain_inference(net)

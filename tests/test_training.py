@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -598,7 +598,7 @@ class TestModelDocument:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(task="regresion"), r"task must be one of .*'regresion'"),
-        (lambda d: d.update(loss={"kind": "mae"}),
+        (lambda d: d["loss"].update(kind="mae"),
          r"^invalid loss config: unknown loss kind 'mae', expected \("),
         (lambda d: _set_weight(d, 3, "0.5"),
          r'weights.L000.dense.W.data\[3\] must be a number, got "0.5"'),
@@ -650,6 +650,14 @@ class TestModelDocument:
         doc = saved_model_document()
         edit(doc)
         with pytest.raises(ValueError, match=message):
+            FittedModel.from_dict(doc)
+
+    @pytest.mark.parametrize("record, field", [("spec", f.name) for f in fields(NetworkSpec)] +
+                             [("loss", f.name) for f in fields(LossSpec)])
+    def test_saved_record_without_a_field_is_rejected_naming_it(self, record, field):
+        doc = saved_model_document()    # a saved record holds every field, defaults too
+        (doc["network"]["spec"] if record == "spec" else doc["loss"]).pop(field)
+        with pytest.raises(ValueError, match=rf"^{record} is missing fields \['{field}'\]$"):
             FittedModel.from_dict(doc)
 
     @pytest.mark.parametrize("field, value", [("elu_alpha", 1.0), ("output_activation", "linear")])

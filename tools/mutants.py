@@ -124,6 +124,24 @@ MUTANTS = (
            ("tests/test_evaluation.py"
             "::test_accuracy_is_the_share_of_rows_whose_most_probable_class_is_observed",
             "tests/test_evaluation.py::TestClassificationMetrics::test_perfect_one_hot")),
+    Mutant("dropout-draw-cut-by-columns", "src/resae/layers.py",
+           "    keep = (rng.uniform(n * bounds[-1][1]) >= rate) / (1.0 - rate)\n"
+           "    return [keep[n * lo:n * hi].reshape(n, hi - lo) for lo, hi in bounds]\n",
+           "    keep = (rng.uniform(n, bounds[-1][1]) >= rate) / (1.0 - rate)\n"
+           "    return [keep[:, lo:hi] for lo, hi in bounds]\n",
+           ("tests/test_network.py"
+            "::test_a_train_pass_draws_the_masks_of_one_draw_per_dropout_step_in_step_order",)),
+    Mutant("inverse-sd-computed-once", "src/resae/network.py",
+           "            inverse_sd(np.take(self.running, self._var_index, out=self._inv), "
+           "out=self._inv)\n",
+           "            if not hasattr(self, '_inv_done'):\n"
+           "                self._inv_done = inverse_sd(np.take(self.running, self._var_index, "
+           "out=self._inv), out=self._inv)\n",
+           ("tests/test_network.py::test_inference_after_each_state_write_is_the_plain_forward",)),
+    Mutant("dropout-masks-shifted-one-step", "src/resae/network.py",
+           "zip(self._dropout_at, masks)", "zip(self._dropout_at, masks[1:] + masks[:1])",
+           ("tests/test_network.py"
+            "::test_a_train_pass_draws_the_masks_of_one_draw_per_dropout_step_in_step_order",)),
 )
 
 
