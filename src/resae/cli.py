@@ -87,6 +87,16 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ConfigError, not the last one."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated key {key!r} in config")
+        out[key] = value
+    return out
+
+
 def _finite_number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -99,7 +109,8 @@ def load_config(path: str | None) -> dict:
         return _merge(DEFAULT_CONFIG, {})
     try:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number,
+                             object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except ConfigError:

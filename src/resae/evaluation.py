@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, split
 from .matrix import check_field_types, checked_json_list
-from .network import NetworkSpec, network_layout
+from .network import Network, NetworkSpec
 from .training import (
     FittedModel,
     Regularizer,
@@ -206,7 +206,7 @@ def run_job(dataset: Dataset, job: Job,
                             shared.penalty, shared.reconstruction_weight)
     except TrainingDiverged as exc:
         return RunResult(seed=job.cfg.seed, arm=job.label, converged=False,
-                         parameter_count=network_layout(job.spec).count_parameters(),
+                         parameter_count=Network(job.spec).count_parameters(),
                          diagnostic=str(exc)), None
     return RunResult(seed=job.cfg.seed, arm=job.label, converged=True,
                      parameter_count=model.network.count_parameters(),

@@ -120,13 +120,6 @@ class NetworkSpec:
     def to_dict(self) -> dict:
         return {**asdict(self), "nnode": list(self.nnode), "acts": list(self.act_list())}
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "spec",
-                  keys: dict[str, str] | None = None) -> "NetworkSpec":
-        """Inverse of to_dict, by read_record: fields other than nfea, nnode
-        and k default when absent."""
-        return read_record(cls, d, where, keys)
-
 
 @dataclass
 class Predictions:
@@ -167,48 +160,123 @@ class Network:
     net.running into one vector; each step is handed its part as its scale.
     """
 
-    def __init__(self, spec: NetworkSpec, steps: list, rng: Rng):
-        self.spec = spec
-        self.steps = steps
-        self.shortcuts = sorted(   # the add steps, outermost (slot 0) first
-            (step for step in steps if isinstance(step, ResidualAddNode)),
-            key=lambda add: add.slot)
-        self.rng = rng
-        layers = [step for step in steps if isinstance(step, (DenseLayer, BatchNormLayer))]
-        stateful = [(f"L{i:03d}.{'dense' if isinstance(layer, DenseLayer) else 'bn'}", layer)
-                    for i, layer in enumerate(layers)]
-        self.flat = Param("flat", *_pack([(layer, attr, "d" + attr) for layer in layers
+    def __init__(self, spec: NetworkSpec):
+        """Realize a spec: symmetric encoder/decoder with nested identity shortcuts.
+
+        The encoder walks nnode saving each pre-code output (and the raw input);
+        dropout follows the code layer.  The decoder mirrors nnode[-2::-1], adds
+        back the matching saved tensor after each block, ends with an nfea-wide
+        layer summed with the input, and the head emits k (option 1) or k + nfea
+        (option 2) outputs.  The post-op stages configured for the shortcut
+        additions are emitted whether or not the addition itself is wired, so
+        residual count 0 is the regular network: the identical stack with all
+        additions skipped.  Each step's place (its name, its columns of the
+        pass's one dropout draw, its entries of net.running) is recorded as it
+        is made.
+
+        Every weight is zero and the network holds a fresh Rng(0): it draws
+        nothing, so a loader that sets its state, or a caller that only counts
+        its parameters, pays no initialization.
+        """
+        acts = spec.act_list()
+        n_layers = len(spec.nnode)
+        keep = spec.residual_count()   # slots 0..keep-1 stay wired
+        steps: list = []
+        saves: list[ShortcutSave] = []   # indexed by slot
+        stateful: list = []   # (name, layer) of each dense and batch-norm layer, in flat order
+        norms: list = []   # (name, layer, step index, offset in the inverse-sd vector)
+        var_index: list[int] = []   # each batch norm's running_var entries in net.running
+        self.shortcuts: list[ResidualAddNode] = []   # the add steps, outermost (slot 0) first
+        self._dropout_at, self._dropout_bounds = [], []
+
+        def layer_step(kind: str, layer) -> str:
+            stateful.append((f"L{len(stateful):03d}.{kind}", layer))
+            steps.append(layer)
+            return stateful[-1][0]
+
+        def batchnorm(width: int) -> None:   # net.running holds its mean, then its var
+            at, i, bn = len(var_index), len(steps), BatchNormLayer(width)
+            var_index.extend(range(2 * at + width, 2 * at + 2 * width))
+            norms.append((layer_step("bn", bn), bn, i, at))
+
+        def dense_block(n_in: int, n_out: int, act: str) -> None:
+            layer_step("dense", DenseLayer(n_in, n_out))
+            steps.append(Activation(act))
+            if spec.use_batchnorm:
+                batchnorm(n_out)
+
+        def post_op(act: str, width: int) -> None:
+            if spec.residual_post_op == "none":
+                return
+            steps.append(Activation(act))
+            if spec.residual_post_op == "activation_batchnorm":
+                batchnorm(width)
+
+        def dropout(width: int) -> None:   # its columns of the pass's one draw follow the last
+            if spec.dropout_rate > 0.0:
+                lo = self._dropout_bounds[-1][1] if self._dropout_bounds else 0
+                self._dropout_at.append(len(steps))
+                self._dropout_bounds.append((lo, lo + width))
+                steps.append(DropoutLayer(spec.dropout_rate))
+
+        def save(width: int) -> None:
+            if len(saves) < keep:
+                saves.append(ShortcutSave(len(saves), width))
+                steps.append(saves[-1])
+
+        def add(slot: int, width: int) -> None:   # the decoder adds innermost slots first
+            if slot < keep:
+                steps.append(ResidualAddNode(saves[slot], label=(
+                    f"shortcut slot {slot} (encode width {saves[slot].width} "
+                    f"<-> decode width {width})")))
+                self.shortcuts.insert(0, steps[-1])
+
+        save(spec.nfea)
+
+        # encoder
+        width = spec.nfea
+        for i, w in enumerate(spec.nnode):
+            dense_block(width, w, acts[i])
+            width = w
+            if i < n_layers - 1:
+                save(w)
+            if i == n_layers - 1 or spec.dropout_placement == "all":
+                dropout(w)   # the code layer is the one place the iterative recipe puts it
+
+        # decoder, innermost mirror first
+        for j in range(n_layers - 2, -1, -1):
+            dense_block(width, spec.nnode[j], acts[j])
+            width = spec.nnode[j]
+            add(j + 1, width)
+            post_op(acts[j], width)
+            if spec.dropout_placement == "all":
+                dropout(width)
+
+        # final decode layer back to the input width, then the input-level shortcut
+        dense_block(width, spec.nfea, acts[0])
+        add(0, spec.nfea)
+        post_op(acts[0], spec.nfea)
+
+        # output head
+        head_out = spec.k + (spec.nfea if spec.output_option == 2 else 0)
+        layer_step("dense", DenseLayer(spec.nfea, head_out))
+        steps.append(Activation("linear"))   # a linear head; build_network scales its weights
+
+        self.spec, self.steps, self.rng = spec, steps, Rng(0)
+        self.flat = Param("flat", *_pack([(layer, attr, "d" + attr) for _, layer in stateful
                                           for attr in layer.PARAMS]))
-        stats = [(name, layer, f"running_{stat}") for name, layer in stateful
-                 if isinstance(layer, BatchNormLayer) for stat in ("mean", "var")]
+        stats = [(name, bn, f"running_{stat}") for name, bn, _, _ in norms
+                 for stat in ("mean", "var")]
         self.running, self._batch_stats = _pack([(bn, attr, attr.replace("running", "batch"))
                                                  for _, bn, attr in stats])
         self._params = [Param(f"{name}.{attr}", getattr(layer, attr), getattr(layer, "d" + attr))
                         for name, layer in stateful for attr in layer.PARAMS]
         self._views = {p.name: p.value for p in self._params}
         self._views.update({f"{name}.{attr}": getattr(bn, attr) for name, bn, attr in stats})
-        self._dropout_at, self._dropout_bounds, norm_at, var_index = [], [], [], []
-        width, cols = spec.nfea, 0   # a step's width is that of the dense layer before it
-        for i, step in enumerate(steps):
-            if isinstance(step, DenseLayer):
-                width = step.n_out
-            elif isinstance(step, DropoutLayer):   # its columns of the pass's one draw
-                self._dropout_at.append(i)
-                self._dropout_bounds.append((cols, cols + width))
-                cols += width
-            elif isinstance(step, BatchNormLayer):   # running holds its mean, then its var
-                at = len(var_index)
-                norm_at.append((i, at))
-                var_index.extend(range(2 * at + step.width, 2 * at + 2 * step.width))
-        rates = {steps[i].rate for i in self._dropout_at}
-        if len(rates) > 1:
-            raise ValueError(f"the dropout steps of one network share one rate, "
-                             f"got {sorted(rates)}")
-        self._dropout_rate = rates.pop() if rates else 0.0
         self._var_index, self._inv = np.array(var_index, dtype=np.intp), np.empty(len(var_index))
         self._inverse_sds = [None] * len(steps)
-        for i, at in norm_at:
-            self._inverse_sds[i] = self._inv[at:at + steps[i].width].reshape(1, -1)
+        for _, bn, i, at in norms:
+            self._inverse_sds[i] = self._inv[at:at + bn.width].reshape(1, -1)
 
     # -- forward / backward -------------------------------------------------
 
@@ -221,7 +289,7 @@ class Network:
         if train:
             scales = [None] * len(self.steps)
             if self._dropout_at:
-                masks = dropout_masks(self.rng, self._dropout_rate, x.shape[0],
+                masks = dropout_masks(self.rng, self.spec.dropout_rate, x.shape[0],
                                       self._dropout_bounds)
                 for i, mask in zip(self._dropout_at, masks):
                     scales[i] = mask
@@ -302,7 +370,7 @@ class Network:
         """
         if not 0 <= checked_json(n_outermost, int, "n_outermost") <= len(self.shortcuts):
             raise ValueError(f"n_outermost must be in 0..{len(self.shortcuts)}, got {n_outermost}")
-        new = network_layout(replace(self.spec, residual=n_outermost))
+        new = Network(replace(self.spec, residual=n_outermost))
         new.set_state(self.get_state())
         return new
 
@@ -331,8 +399,8 @@ class Network:
         layers and parameter_count must be the spec's own."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
-        net = network_layout(read_record(NetworkSpec, checked_entry(d, "spec", dict, "spec"),
-                                         "spec", saved=True))
+        net = cls(read_record(NetworkSpec, checked_entry(d, "spec", dict, "spec"), "spec",
+                              saved=True))
         if checked_entry(d, "layers", list, "layers") != net.layer_summary():
             raise ValueError("layers must be the layer summary of the spec's network")
         count = checked_entry(d, "parameter_count", int, "parameter_count")
@@ -370,94 +438,12 @@ def _pack(arrays: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
-    """spec's network_layout with its initial weights drawn from rng, which
-    the network keeps for its dropout masks."""
-    net = network_layout(spec)
+    """Network(spec) with its initial weights drawn from rng, which the
+    network keeps for its dropout masks."""
+    net = Network(spec)
     net.rng = Rng(rng) if isinstance(rng, int) else rng
     for i, step in enumerate(net.steps):
         if isinstance(step, DenseLayer):   # scaled for the activation that follows it
             step.init_weights(net.rng, net.steps[i + 1].kind)
     return net
 
-
-def network_layout(spec: NetworkSpec) -> Network:
-    """Realize a spec: symmetric encoder/decoder with nested identity shortcuts.
-
-    The encoder walks nnode saving each pre-code output (and the raw input);
-    dropout follows the code layer.  The decoder mirrors nnode[-2::-1], adds
-    back the matching saved tensor after each block, ends with an nfea-wide
-    layer summed with the input, and the head emits k (option 1) or k + nfea
-    (option 2) outputs.  The post-op stages configured for the shortcut
-    additions are emitted whether or not the addition itself is wired, so
-    residual count 0 is the regular network: the identical stack with all
-    additions skipped.
-
-    Every weight is zero and the network holds a fresh Rng(0): it draws
-    nothing, so a loader that sets its state, or a caller that only counts
-    its parameters, pays no initialization.
-    """
-    acts = spec.act_list()
-    n_layers = len(spec.nnode)
-    keep = spec.residual_count()   # slots 0..keep-1 stay wired
-    steps: list = []
-    saves: list[ShortcutSave] = []   # indexed by slot
-
-    def dense_block(n_in: int, n_out: int, act: str) -> None:
-        steps.append(DenseLayer(n_in, n_out))
-        steps.append(Activation(act))
-        if spec.use_batchnorm:
-            steps.append(BatchNormLayer(n_out))
-
-    def post_op(act: str, width: int) -> None:
-        if spec.residual_post_op == "none":
-            return
-        steps.append(Activation(act))
-        if spec.residual_post_op == "activation_batchnorm":
-            steps.append(BatchNormLayer(width))
-
-    def save(width: int) -> None:
-        if len(saves) < keep:
-            saves.append(ShortcutSave(len(saves), width))
-            steps.append(saves[-1])
-
-    def add(slot: int, width: int) -> None:
-        if slot < keep:
-            steps.append(ResidualAddNode(saves[slot], label=(
-                f"shortcut slot {slot} (encode width {saves[slot].width} "
-                f"<-> decode width {width})")))
-
-    save(spec.nfea)
-
-    # encoder
-    width = spec.nfea
-    for i, w in enumerate(spec.nnode):
-        dense_block(width, w, acts[i])
-        width = w
-        if i < n_layers - 1:
-            save(w)
-            if spec.dropout_placement == "all" and spec.dropout_rate > 0.0:
-                steps.append(DropoutLayer(spec.dropout_rate))
-        else:
-            # code layer: the one place the iterative recipe puts dropout
-            if spec.dropout_rate > 0.0:
-                steps.append(DropoutLayer(spec.dropout_rate))
-
-    # decoder, innermost mirror first
-    for j in range(n_layers - 2, -1, -1):
-        dense_block(width, spec.nnode[j], acts[j])
-        width = spec.nnode[j]
-        add(j + 1, width)
-        post_op(acts[j], width)
-        if spec.dropout_placement == "all" and spec.dropout_rate > 0.0:
-            steps.append(DropoutLayer(spec.dropout_rate))
-
-    # final decode layer back to the input width, then the input-level shortcut
-    dense_block(width, spec.nfea, acts[0])
-    add(0, spec.nfea)
-    post_op(acts[0], spec.nfea)
-
-    # output head
-    head_out = spec.k + (spec.nfea if spec.output_option == 2 else 0)
-    steps.append(DenseLayer(spec.nfea, head_out))
-    steps.append(Activation("linear"))   # a linear head; build_network scales its weights for it
-    return Network(spec, steps, Rng(0))

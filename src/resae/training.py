@@ -304,8 +304,8 @@ def dataset_dims(dataset) -> dict:
 
 def make_spec(dataset, nnode, **overrides) -> NetworkSpec:
     """nfea and k from an encoded dataset, integer widths nnode, other fields from overrides."""
-    return replace(NetworkSpec.from_dict({"nnode": list(nnode), **dataset_dims(dataset)}),
-                   **overrides)
+    return replace(read_record(NetworkSpec, {"nnode": list(nnode), **dataset_dims(dataset)},
+                               "spec"), **overrides)
 
 
 def loss_kind(task: str, spec: NetworkSpec) -> str:

@@ -368,6 +368,18 @@ class TestConfigErrors:
         assert main(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "config error: non-finite number NaN in config\n"
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"training": {"max_epochs": 2, "max_epochs": 3}, "out_dir": "%s"}', "max_epochs"),
+        ('{"out_dir": "%s", "training": {"max_epochs": 2}, "training": {"max_epochs": 2}}',
+         "training"),
+    ], ids=["in-a-section", "a-section"])
+    def test_repeated_key_exits_2_naming_it_writing_nothing(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text % (tmp_path / "run"))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: repeated key '{key}' in config\n"
+        assert not (tmp_path / "run").exists()
+
     def test_integer_over_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"training": {"learning_rate": 1%s}, "out_dir": "%s"}'

@@ -222,8 +222,7 @@ class TestCompare:
         # a diverged run's parameters
         monkeypatch.setattr(resae.training, "build_network",
                             counting(resae.network.build_network))
-        monkeypatch.setattr(resae.evaluation, "network_layout",
-                            counting(resae.network.network_layout))
+        monkeypatch.setattr(resae.evaluation, "Network", counting(resae.network.Network))
         ds = generate_simulated(n=150, seed=0)
         report = compare(ds, make_spec(ds, (6, 3)), tiny_cfg(max_epochs=2), n_seeds=2)
         assert len(calls) == len(report.runs) == 4

@@ -253,8 +253,13 @@ class TestBatchNorm:
         alone.forward(x, train=True)
         assert (alone.batch_mean[0, 0], alone.batch_var[0, 0]) == (1.0, 1.0)
         assert (alone.running_mean[0, 0], alone.running_var[0, 0]) == (0.0, 1.0)
-        bn = BatchNormLayer(1)
-        Network(NetworkSpec(nfea=1, nnode=(1,), k=1), [bn], Rng(0)).forward(x, "train")
+        # a linear dense layer of weight 1 before the network's first batch norm hands it x
+        net = Network(NetworkSpec(nfea=1, nnode=(1,), k=1, acts="linear", dropout_rate=0.0,
+                                  residual="off"))
+        dense, bn = net.steps[0], net.steps[2]
+        assert isinstance(dense, DenseLayer) and isinstance(bn, BatchNormLayer)
+        dense.W[...] = 1.0
+        net.forward(x, "train")
         assert BN_MOMENTUM == 0.9
         assert bn.running_mean[0, 0] == pytest.approx(0.1 * 1.0)
         assert bn.running_var[0, 0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)

@@ -1,11 +1,12 @@
-"""The mutant list of tools/mutants.py, on canned text."""
+"""The mutant list of tools/mutants.py, on canned text and on the files it names."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "mutants.py"
 spec = importlib.util.spec_from_file_location("mutants", TOOL)
 mutants = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(mutants)
@@ -27,3 +28,10 @@ def test_an_old_text_that_does_not_occur_exactly_once_is_stale(text, count):
                                          "src/pkg/f.py, not once$"):
         mutants.mutate(text, PLANT)
 
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_each_mutants_old_text_occurs_once_in_its_file(mutant):
+    # a change that rewrites a mutant's old text fails here, not first at the next
+    # run of tools/mutants.py
+    mutants.mutate((ROOT / mutant.path).read_text(encoding="utf-8"), mutant)

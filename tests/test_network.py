@@ -9,7 +9,7 @@ from plain_reference import PlainRng, plain_forward
 from spec_strategies import network_specs
 
 from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer, DropoutLayer
-from resae.matrix import Rng
+from resae.matrix import Rng, read_record
 from resae.network import Network, NetworkSpec, build_network
 from resae.training import LossSpec, TrainConfig, TrainingDiverged, fit
 
@@ -70,6 +70,50 @@ class TestBuilder:
             net.forward(x, "infer")   # any width disagreement would raise
             expected_widths = [spec.nfea] + list(spec.nnode[:-1])
             assert [p.save.width for p in net.shortcuts] == expected_widths
+
+    def test_every_branch_of_the_walk_lays_out_its_pinned_steps_and_state(self):
+        # dropout after every block, 2 of 3 shortcuts, post-op batch norms, option-2 head
+        net = Network(NetworkSpec(nfea=4, nnode=(6, 5, 3), k=2, acts=("elu", "tanh", "relu"),
+                                  dropout_placement="all", residual=2,
+                                  residual_post_op="activation_batchnorm", output_option=2))
+        assert [tuple(row.values()) for row in net.layer_summary()] == [
+            ("save", 0), ("dense", 4, 6), ("activation", "elu"), ("batchnorm", 6),
+            ("save", 1), ("dropout", 0.1),
+            ("dense", 6, 5), ("activation", "tanh"), ("batchnorm", 5), ("dropout", 0.1),
+            ("dense", 5, 3), ("activation", "relu"), ("batchnorm", 3), ("dropout", 0.1),
+            ("dense", 3, 5), ("activation", "tanh"), ("batchnorm", 5),   # slot 2 unwired
+            ("activation", "tanh"), ("batchnorm", 5), ("dropout", 0.1),
+            ("dense", 5, 6), ("activation", "elu"), ("batchnorm", 6), ("add", 1),
+            ("activation", "elu"), ("batchnorm", 6), ("dropout", 0.1),
+            ("dense", 6, 4), ("activation", "elu"), ("batchnorm", 4), ("add", 0),
+            ("activation", "elu"), ("batchnorm", 4),
+            ("dense", 4, 6), ("activation", "linear")]
+        assert [(name, arr.shape) for name, arr in net.get_state().items()] == [
+            ("L000.dense.W", (6, 4)), ("L000.dense.b", (6, 1)),
+            ("L001.bn.gamma", (1, 6)), ("L001.bn.beta", (1, 6)),
+            ("L002.dense.W", (5, 6)), ("L002.dense.b", (5, 1)),
+            ("L003.bn.gamma", (1, 5)), ("L003.bn.beta", (1, 5)),
+            ("L004.dense.W", (3, 5)), ("L004.dense.b", (3, 1)),
+            ("L005.bn.gamma", (1, 3)), ("L005.bn.beta", (1, 3)),
+            ("L006.dense.W", (5, 3)), ("L006.dense.b", (5, 1)),
+            ("L007.bn.gamma", (1, 5)), ("L007.bn.beta", (1, 5)),
+            ("L008.bn.gamma", (1, 5)), ("L008.bn.beta", (1, 5)),
+            ("L009.dense.W", (6, 5)), ("L009.dense.b", (6, 1)),
+            ("L010.bn.gamma", (1, 6)), ("L010.bn.beta", (1, 6)),
+            ("L011.bn.gamma", (1, 6)), ("L011.bn.beta", (1, 6)),
+            ("L012.dense.W", (4, 6)), ("L012.dense.b", (4, 1)),
+            ("L013.bn.gamma", (1, 4)), ("L013.bn.beta", (1, 4)),
+            ("L014.bn.gamma", (1, 4)), ("L014.bn.beta", (1, 4)),
+            ("L015.dense.W", (6, 4)), ("L015.dense.b", (6, 1)),
+            ("L001.bn.running_mean", (1, 6)), ("L001.bn.running_var", (1, 6)),
+            ("L003.bn.running_mean", (1, 5)), ("L003.bn.running_var", (1, 5)),
+            ("L005.bn.running_mean", (1, 3)), ("L005.bn.running_var", (1, 3)),
+            ("L007.bn.running_mean", (1, 5)), ("L007.bn.running_var", (1, 5)),
+            ("L008.bn.running_mean", (1, 5)), ("L008.bn.running_var", (1, 5)),
+            ("L010.bn.running_mean", (1, 6)), ("L010.bn.running_var", (1, 6)),
+            ("L011.bn.running_mean", (1, 6)), ("L011.bn.running_var", (1, 6)),
+            ("L013.bn.running_mean", (1, 4)), ("L013.bn.running_var", (1, 4)),
+            ("L014.bn.running_mean", (1, 4)), ("L014.bn.running_var", (1, 4))]
 
     def test_option2_head_width(self):
         spec = NetworkSpec(nfea=6, nnode=(5,), k=2, output_option=2)
@@ -327,15 +371,15 @@ class TestSerialization:
 
     def test_spec_from_dict_reports_missing_and_unknown_fields(self):
         d = NetworkSpec(nfea=4, nnode=(5, 3), k=1).to_dict()
-        assert NetworkSpec.from_dict(d) == NetworkSpec(nfea=4, nnode=(5, 3), k=1,
-                                                       acts=("elu", "elu"))
-        assert NetworkSpec.from_dict({"nfea": 4, "nnode": [5], "k": 1}) == \
+        assert read_record(NetworkSpec, d, "spec") == NetworkSpec(nfea=4, nnode=(5, 3), k=1,
+                                                                  acts=("elu", "elu"))
+        assert read_record(NetworkSpec, {"nfea": 4, "nnode": [5], "k": 1}, "spec") == \
             NetworkSpec(nfea=4, nnode=(5,), k=1)
         del d["k"]
         with pytest.raises(ValueError, match=r"missing fields \['k'\]"):
-            NetworkSpec.from_dict(d)
+            read_record(NetworkSpec, d, "spec")
         with pytest.raises(ValueError, match=r"unknown fields \['use_batchnrom'\]"):
-            NetworkSpec.from_dict({**d, "k": 1, "use_batchnrom": False})
+            read_record(NetworkSpec, {**d, "k": 1, "use_batchnrom": False}, "spec")
 
 
 def _assert_state_views_flat(net):
@@ -561,12 +605,6 @@ def test_a_train_pass_makes_one_uniform_request_and_an_inference_pass_none(monke
     assert sizes == [6 * (8 + 4 + 2 + 4 + 8)]   # after each encode layer and decode mirror
     net.forward(x, "infer")
     assert len(sizes) == 1
-
-
-def test_dropout_steps_of_other_rates_are_not_one_network():
-    steps = [DropoutLayer(0.1), DropoutLayer(0.2)]
-    with pytest.raises(ValueError, match=r"share one rate, got \[0.1, 0.2\]"):
-        Network(NetworkSpec(nfea=1, nnode=(1,), k=1), steps, Rng(0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -142,6 +142,17 @@ MUTANTS = (
            "zip(self._dropout_at, masks)", "zip(self._dropout_at, masks[1:] + masks[:1])",
            ("tests/test_network.py"
             "::test_a_train_pass_draws_the_masks_of_one_draw_per_dropout_step_in_step_order",)),
+    Mutant("batchnorm-var-index-counted-per-layer", "src/resae/network.py",
+           "at, i, bn = len(var_index), len(steps), BatchNormLayer(width)",
+           "at, i, bn = len(norms), len(steps), BatchNormLayer(width)",
+           ("tests/test_network.py::test_inference_after_each_state_write_is_the_plain_forward",)),
+    Mutant("dropout-draw-columns-do-not-advance", "src/resae/network.py",
+           "lo = self._dropout_bounds[-1][1] if self._dropout_bounds else 0", "lo = 0",
+           ("tests/test_network.py"
+            "::test_a_train_pass_draws_the_masks_of_one_draw_per_dropout_step_in_step_order",)),
+    Mutant("shortcuts-in-decode-order", "src/resae/network.py",
+           "self.shortcuts.insert(0, steps[-1])", "self.shortcuts.append(steps[-1])",
+           ("tests/test_network.py::TestBuilder::test_four_layer_wiring",)),
 )
 
 
