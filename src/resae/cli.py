@@ -258,7 +258,7 @@ class _Run:
 def _set_up(args) -> _Run:
     """Load, override and validate the config, then echo it as config.json.
 
-    Every part, and every variant of a sweep, is built before anything is
+    Every part, and every job of a sweep, is built before anything is
     written, so a config error leaves no artifacts behind.
     """
     cfg = load_config(args.config)
@@ -310,7 +310,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """compare, grid and sensitivity: one sweep of (variant, seed) jobs on shared splits."""
+    """compare, grid and sensitivity: one run table of seeded jobs, grouped by label."""
     run = _set_up(args)
     cfg, out = run.cfg, run.out
     sweep_args = (run.dataset, run.spec, run.train_cfg)

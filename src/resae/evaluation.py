@@ -9,7 +9,7 @@ AUC by trapezoid over the ROC curve (ties contribute diagonal segments).
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -146,7 +146,7 @@ def evaluate_model(model: FittedModel, dataset: Dataset, indices: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# One job path: run_job, and the sweep of (seed, variant) jobs on shared splits
+# One job path: run_job, and the sweep of seeded jobs on shared splits
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -214,34 +214,20 @@ def run_job(dataset: Dataset, job: Job,
                      test=evaluate_model(model, dataset, split_idx.test)), model
 
 
-@dataclass(frozen=True)
-class Variant(Job):
-    """A job that a sweep trains once per seed, at the seeds counting up from
-    its own, and the runs that the sweep hands it."""
-
-    runs: list[RunResult] = field(default_factory=list)
-
-    def mean(self, part: str, metric: str) -> float | None:
-        """Mean of one validation or test metric over the converged runs."""
-        return _converged_stats(self.runs, part, metric)["mean"]
-
-
-def _sweep(dataset: Dataset, variants: list[Variant], n_seeds: int,
-           shared: SharedSettings) -> list[RunResult]:
-    """The run table: every (seed, variant) job in seed-major order, each run
-    also handed to its variant.  The seeds count up from the variants' shared
-    train-config seed; a seed fixes the split and the initial weights, so
-    variants differ only in their spec and train config.
-    """
+def seed_jobs(jobs: list[Job], n_seeds: int) -> list[Job]:
+    """Every job at n_seeds seeds counting up from the first job's, seed-major.
+    A seed fixes the split and the initial weights, so the jobs of one seed
+    differ only in their spec and train config."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    seeds = range(variants[0].cfg.seed, variants[0].cfg.seed + n_seeds)
-    table = []
-    for seed, v in product(seeds, variants):
-        run = run_job(dataset, Job(v.label, v.spec, replace(v.cfg, seed=seed)), shared)[0]
-        v.runs.append(run)
-        table.append(run)
-    return table
+    seeds = range(jobs[0].cfg.seed, jobs[0].cfg.seed + n_seeds)
+    return [Job(j.label, j.spec, replace(j.cfg, seed=seed)) for seed in seeds for j in jobs]
+
+
+def _sweep(dataset: Dataset, jobs: list[Job], n_seeds: int,
+           shared: SharedSettings) -> list[RunResult]:
+    """The run table: the run of each seeded job, in job order."""
+    return [run_job(dataset, job, shared)[0] for job in seed_jobs(jobs, n_seeds)]
 
 
 def _converged_stats(runs: list[RunResult], part: str, metric: str) -> dict:
@@ -271,30 +257,39 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+@dataclass
+class Sweep:
+    """A sweep's jobs, one per label in listed order, and its run table, grouped by label."""
+
+    task: str
+    jobs: list[Job]
+    runs: list[RunResult]       # the run table: per seed, one run per job in job order
+
+    def arm_runs(self, label: str) -> list[RunResult]:
+        return [r for r in self.runs if r.arm == label]
+
+    def mean(self, label: str, part: str, metric: str) -> float | None:
+        """Mean of one validation or test metric over the label's converged runs."""
+        return _converged_stats(self.arm_runs(label), part, metric)["mean"]
+
+    @property
+    def summary(self) -> dict:
+        return {j.label: _summarize(self.arm_runs(j.label), self.task) for j in self.jobs}
+
+
 # ---------------------------------------------------------------------------
 # Comparison harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(Sweep):
     """Paired residual/regular results over shared seeds and splits."""
-
-    task: str
-    runs: list[RunResult]       # the run table: per seed, the residual then the regular run
-
-    def arm_runs(self, arm: str) -> list[RunResult]:
-        return [r for r in self.runs if r.arm == arm]
 
     @property
     def seeds(self) -> list[int]:
         return [r.seed for r in self.arm_runs("residual")]
 
-    @property
-    def summary(self) -> dict:
-        return {arm: _summarize(self.arm_runs(arm), self.task) for arm in ("residual", "regular")}
-
     def mean_test_headline(self, arm: str) -> float | None:
-        return _converged_stats(self.arm_runs(arm), "test", _headline(self.task))["mean"]
+        return self.mean(arm, "test", _headline(self.task))
 
     def to_dict(self) -> dict:
         return {
@@ -322,9 +317,9 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
     A non-finite training loss marks that arm non-convergent for the seed;
     summaries average over the converged runs only and count the failures.
     """
-    arms = [Variant("residual", replace(spec, residual="full"), cfg),
-            Variant("regular", replace(spec, residual="off"), cfg)]
-    return ComparisonReport(task=dataset.task, runs=_sweep(dataset, arms, n_seeds, shared))
+    arms = [Job("residual", replace(spec, residual="full"), cfg),
+            Job("regular", replace(spec, residual="off"), cfg)]
+    return ComparisonReport(dataset.task, arms, _sweep(dataset, arms, n_seeds, shared))
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +327,29 @@ def compare(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig, n_seeds: int 
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GridResult:
-    task: str
-    cells: list[Variant]        # ranked best first
+class GridResult(Sweep):
     axes: dict
 
-    def best(self) -> Variant:
+    @property
+    def cells(self) -> list[Job]:
+        """The jobs ranked best first by mean validation metric, all-diverged cells
+        last; ties rank the smaller parameter count, then batch size, first."""
+        return sorted(self.jobs, key=lambda c: (
+            np.inf if (mean := self.mean_val_metric(c)) is None else -mean,
+            self.parameter_count(c), c.cfg.batch_size))
+
+    def best(self) -> Job:
         return self.cells[0]
 
-    def mean_val_metric(self, cell: Variant) -> float | None:
+    def mean_val_metric(self, cell: Job) -> float | None:
         """The ranking metric: mean validation R^2 (or accuracy) over converged runs."""
-        return cell.mean("validation", _headline(self.task))
+        return self.mean(cell.label, "validation", _headline(self.task))
+
+    def parameter_count(self, cell: Job) -> int:
+        return self.arm_runs(cell.label)[0].parameter_count
 
     def to_dict(self) -> dict:
+        summary = self.summary
         return {"task": self.task, "axes": self.axes,
                 "definitions": {"nrmse": NRMSE_DEFINITION},
                 "ranked": [{"label": c.label,
@@ -354,8 +359,8 @@ class GridResult:
                             "residual": c.spec.residual,
                             "batch_size": c.cfg.batch_size,
                             "mean_val_metric": self.mean_val_metric(c),
-                            "parameter_count": c.runs[0].parameter_count,
-                            "n_non_convergent": sum(not r.converged for r in c.runs)}
+                            "parameter_count": self.parameter_count(c),
+                            "n_non_convergent": summary[c.label]["n_non_convergent"]}
                            for c in self.cells]}
 
     def write_cells_csv(self, path) -> None:
@@ -363,7 +368,7 @@ class GridResult:
                           "output_option", "mean_val_metric", "parameter_count"],
                    ([rank, c.label, c.cfg.batch_size, " ".join(str(w) for w in c.spec.nnode),
                      " ".join(c.spec.act_list()), c.spec.output_option,
-                     self.mean_val_metric(c), c.runs[0].parameter_count]
+                     self.mean_val_metric(c), self.parameter_count(c)]
                     for rank, c in enumerate(self.cells)))
 
     def batch_size_curve(self) -> list[tuple[int, float | None]]:
@@ -383,9 +388,9 @@ GRID_AXES = tuple(GRID_KINDS)
 
 
 def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
-                  grid: dict) -> tuple[dict, list[Variant]]:
+                  grid: dict) -> tuple[dict, list[Job]]:
     """The grid's axes, missing ones filled from the template, and one
-    variant per cell in product order.
+    job per cell in product order.
 
     Each value's JSON type is checked (nnodes are lists of integers,
     activations strings, the other axes integers), and an unknown axis, a
@@ -406,18 +411,18 @@ def grid_variants(spec: NetworkSpec, cfg: TrainConfig,
         for i, value in enumerate(axes[key]):
             if value in axes[key][:i]:
                 raise ValueError(f"grid.{key}[{i}] repeats grid.{key}[{axes[key].index(value)}]")
-    variants = []
+    jobs = []
     for index in product(*(range(len(axes[key])) for key in GRID_AXES)):
         nnode, act, option, batch = (axes[key][i] for key, i in zip(GRID_AXES, index))
         try:
-            variants.append(Variant(f"nnode={list(nnode)} act={act} out{option} batch={batch}",
-                                    replace(spec, nnode=nnode, acts=act, output_option=option),
-                                    replace(cfg, batch_size=batch)))
+            jobs.append(Job(f"nnode={list(nnode)} act={act} out{option} batch={batch}",
+                            replace(spec, nnode=nnode, acts=act, output_option=option),
+                            replace(cfg, batch_size=batch)))
         except ValueError as exc:
             where = ", ".join(f"grid.{key}[{i}]" for key, i in zip(GRID_AXES, index)
                               if key in grid)
             raise ValueError(f"{where or 'grid template'}: {exc}") from None
-    return axes, variants
+    return axes, jobs
 
 
 def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
@@ -426,56 +431,50 @@ def grid_search(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
     """Full factorial search ranked by mean validation R^2 (or accuracy).
 
     Recognized axes: batch_sizes, nnodes, activations, output_options;
-    missing axes fall back to the template value.  Ties rank the smaller
-    parameter count first, then the smaller batch size.  Splits and seeds
-    are shared across cells.
+    missing axes fall back to the template value.  Splits and seeds are
+    shared across cells; GridResult.cells ranks them.
     """
-    axes, variants = grid_variants(spec, cfg, grid)
-    _sweep(dataset, variants, n_seeds, shared)
-    result = GridResult(task=dataset.task, axes=axes, cells=variants)
-    result.cells.sort(key=lambda c: (np.inf if (mean := result.mean_val_metric(c)) is None
-                                     else -mean, c.runs[0].parameter_count, c.cfg.batch_size))
-    return result
+    axes, jobs = grid_variants(spec, cfg, grid)
+    return GridResult(dataset.task, jobs, _sweep(dataset, jobs, n_seeds, shared), axes)
 
 
 # ---------------------------------------------------------------------------
 # Residual-count sensitivity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SensitivityResult:
-    task: str
-    rows: list[Variant]         # one per count of outermost shortcuts kept, 0..all
+class SensitivityResult(Sweep):
+    """One job per count of outermost shortcuts kept, 0..all."""
 
     def table(self) -> list[dict]:
-        """Per row, the shortcuts kept and the mean test value of the task's first two metrics."""
-        return [{"n_shortcuts": r.spec.residual_count(),
-                 **{f"mean_test_{m}": r.mean("test", m) for m in TASK_METRICS[self.task][:2]}}
-                for r in self.rows]
+        """Per job, the shortcuts kept and the mean test value of the task's first two metrics."""
+        return [{"n_shortcuts": j.spec.residual_count(),
+                 **{f"mean_test_{m}": self.mean(j.label, "test", m)
+                    for m in TASK_METRICS[self.task][:2]}}
+                for j in self.jobs]
 
     def to_dict(self) -> dict:
+        summary = self.summary
         return {"definitions": {"nrmse": NRMSE_DEFINITION},
-                "rows": [{**row, "n_non_convergent": sum(not run.converged for run in r.runs)}
-                         for row, r in zip(self.table(), self.rows)]}
+                "rows": [{**row, "n_non_convergent": summary[j.label]["n_non_convergent"]}
+                         for row, j in zip(self.table(), self.jobs)]}
 
     def write_csv(self, path) -> None:
         table = self.table()
         _write_csv(path, list(table[0]), (list(row.values()) for row in table))
 
 
-def sensitivity_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Variant]:
-    """One variant per count of outermost shortcuts kept, 0..all (2 or more pairs)."""
+def sensitivity_variants(spec: NetworkSpec, cfg: TrainConfig) -> list[Job]:
+    """One job per count of outermost shortcuts kept, 0..all (2 or more pairs)."""
     if spec.n_shortcut_pairs < 2:
         raise ValueError(f"nnode: sensitivity study needs at least 2 shortcut pairs "
                          f"(one per width), got {list(spec.nnode)}")
-    return [Variant(f"shortcuts={count}", replace(spec, residual=count), cfg)
+    return [Job(f"shortcuts={count}", replace(spec, residual=count), cfg)
             for count in range(spec.n_shortcut_pairs + 1)]
 
 
 def residual_sensitivity(dataset: Dataset, spec: NetworkSpec, cfg: TrainConfig,
                          n_seeds: int = 5,
                          shared: SharedSettings = SharedSettings()) -> SensitivityResult:
-    """Train variants keeping 0..all outermost shortcuts on shared splits."""
-    variants = sensitivity_variants(spec, cfg)
-    _sweep(dataset, variants, n_seeds, shared)
-    return SensitivityResult(task=dataset.task, rows=variants)
+    """Train jobs keeping 0..all outermost shortcuts on shared splits."""
+    jobs = sensitivity_variants(spec, cfg)
+    return SensitivityResult(dataset.task, jobs, _sweep(dataset, jobs, n_seeds, shared))

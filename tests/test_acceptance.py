@@ -217,7 +217,7 @@ def test_criterion_6_residual_count_monotonicity():
     ds = sim_dataset()
     spec = make_spec(ds, SIM_NNODE, dropout_rate=SIM_DROPOUT)
     sens = residual_sensitivity(ds, spec, SIM_CFG, n_seeds=5)
-    values = [row.mean("test", "r2") for row in sens.rows]
+    values = [row["mean_test_r2"] for row in sens.table()]
     elapsed = time.monotonic() - started
     drops = [values[i] - values[i + 1] for i in range(len(values) - 1)
              if values[i + 1] < values[i]]

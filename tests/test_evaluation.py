@@ -13,7 +13,6 @@ from resae.evaluation import (
     Metrics,
     RunResult,
     SharedSettings,
-    Variant,
     accuracy,
     classification_metrics,
     compare,
@@ -24,6 +23,7 @@ from resae.evaluation import (
     roc_auc,
     run_job,
     score,
+    seed_jobs,
 )
 from resae.training import Regularizer, TrainConfig, make_spec
 
@@ -202,6 +202,8 @@ class TestCompare:
         assert [r.seed for r in res] == [r.seed for r in reg]
         for a, b in zip(res, reg):
             assert a.parameter_count == b.parameter_count
+        assert report.jobs == [Job("residual", replace(spec, residual="full"), tiny_cfg()),
+                               Job("regular", replace(spec, residual="off"), tiny_cfg())]
         d = report.to_dict()
         assert d["summary"]["residual"]["n_runs"] == 3
         assert "nrmse" in d["definitions"]
@@ -251,27 +253,24 @@ class TestCompare:
         assert len(lines) > 1
 
 
-def _compare_jobs(ds, spec, cfg, shared):
-    """(job, run) for each row of compare's run table, the jobs in seed-major order."""
-    report = compare(ds, spec, cfg, n_seeds=2, shared=shared)
-    jobs = [Job(arm, replace(spec, residual=residual), replace(cfg, seed=seed))
-            for seed in (1, 2) for arm, residual in (("residual", "full"), ("regular", "off"))]
-    return list(zip(jobs, report.runs, strict=True))
-
-
-def _variant_jobs(variants):
-    """(job, run) for each run of each variant, its runs at seeds 1 and 2."""
-    return [(Job(v.label, v.spec, replace(v.cfg, seed=seed)), run)
-            for v in variants for seed, run in zip((1, 2), v.runs, strict=True)]
+def _seeded_jobs(result):
+    """(job, run) for each row of a two-seed sweep's run table: every job at
+    seed 1, then every job at seed 2, written out here rather than by seed_jobs."""
+    labels = [j.label for j in result.jobs]
+    assert len(set(labels)) == len(labels)   # the run table is grouped by label
+    assert len(result.runs) == 2 * len(result.jobs)
+    jobs = [Job(j.label, j.spec, replace(j.cfg, seed=s)) for s in (1, 2) for j in result.jobs]
+    assert [run.arm for run in result.runs] == [job.label for job in jobs]
+    return list(zip(jobs, result.runs, strict=True))
 
 
 HARNESSES = {
-    "compare": _compare_jobs,
-    "grid": lambda ds, spec, cfg, shared: _variant_jobs(grid_search(
+    "compare": lambda ds, spec, cfg, shared: compare(ds, spec, cfg, n_seeds=2, shared=shared),
+    "grid": lambda ds, spec, cfg, shared: grid_search(
         ds, spec, cfg, {"batch_sizes": [16, 32], "output_options": [1, 2]}, n_seeds=2,
-        shared=shared).cells),
-    "sensitivity": lambda ds, spec, cfg, shared: _variant_jobs(residual_sensitivity(
-        ds, spec, cfg, n_seeds=2, shared=shared).rows),
+        shared=shared),
+    "sensitivity": lambda ds, spec, cfg, shared: residual_sensitivity(
+        ds, spec, cfg, n_seeds=2, shared=shared),
 }
 
 
@@ -281,9 +280,15 @@ def test_each_run_equals_its_job_run_alone(harness):
     # and on what every job shares; a sweep adds nothing of its own
     ds = generate_simulated(n=150, seed=0)
     shared = SharedSettings("l2", 1e-3, reconstruction_weight=0.5)
-    pairs = HARNESSES[harness](ds, make_spec(ds, (6, 3)), tiny_cfg(), shared)
-    for job, run in pairs:
+    result = HARNESSES[harness](ds, make_spec(ds, (6, 3)), tiny_cfg(), shared)
+    for job, run in _seeded_jobs(result):
         assert run == run_job(ds, job, shared)[0]
+
+
+def test_a_sweep_needs_at_least_one_seed():
+    job = Job("residual", make_spec(generate_simulated(n=150, seed=0), (6, 3)), tiny_cfg())
+    with pytest.raises(ValueError, match="^n_seeds must be >= 1$"):
+        seed_jobs([job], 0)
 
 
 def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip():
@@ -347,13 +352,37 @@ class TestGridSearch:
 
     def test_curve_sorts_on_batch_size_alone_when_a_cell_diverged(self):
         spec = make_spec(generate_simulated(n=150, seed=0), (6, 3))
-        converged = RunResult(1, "a", True, 10, validation=Metrics(r2=0.5))
-        diverged = RunResult(1, "b", False, 10, diagnostic="non-finite loss")
-        result = GridResult("regression", [
-            Variant("a", spec, tiny_cfg(batch_size=32), [converged]),
-            Variant("b", spec, tiny_cfg(batch_size=32), [diverged]),
-            Variant("c", spec, tiny_cfg(batch_size=16), [diverged])], {})
+        jobs = [Job("a", spec, tiny_cfg(batch_size=32)), Job("b", spec, tiny_cfg(batch_size=32)),
+                Job("c", spec, tiny_cfg(batch_size=16))]
+        runs = [RunResult(1, "a", True, 10, validation=Metrics(r2=0.5)),
+                RunResult(1, "b", False, 10, diagnostic="non-finite loss"),
+                RunResult(1, "c", False, 10, diagnostic="non-finite loss")]
+        result = GridResult("regression", jobs, runs, {})
         assert result.batch_size_curve() == [(16, None), (32, 0.5), (32, None)]
+
+    def test_cells_rank_by_mean_validation_metric_then_parameters_then_batch_size(self):
+        spec = make_spec(generate_simulated(n=150, seed=0), (6, 3))
+
+        def runs(label, parameter_count, *r2s):
+            return [RunResult(seed, label, True, parameter_count, validation=Metrics(r2=v),
+                              test=Metrics(r2=v)) for seed, v in enumerate(r2s, 1)]
+
+        batch_sizes = {"diverged": 16, "low": 32, "tie-big-batch": 64, "high": 64,
+                       "tie-more-parameters": 16, "tie-small-batch": 32}
+        jobs = [Job(label, spec, tiny_cfg(batch_size=b)) for label, b in batch_sizes.items()]
+        table = ([RunResult(seed, "diverged", False, 10, diagnostic="non-finite loss")
+                  for seed in (1, 2)]
+                 + runs("low", 10, 0.0, 0.2) + runs("tie-big-batch", 10, 0.5, 0.5)
+                 + runs("high", 30, 0.8, 1.0) + runs("tie-more-parameters", 20, 0.5, 0.5)
+                 + runs("tie-small-batch", 10, 0.5, 0.5))
+        result = GridResult("regression", jobs, table, {})
+        ranked = ["high", "tie-small-batch", "tie-big-batch", "tie-more-parameters", "low",
+                  "diverged"]
+        assert [c.label for c in result.cells] == ranked
+        assert result.best().label == "high"
+        assert [c.label for c in result.jobs] == list(batch_sizes)   # listed order stays
+        assert [(c["label"], c["n_non_convergent"]) for c in result.to_dict()["ranked"]] == [
+            (label, 2 if label == "diverged" else 0) for label in ranked]
 
     def test_empty_axis_rejected(self):
         ds = generate_simulated(n=150, seed=0)
@@ -399,13 +428,13 @@ class Testsensitivity:
         spec = make_spec(ds, (6, 3), dropout_rate=0.0)
         cfg = tiny_cfg()
         sens = residual_sensitivity(ds, spec, cfg, n_seeds=2)
-        assert [row.spec.residual_count() for row in sens.rows] == [0, 1, 2]
+        assert [job.spec.residual_count() for job in sens.jobs] == [0, 1, 2]
         report = compare(ds, spec, cfg, n_seeds=2)
         # identical seeds and splits: count 0 IS the regular arm, full count the residual arm
         reg = [r.test.r2 for r in report.arm_runs("regular")]
         res = [r.test.r2 for r in report.arm_runs("residual")]
-        zero = [r.test.r2 for r in sens.rows[0].runs]
-        full = [r.test.r2 for r in sens.rows[-1].runs]
+        zero = [r.test.r2 for r in sens.arm_runs("shortcuts=0")]
+        full = [r.test.r2 for r in sens.arm_runs("shortcuts=2")]
         np.testing.assert_array_equal(zero, reg)
         np.testing.assert_array_equal(full, res)
 

@@ -1,6 +1,6 @@
 """Write the CLI artifact set of five small configs and print one hash over it.
 
-    PYTHONPATH=src python tools/artifact_set.py [OUT_DIR]
+    PYTHONPATH=src python tools/artifact_set.py [--listing] [OUT_DIR]
 
 Two configs train on the simulated benchmark, two on a CSV written by
 `resae simulate` and one on the spatial field without coordinates; each runs `compare`, `grid`, `sensitivity` and
@@ -9,6 +9,12 @@ output directory, so no artifact holds an absolute path.  It prints the
 sha256 of the sorted listing of (path, file sha256) lines, so two checkouts
 print the same hash exactly when every artifact is byte-identical.  Without OUT_DIR the set is written to a temporary
 directory that is removed afterwards; with it, the files stay for a diff.
+With --listing it prints the listing itself under a header naming the Python,
+numpy and BLAS build; that output is tests/artifact_listing.txt, which a
+Tier-1 test compares with the set it writes, so a change that moves
+artifacts on purpose regenerates the file with
+
+    PYTHONPATH=src python tools/artifact_set.py --listing > tests/artifact_listing.txt
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from resae.cli import main as resae
 
@@ -89,10 +98,19 @@ def listing(root: Path) -> list[str]:
                   for path in root.rglob("*") if path.is_file())
 
 
+def environment() -> str:
+    """A listing's header: the Python, numpy and BLAS build that wrote the set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# python {platform.python_version()}, numpy {np.__version__}, "
+            f"blas {blas['name']} {blas['version']}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="new or empty directory to keep the set in "
                         "(default: a temporary directory, removed afterwards)")
+    parser.add_argument("--listing", action="store_true", help="print the environment "
+                        "header and one 'path sha256' line per file instead of the hash")
     args = parser.parse_args()
     with contextlib.ExitStack() as stack:
         root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory())).resolve()
@@ -102,6 +120,9 @@ def main() -> None:
         stack.callback(os.chdir, os.getcwd())
         write_set(root)
         lines = listing(root)
+    if args.listing:
+        print("\n".join([environment(), *lines]))
+        return
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print(f"{len(lines)} files, listing sha256 {digest}")
 

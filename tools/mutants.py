@@ -71,8 +71,21 @@ MUTANTS = (
            "        upstream *= e\n        return upstream\n",
            ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
     Mutant("sweep-hands-every-job-the-template-seed", "src/resae/evaluation.py",
-           "Job(v.label, v.spec, replace(v.cfg, seed=seed))", "Job(v.label, v.spec, v.cfg)",
+           "Job(j.label, j.spec, replace(j.cfg, seed=seed))", "Job(j.label, j.spec, j.cfg)",
            ("tests/test_evaluation.py::test_each_run_equals_its_job_run_alone",)),
+    Mutant("seed-jobs-in-job-major-order", "src/resae/evaluation.py",
+           "for seed in seeds for j in jobs]", "for j in jobs for seed in seeds]",
+           ("tests/test_evaluation.py::test_each_run_equals_its_job_run_alone",)),
+    Mutant("arm-runs-ignores-the-label", "src/resae/evaluation.py",
+           "return [r for r in self.runs if r.arm == label]", "return list(self.runs)",
+           ("tests/test_evaluation.py::TestCompare::test_report_structure_and_paired_counts",)),
+    Mutant("grid-ranks-the-worst-cell-first", "src/resae/evaluation.py",
+           "else -mean,", "else mean,",
+           ("tests/test_evaluation.py::TestGridSearch"
+            "::test_cells_rank_by_mean_validation_metric_then_parameters_then_batch_size",)),
+    Mutant("artifact-json-indented-by-one", "src/resae/cli.py",
+           "json.dump(payload, fh, indent=2,", "json.dump(payload, fh, indent=1,",
+           ("tests/test_artifact_set.py::test_the_artifact_set_equals_the_committed_listing",)),
     Mutant("split-swaps-validation-and-test", "src/resae/data.py",
            "validation=order[n_test:n_test + n_val],\n"
            "                        test=order[:n_test])",
