@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -149,6 +150,14 @@ def bin_to_classes(values: np.ndarray, upper_bounds) -> tuple[np.ndarray, list[s
     return classes, names
 
 
+def _categories(cells) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct cells, and each cell's index among them."""
+    cells = list(cells)
+    cats = sorted(set(cells))
+    index = dict(zip(cats, range(len(cats))))
+    return cats, np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+
+
 def load_csv(path, targets, task: str, target_bins=None,
              delimiter: str = ",") -> Dataset:
     """Load a header-ed CSV into a Dataset.
@@ -161,10 +170,14 @@ def load_csv(path, targets, task: str, target_bins=None,
     missing: any row containing one is dropped and counted.  An infinite
     value in a numeric column is an error naming the column and row.
     Classification targets are label-encoded in sorted order; numeric
-    targets can instead be binned with `target_bins` (inclusive upper bounds).
+    targets can instead be binned with `target_bins` (inclusive upper bounds),
+    which a regression rejects.  A file that is not UTF-8 text, or that the
+    csv module cannot read, is a ValueError naming the path.
     """
     if task not in TASKS:
         raise ValueError(f"task must be regression or classification, got {task!r}")
+    if target_bins is not None and task != "classification":
+        raise ValueError(f"target_bins needs task 'classification', got {task!r}")
     target_columns = [targets] if isinstance(targets, str) else list(targets)
     if len(set(target_columns)) != len(target_columns):
         raise ValueError(f"targets must be distinct names, got {target_columns}")
@@ -174,9 +187,13 @@ def load_csv(path, targets, task: str, target_bins=None,
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
+            rows = [row for row in reader if any(map(str.strip, row))]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [cells for row in reader if any(cells := [c.strip() for c in row])]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num} is not valid CSV: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names in header {header}")
@@ -184,36 +201,51 @@ def load_csv(path, targets, task: str, target_bins=None,
         if col not in header:
             raise ValueError(f"targets must name header columns, {col!r} is not in {header}")
 
-    # one (rows, columns) table of stripped cells, and the mask of present ones
     width = len(header)
     for row_no, row in enumerate(rows, start=1):
-        if any(row[width:]):
-            raise ValueError(f"{path}: data row {row_no} has {len(row)} cells, "
-                             f"but the header has {width}")
-    rows = [row[:width] + [""] * (width - len(row)) for row in rows]
-    present = np.array([[c.lower() not in MISSING_MARKERS for c in row] for row in rows],
-                       dtype=bool).reshape(len(rows), width)
+        if len(row) != width:
+            if any(map(str.strip, row[width:])):
+                raise ValueError(f"{path}: data row {row_no} has {len(row)} cells, "
+                                 f"but the header has {width}")
+            rows[row_no - 1] = row[:width] + [""] * (width - len(row))
+    n = len(rows)
+    stripped = [list(map(str.strip, cells)) for cells in zip(*rows)] or [[]] * width
+    columns = dict(zip(header, stripped))   # name -> its stripped cells
 
-    # a column is numeric when it has present cells and every one parses as a number
+    # A column is numeric when it has present cells and every one parses as a number.
+    # The one marker that parses is "nan", so when a whole column parses, only its NaN
+    # cells need the marker test.
+    keep = np.ones(n, dtype=bool)           # rows whose every cell is present
     numeric = {}
-    for j, name in enumerate(header):
+    for name, cells in columns.items():
         try:
-            values = np.array([float(row[j]) if ok else np.nan
-                               for row, ok in zip(rows, present[:, j])], dtype=np.float64)
+            values = np.fromiter(map(float, cells), np.float64, n)
         except ValueError:
-            continue
-        bad = np.flatnonzero(present[:, j] & ~np.isfinite(values))
+            mask = [c.lower() not in MISSING_MARKERS for c in cells]
+            present = np.array(mask, dtype=bool)
+            try:
+                parsed = np.fromiter(map(float, compress(cells, mask)), np.float64)
+            except ValueError:
+                keep &= present
+                continue
+            values = np.full(n, np.nan)
+            values[present] = parsed
+        else:
+            nan_cells = np.flatnonzero(np.isnan(values)).tolist()
+            present = np.ones(n, dtype=bool)
+            present[[i for i in nan_cells if cells[i].lower() in MISSING_MARKERS]] = False
+        bad = np.flatnonzero(present & ~np.isfinite(values))
         if bad.size:
             raise ValueError(f"{path}: numeric column {name!r} has the non-finite "
-                             f"value {rows[bad[0]][j]!r} in data row {bad[0] + 1}")
-        if present[:, j].any():
+                             f"value {cells[bad[0]]!r} in data row {bad[0] + 1}")
+        keep &= present
+        if present.any():
             numeric[name] = values
 
-    keep = present.all(axis=1)
-    n_dropped = len(rows) - int(keep.sum())
+    n_dropped = n - int(keep.sum())
     if not keep.any():
         raise ValueError(f"{path}: no usable rows (dropped {n_dropped})")
-    kept = dict(zip(header, np.array(rows, dtype=object)[keep].T))   # name -> kept cells
+    kept_rows = keep.tolist()
 
     encodings, feature_blocks, feature_names = {}, [], []
     for name in header:
@@ -223,8 +255,8 @@ def load_csv(path, targets, task: str, target_bins=None,
             feature_blocks.append(numeric[name][keep].reshape(-1, 1))
             feature_names.append(name)
         else:
-            cats, codes = np.unique(kept[name], return_inverse=True)
-            encodings[name] = cats.tolist()
+            cats, codes = _categories(compress(columns[name], kept_rows))
+            encodings[name] = cats
             feature_blocks.append(np.eye(len(cats))[codes])
             feature_names.extend(f"{name}={c}" for c in cats)
 
@@ -238,8 +270,7 @@ def load_csv(path, targets, task: str, target_bins=None,
                 raise ValueError(f"target_bins needs a numeric target, {name!r} is not numeric")
             classes, class_names = bin_to_classes(numeric[name][keep], target_bins)
         else:
-            labels, classes = np.unique(kept[name], return_inverse=True)
-            class_names = labels.tolist()
+            class_names, classes = _categories(compress(columns[name], kept_rows))
         encodings[name] = class_names
         y = classes.astype(np.float64).reshape(-1, 1)
         n_classes = len(class_names)

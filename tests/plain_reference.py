@@ -7,12 +7,18 @@ per array, and momentum * running + (1 - momentum) * batch stats.
 
 PlainRng is the random generator drawn one request at a time, with no block
 computed ahead, for the same comparison of the drawn stream.
+
+plain_load_csv is CSV ingestion a row at a time, for the same comparison of
+the Dataset it reads.
 """
+
+import csv
 
 import numpy as np
 
+from resae.data import MISSING_MARKERS, TASKS, Dataset, bin_to_classes
 from resae.layers import BN_EPSILON, BN_MOMENTUM
-from resae.matrix import Rng
+from resae.matrix import Rng, checked_json
 from resae.training import TrainingDiverged
 
 
@@ -226,3 +232,115 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
         if val_value < best_val:
             best_val, best = val_value, {name: arr.copy() for name, arr in state.items()}
     return state if best is None else best
+
+
+def plain_load_csv(path, targets, task: str, target_bins=None,
+                   delimiter: str = ",") -> Dataset:
+    """data.load_csv as it was before it read a column at a time: every cell
+    stripped, tested against MISSING_MARKERS and parsed in one pass over the
+    rows, and the kept cells encoded from a row-major object table.
+
+    Load a header-ed CSV into a Dataset.
+
+    Blank lines are skipped, short rows are padded with missing cells, and a
+    non-blank cell beyond the header's columns is an error.  Columns whose
+    every non-missing cell parses as a number are numeric; all others are
+    categorical and one-hot encoded (sorted category order, names
+    "col=value").  Cells matching MISSING_MARKERS ("", NA, ?, ...) count as
+    missing: any row containing one is dropped and counted.  An infinite
+    value in a numeric column is an error naming the column and row.
+    Classification targets are label-encoded in sorted order; numeric
+    targets can instead be binned with `target_bins` (inclusive upper bounds).
+    """
+    if task not in TASKS:
+        raise ValueError(f"task must be regression or classification, got {task!r}")
+    target_columns = [targets] if isinstance(targets, str) else list(targets)
+    if len(set(target_columns)) != len(target_columns):
+        raise ValueError(f"targets must be distinct names, got {target_columns}")
+    if len(checked_json(delimiter, str, "delimiter")) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        rows = [cells for row in reader if any(cells := [c.strip() for c in row])]
+
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header {header}")
+    for col in target_columns:
+        if col not in header:
+            raise ValueError(f"targets must name header columns, {col!r} is not in {header}")
+
+    # one (rows, columns) table of stripped cells, and the mask of present ones
+    width = len(header)
+    for row_no, row in enumerate(rows, start=1):
+        if any(row[width:]):
+            raise ValueError(f"{path}: data row {row_no} has {len(row)} cells, "
+                             f"but the header has {width}")
+    rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+    present = np.array([[c.lower() not in MISSING_MARKERS for c in row] for row in rows],
+                       dtype=bool).reshape(len(rows), width)
+
+    # a column is numeric when it has present cells and every one parses as a number
+    numeric = {}
+    for j, name in enumerate(header):
+        try:
+            values = np.array([float(row[j]) if ok else np.nan
+                               for row, ok in zip(rows, present[:, j])], dtype=np.float64)
+        except ValueError:
+            continue
+        bad = np.flatnonzero(present[:, j] & ~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{path}: numeric column {name!r} has the non-finite "
+                             f"value {rows[bad[0]][j]!r} in data row {bad[0] + 1}")
+        if present[:, j].any():
+            numeric[name] = values
+
+    keep = present.all(axis=1)
+    n_dropped = len(rows) - int(keep.sum())
+    if not keep.any():
+        raise ValueError(f"{path}: no usable rows (dropped {n_dropped})")
+    kept = dict(zip(header, np.array(rows, dtype=object)[keep].T))   # name -> kept cells
+
+    encodings, feature_blocks, feature_names = {}, [], []
+    for name in header:
+        if name in target_columns:
+            continue
+        if name in numeric:
+            feature_blocks.append(numeric[name][keep].reshape(-1, 1))
+            feature_names.append(name)
+        else:
+            cats, codes = np.unique(kept[name], return_inverse=True)
+            encodings[name] = cats.tolist()
+            feature_blocks.append(np.eye(len(cats))[codes])
+            feature_names.extend(f"{name}={c}" for c in cats)
+
+    n_classes = None
+    if task == "classification":
+        if len(target_columns) != 1:
+            raise ValueError(f"targets must name one column to classify, got {target_columns}")
+        name = target_columns[0]
+        if target_bins is not None:
+            if name not in numeric:
+                raise ValueError(f"target_bins needs a numeric target, {name!r} is not numeric")
+            classes, class_names = bin_to_classes(numeric[name][keep], target_bins)
+        else:
+            labels, classes = np.unique(kept[name], return_inverse=True)
+            class_names = labels.tolist()
+        encodings[name] = class_names
+        y = classes.astype(np.float64).reshape(-1, 1)
+        n_classes = len(class_names)
+    else:
+        for name in target_columns:
+            if name not in numeric:
+                raise ValueError(f"targets must be numeric columns, {name!r} is not numeric")
+        y = np.column_stack([numeric[name][keep] for name in target_columns])
+
+    if not feature_blocks:
+        raise ValueError(f"{path}: no feature columns left after removing the targets")
+
+    return Dataset(features=np.column_stack(feature_blocks), targets=y,
+                   feature_names=feature_names, target_names=target_columns,
+                   task=task, n_classes=n_classes, n_dropped=n_dropped, encodings=encodings)

@@ -520,8 +520,10 @@ class TestConfigErrors:
          "dataset.target_bins needs a numeric target, 'site' is not numeric"),
         ({"targets": ["nope"]},
          "dataset.targets must name header columns, 'nope' is not in ['a', 'site', 'y']"),
+        ({"target_bins": [1.0]},
+         "dataset.target_bins needs task 'classification', got 'regression'"),
     ], ids=["two-classification-targets", "text-regression-target", "bins-on-a-text-target",
-            "target-not-in-the-header"])
+            "target-not-in-the-header", "bins-on-a-regression"])
     def test_csv_target_that_cannot_be_read_exits_2_naming_key(self, tmp_path, capsys,
                                                                override, message):
         data = tmp_path / "t.csv"
@@ -530,6 +532,21 @@ class TestConfigErrors:
                                                    **override})
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a,y\n1,2\n" + b"x" * 131073 + b",3\n",
+         "line 3 is not valid CSV: field larger than field limit (131072)"),
+        ("a,y\ncafé,1\n".encode("latin-1"), "not UTF-8 text (invalid continuation byte)"),
+    ], ids=["cell-beyond-the-field-limit", "not-utf8"])
+    def test_csv_file_that_cannot_be_read_exits_2_naming_it(self, tmp_path, capsys,
+                                                            content, message):
+        data = tmp_path / "t.csv"
+        data.write_bytes(content)
+        cfg = tiny_train_config(tmp_path, dataset={"source": "csv", "path": str(data),
+                                                   "targets": ["y"]})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not (tmp_path / "run").exists()
 
     def test_key_of_another_source_may_be_an_integer_where_a_number_is_read(self, tmp_path):

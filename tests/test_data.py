@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import re
 import tempfile
@@ -22,6 +23,8 @@ from resae.data import (
     split,
 )
 from resae.matrix import Rng
+
+from plain_reference import plain_load_csv
 
 
 class TestSimulated:
@@ -175,6 +178,25 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.targets, [[2.0], [4.0]])
         assert ds.n_dropped == 1     # the short row; the blank line is skipped, not dropped
 
+    def test_target_bins_on_a_regression_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^target_bins needs task 'classification', "
+                                             r"got 'regression'$"):
+            load_csv(tmp_path / "absent.csv", ["y"], "regression", target_bins=[1.0])
+
+    def test_cell_beyond_the_csv_field_limit_is_rejected_naming_path_and_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,2\n" + "x" * (csv.field_size_limit() + 1) + ",3\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3 is not valid "
+                                             r"CSV: field larger than field limit \(131072\)$"):
+            load_csv(p, ["y"], "regression")
+
+    def test_file_that_is_not_utf8_is_rejected_naming_path(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes("a,y\ncafé,1\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: not UTF-8 text "
+                                             r"\(invalid continuation byte\)$"):
+            load_csv(p, ["y"], "regression")
+
 
 _LABELS = st.text(alphabet="abcdxyzQ", min_size=1, max_size=3)   # never a number or marker
 
@@ -229,6 +251,75 @@ def test_load_csv_keeps_exactly_the_complete_rows_and_encodes_them(table):
             block = ds.features[:, [ds.feature_names.index(f"{name}={c}") for c in cats]]
             np.testing.assert_array_equal(block.sum(axis=1), np.ones(len(kept)))
             assert [cats[i] for i in block.argmax(axis=1)] == column[name]
+
+
+# cells for the reference comparison: missing markers, cells that parse to NaN or
+# infinity without being markers, and labels that read as numbers
+_MARKERS = ["", "NaN", "nan", "NA", "?", "null", "n/a"]
+_NON_FINITE = ["+nan", "-nan", "inf", "-Infinity", "1e999"]
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-50, 50).map(str))
+_TEXT = st.sampled_from(["low", "high", "Mid", "1", "10", "2.5", "-3", "1e3"])
+_COLUMN_CELLS = [                  # one kind per column; most of its cells present
+    st.one_of(*[_NUMBERS] * 8, st.sampled_from(_MARKERS)),                       # numeric
+    st.one_of(*[_NUMBERS] * 16, st.sampled_from(_MARKERS + _NON_FINITE)),        # non-finite
+    st.one_of(*[_TEXT] * 8, st.sampled_from(_MARKERS)),                          # text
+    st.one_of(*[_TEXT, _NUMBERS] * 4, st.sampled_from(_MARKERS + _NON_FINITE)),  # mixed
+]
+_PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """(CSV text, targets, task, target_bins): padded cells of columns of one
+    kind each, with blank, whitespace-only, short and long rows among the data.
+    Bins come only with classification, and the text is always readable UTF-8:
+    the two cases where load_csv differs from the reference on purpose."""
+    width = draw(st.integers(2, 4))
+    header = [f"c{j}" for j in range(width)]
+    kinds = [draw(st.sampled_from(_COLUMN_CELLS)) for _ in header]
+    lines = [",".join(draw(_PAD) + name + draw(_PAD) for name in header)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(_PAD) + draw(kind) + draw(_PAD) for kind in kinds]
+        shape = draw(st.sampled_from(["full"] * 6 + ["blank", "short", "long"]))
+        if shape == "blank":
+            row = [draw(_PAD) for _ in range(draw(st.integers(0, width + 1)))]
+        elif shape == "short":
+            row = row[:draw(st.integers(0, width - 1))]
+        elif shape == "long":
+            row += draw(st.lists(st.sampled_from(["", " ", "\t", "", "5", "x"]),
+                                 min_size=1, max_size=2))
+        lines.append(",".join(row))
+    mode = draw(st.sampled_from(["one", "two", "label", "bins"]))
+    n_targets = 2 if mode == "two" else 1
+    targets = draw(st.lists(st.sampled_from(header), min_size=n_targets, max_size=n_targets,
+                            unique=True))
+    task = "regression" if mode in ("one", "two") else "classification"
+    bins = draw(st.sampled_from([[0.0], [-1.0, 2.5], [1.0, 1.0]])) if mode == "bins" else None
+    return "".join(line + "\n" for line in lines), targets, task, bins
+
+
+def _read(load, path, targets, task, bins):
+    """The Dataset's fields with its arrays as bytes, or the ValueError's message."""
+    try:
+        ds = load(path, targets, task, target_bins=bins)
+    except ValueError as exc:
+        return str(exc)
+    return (ds.features.shape, ds.features.dtype, ds.features.tobytes(),
+            ds.targets.shape, ds.targets.dtype, ds.targets.tobytes(),
+            ds.feature_names, ds.target_names, ds.task, ds.encodings, ds.n_dropped,
+            ds.n_classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_load_csv_matches_the_row_at_a_time_reference(case):
+    text, targets, task, bins = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _read(load_csv, path, targets, task, bins) == \
+            _read(plain_load_csv, path, targets, task, bins)
 
 
 class TestBinToClasses:

@@ -99,6 +99,15 @@ MUTANTS = (
     Mutant("bin-bounds-allow-a-repeat", "src/resae/data.py",
            "any(lo >= hi for", "any(lo > hi for",
            ("tests/test_data.py::TestBinToClasses::test_repeated_bound_rejected",)),
+    Mutant("parsed-column-never-tests-nan-cells-as-markers", "src/resae/data.py",
+           "if cells[i].lower() in MISSING_MARKERS]] = False", "if False]] = False",
+           ("tests/test_data.py::test_load_csv_matches_the_row_at_a_time_reference",)),
+    Mutant("fallback-parse-also-parses-missing-cells", "src/resae/data.py",
+           "map(float, compress(cells, mask))", "map(float, cells)",
+           ("tests/test_data.py::test_load_csv_matches_the_row_at_a_time_reference",)),
+    Mutant("categories-in-first-seen-order", "src/resae/data.py",
+           "cats = sorted(set(cells))", "cats = list(dict.fromkeys(cells))",
+           ("tests/test_data.py::TestLoadCsv::test_one_hot_encoding",)),
     Mutant("train-drops-the-shared-settings", "src/resae/cli.py",
            'Job("train", run.spec, run.train_cfg), run.shared)',
            'Job("train", run.spec, run.train_cfg), SharedSettings())',
