@@ -14,7 +14,6 @@ from .data import (
 )
 from .evaluation import (
     Metrics,
-    SharedSettings,
     classification_metrics,
     compare,
     evaluate_model,
@@ -32,6 +31,7 @@ from .training import (
     LossSpec,
     Regularizer,
     SgdMomentum,
+    SharedSettings,
     TrainConfig,
     TrainHistory,
     TrainingDiverged,

@@ -23,7 +23,6 @@ from .evaluation import (
     GRID_AXES,
     NRMSE_DEFINITION,
     Job,
-    SharedSettings,
     compare,
     grid_search,
     grid_variants,
@@ -33,7 +32,7 @@ from .evaluation import (
 )
 from .matrix import checked_json, checked_json_list, checked_names, read_record
 from .network import NetworkSpec
-from .training import TrainConfig, TrainingDiverged, dataset_dims
+from .training import SharedSettings, TrainConfig, dataset_dims
 
 
 class ConfigError(ValueError):
@@ -370,7 +369,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override training seed")
         if fn is cmd_sweep:   # train runs one seed
             p.add_argument("--n-seeds", type=_positive_int, help="override number of seeds")
-        p.add_argument("--residual", help="on, off, or number of outermost shortcuts")
+        if name in ("train", "grid"):   # compare and sensitivity set the shortcuts themselves
+            p.add_argument("--residual", help="on, off, or number of outermost shortcuts")
         p.set_defaults(fn=fn)
     return parser
 
@@ -383,9 +383,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError, MemoryError) as exc:   # MemoryError: a size beyond memory
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,11 +162,11 @@ def load_csv(path, targets, task: str, target_bins=None,
              delimiter: str = ",") -> Dataset:
     """Load a header-ed CSV into a Dataset.
 
-    Blank lines are skipped, short rows are padded with missing cells, and a
-    non-blank cell beyond the header's columns is an error.  Columns whose
-    every non-missing cell parses as a number are numeric; all others are
-    categorical and one-hot encoded (sorted category order, names
-    "col=value").  Cells matching MISSING_MARKERS ("", NA, ?, ...) count as
+    Header names must be non-blank and distinct.  Blank lines are skipped,
+    short rows are padded with missing cells, and a non-blank cell beyond the
+    header's columns is an error.  Columns whose every non-missing cell
+    parses as a number are numeric; all others are categorical and one-hot
+    encoded (sorted category order, names "col=value").  Cells matching MISSING_MARKERS ("", NA, ?, ...) count as
     missing: any row containing one is dropped and counted.  An infinite
     value in a numeric column is an error naming the column and row.
     Classification targets are label-encoded in sorted order; numeric
@@ -179,6 +179,8 @@ def load_csv(path, targets, task: str, target_bins=None,
     if target_bins is not None and task != "classification":
         raise ValueError(f"target_bins needs task 'classification', got {task!r}")
     target_columns = [targets] if isinstance(targets, str) else list(targets)
+    if not target_columns:
+        raise ValueError(f"targets must name at least one column, got {target_columns}")
     if len(set(target_columns)) != len(target_columns):
         raise ValueError(f"targets must be distinct names, got {target_columns}")
     if len(checked_json(delimiter, str, "delimiter")) != 1:
@@ -195,6 +197,8 @@ def load_csv(path, targets, task: str, target_bins=None,
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
+    if "" in header:
+        raise ValueError(f"{path}: header column {header.index('') + 1} is blank")
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names in header {header}")
     for col in target_columns:

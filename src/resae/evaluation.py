@@ -15,11 +15,11 @@ from itertools import product
 import numpy as np
 
 from .data import Dataset, split
-from .matrix import check_field_types, checked_json_list
+from .matrix import checked_json_list
 from .network import Network, NetworkSpec
 from .training import (
     FittedModel,
-    Regularizer,
+    SharedSettings,
     TrainConfig,
     TrainingDiverged,
     train_model,
@@ -166,26 +166,6 @@ class RunResult:
 
 
 @dataclass(frozen=True)
-class SharedSettings:
-    """What every job shares besides the dataset, checked when made: the loss
-    section, a weight penalty and the reconstruction weight."""
-
-    regularizer: str = "none"   # the penalty's kind: "none" | "l1" | "l2"
-    coefficient: float = 0.0
-    reconstruction_weight: float = 1.0
-
-    def __post_init__(self):
-        check_field_types(self)
-        self.penalty   # a Regularizer checks its kind and coefficient when made
-        if not self.reconstruction_weight >= 0:
-            raise ValueError("reconstruction_weight must be >= 0")
-
-    @property
-    def penalty(self) -> Regularizer:
-        return Regularizer(self.regularizer, self.coefficient)
-
-
-@dataclass(frozen=True)
 class Job:
     """One training run: a label, a spec and a train config at the run's seed;
     with the dataset and SharedSettings it fixes the run, bit for bit."""
@@ -202,8 +182,7 @@ def run_job(dataset: Dataset, job: Job,
     None and the run carries the diagnostic."""
     split_idx = split(dataset, seed=job.cfg.seed)
     try:
-        model = train_model(dataset, split_idx, job.spec, job.cfg,
-                            shared.penalty, shared.reconstruction_weight)
+        model = train_model(dataset, split_idx, job.spec, job.cfg, shared)
     except TrainingDiverged as exc:
         return RunResult(seed=job.cfg.seed, arm=job.label, converged=False,
                          parameter_count=Network(job.spec).count_parameters(),

@@ -80,6 +80,26 @@ class Regularizer:
             p.grad += self.coefficient * np.sign(p.value)
 
 
+@dataclass(frozen=True)
+class SharedSettings:
+    """What every job shares besides the dataset, checked when made: the loss
+    section, a weight penalty and the reconstruction weight."""
+
+    regularizer: str = "none"   # the penalty's kind: "none" | "l1" | "l2"
+    coefficient: float = 0.0
+    reconstruction_weight: float = 1.0
+
+    def __post_init__(self):
+        check_field_types(self)
+        self.penalty   # a Regularizer checks its kind and coefficient when made
+        if not self.reconstruction_weight >= 0:
+            raise ValueError("reconstruction_weight must be >= 0")
+
+    @property
+    def penalty(self) -> Regularizer:
+        return Regularizer(self.regularizer, self.coefficient)
+
+
 def softmax(logits: Matrix) -> Matrix:
     z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
@@ -87,14 +107,9 @@ def softmax(logits: Matrix) -> Matrix:
 
 
 def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
-                           inputs: Matrix | None = None,
-                           regularizer: Regularizer | None = None,
-                           params: list[Param] | None = None) -> tuple[float, Matrix]:
-    """Loss value plus the gradient with respect to the raw head output.
-
-    The regularizer contributes to the value only; its parameter gradients
-    are added separately after the network backward pass.
-    """
+                           inputs: Matrix | None = None) -> tuple[float, Matrix]:
+    """The head's loss value and its gradient with respect to the raw head
+    output; batch_gradients adds the weight penalty."""
     n = targets.shape[0]
     head_grad = np.zeros_like(preds.head)
     k = preds.y.shape[1]
@@ -127,10 +142,21 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
         grad = p.copy()
         grad[np.arange(n), classes] -= 1.0
         head_grad[:, :k] = grad / n
-
-    if regularizer is not None and params is not None:
-        value += regularizer.value(params)
     return value, head_grad
+
+
+def batch_gradients(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
+                    regularizer: Regularizer) -> float:
+    """The penalized loss of one train-mode pass of x.  When it is finite, every
+    parameter's grad is left holding its gradient; when it is not, it is returned
+    before any backward pass, and the grad buffers are as they were."""
+    preds = net.forward(x, "train")
+    value, head_grad = loss_and_head_gradient(loss, preds, targets, inputs=x)
+    value += regularizer.value(net.parameters())
+    if math.isfinite(value):
+        net.backward(head_grad)
+        regularizer.add_gradients(net.flat)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +278,6 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
     recorded validation loss are restored before returning.
     """
     regularizer = regularizer or Regularizer()
-    params = net.parameters()
     optimizer = cfg.make_optimizer(net.flat)
     shuffle_rng = Rng(cfg.seed).spawn(2)
     n = x_train.shape[0]
@@ -262,14 +287,9 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
         order = shuffle_rng.permutation(n)
         epoch_losses = []
         for b, idx in enumerate(_mini_batches(n, cfg.batch_size, order)):
-            xb, yb = x_train[idx], y_train[idx]
-            preds = net.forward(xb, "train")
-            value, head_grad = loss_and_head_gradient(
-                loss, preds, yb, inputs=xb, regularizer=regularizer, params=params)
+            value = batch_gradients(net, x_train[idx], y_train[idx], loss, regularizer)
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
-            net.backward(head_grad)
-            regularizer.add_gradients(net.flat)
             optimizer.step(cfg.learning_rate)
             epoch_losses.append(value)
 
@@ -384,14 +404,13 @@ class FittedModel:
 
 
 def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
-                regularizer: Regularizer | None = None,
-                reconstruction_weight: float = 1.0) -> FittedModel:
+                shared: SharedSettings = SharedSettings()) -> FittedModel:
     """Standardize, build, and fit one network on a train/validation split.
 
-    The loss is loss_kind's, at the given reconstruction weight.  Features,
-    and regression targets, are standardized on the training partition.  The
-    history's val_metric is the task's headline metric as evaluate_model
-    scores it.
+    The loss is loss_kind's at shared's reconstruction weight, with shared's
+    weight penalty.  Features, and regression targets, are standardized on
+    the training partition.  The history's val_metric is the task's headline
+    metric as evaluate_model scores it.
     """
     from .evaluation import HEADLINE_METRIC   # evaluation imports this module
 
@@ -404,7 +423,8 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
     model = FittedModel(network=build_network(spec, rng=Rng(cfg.seed).spawn(1)),
                         feature_stats=feature_stats, target_stats=target_stats,
                         task=dataset.task,
-                        loss=LossSpec(loss_kind(dataset.task, spec), reconstruction_weight))
+                        loss=LossSpec(loss_kind(dataset.task, spec),
+                                      shared.reconstruction_weight))
     headline = HEADLINE_METRIC[model.task]
 
     def val_metric(preds: Predictions) -> float:
@@ -412,7 +432,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
 
     model.history = fit(model.network, x_tr, y_tr, x_val,
                         target_stats.apply(y_val) if target_stats else y_val,
-                        model.loss, cfg, regularizer, val_metric)
+                        model.loss, cfg, shared.penalty, val_metric)
     return model
 
 
@@ -425,29 +445,21 @@ def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
                    n_sample: int = 200, seed: int = 0) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    Checks a random subsample of parameter entries.  The network RNG state is
-    pinned before every forward so dropout masks are identical across all
-    evaluations; train mode is used throughout, so batch-norm gradients are
-    exercised against the batch-statistics forward.
+    Both come from batch_gradients, the batch step fit takes, so the gradient
+    checked is the one fit steps with.  Checks a random subsample of parameter
+    entries.  The network RNG state is pinned before every pass so dropout
+    masks are identical across all evaluations; train mode is used throughout,
+    so batch-norm gradients are exercised against the batch-statistics forward.
     """
     regularizer = regularizer or Regularizer()
-    params = net.parameters()
     rng_state = net.rng.state
     saved = net.get_state()
 
     def evaluate() -> float:
         net.rng.state = rng_state
-        preds = net.forward(x, "train")
-        value, _ = loss_and_head_gradient(loss, preds, targets, inputs=x,
-                                          regularizer=regularizer, params=params)
-        return value
+        return batch_gradients(net, x, targets, loss, regularizer)
 
-    net.rng.state = rng_state
-    preds = net.forward(x, "train")
-    _, head_grad = loss_and_head_gradient(loss, preds, targets, inputs=x,
-                                          regularizer=regularizer, params=params)
-    net.backward(head_grad)
-    regularizer.add_gradients(net.flat)
+    evaluate()
     analytic = net.flat.grad.copy()
 
     values = net.flat.value      # every parameter entry, in parameters() order

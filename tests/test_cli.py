@@ -119,6 +119,15 @@ class TestTrain:
         assert info.value.code == 2
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["compare", "sensitivity"])
+    def test_residual_flag_on_a_command_that_sets_the_shortcuts_is_a_usage_error(
+            self, tmp_path, command):
+        # compare and sensitivity choose each job's shortcuts, so the flag would be ignored
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(tiny_train_config(tmp_path)), "--residual", "2"])
+        assert info.value.code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_metrics_equal_the_residual_arm_of_a_one_seed_compare(self, tmp_path):
         # train and every sweep run a job through one path: same seed, same metrics
         cfg = tiny_train_config(tmp_path, n_seeds=3,
@@ -522,8 +531,9 @@ class TestConfigErrors:
          "dataset.targets must name header columns, 'nope' is not in ['a', 'site', 'y']"),
         ({"target_bins": [1.0]},
          "dataset.target_bins needs task 'classification', got 'regression'"),
+        ({"targets": []}, "dataset.targets must name at least one column, got []"),
     ], ids=["two-classification-targets", "text-regression-target", "bins-on-a-text-target",
-            "target-not-in-the-header", "bins-on-a-regression"])
+            "target-not-in-the-header", "bins-on-a-regression", "no-targets"])
     def test_csv_target_that_cannot_be_read_exits_2_naming_key(self, tmp_path, capsys,
                                                                override, message):
         data = tmp_path / "t.csv"
@@ -538,7 +548,8 @@ class TestConfigErrors:
         (b"a,y\n1,2\n" + b"x" * 131073 + b",3\n",
          "line 3 is not valid CSV: field larger than field limit (131072)"),
         ("a,y\ncafé,1\n".encode("latin-1"), "not UTF-8 text (invalid continuation byte)"),
-    ], ids=["cell-beyond-the-field-limit", "not-utf8"])
+        (b"a, ,y\n1,x,2\n3,z,4\n", "header column 2 is blank"),
+    ], ids=["cell-beyond-the-field-limit", "not-utf8", "blank-header-cell"])
     def test_csv_file_that_cannot_be_read_exits_2_naming_it(self, tmp_path, capsys,
                                                             content, message):
         data = tmp_path / "t.csv"

@@ -153,6 +153,20 @@ class TestLoadCsv:
                                              r"got \['y', 'y'\]$"):
             load_csv(p, ["y", "y"], "regression")
 
+    def test_empty_target_list_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^targets must name at least one column, "
+                                             r"got \[\]$"):
+            load_csv(tmp_path / "absent.csv", [], "regression")
+
+    @pytest.mark.parametrize("header, column", [("a,,y", 2), ("a, ,y", 2), (",,y", 1)])
+    def test_blank_header_cell_rejected_naming_its_column(self, tmp_path, header, column):
+        # checked before repeated names, which two blank cells would also be
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\n1,x,2\n3,z,4\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: header column "
+                                             rf"{column} is blank$"):
+            load_csv(p, ["y"], "regression")
+
     def test_manifest_reports_counts(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,color,y\n1,red,2\n2,blue,3\n?,red,4\n")

@@ -21,6 +21,7 @@ from resae.training import (
     SgdMomentum,
     TrainConfig,
     TrainingDiverged,
+    batch_gradients,
     dataset_dims,
     fit,
     gradient_check,
@@ -452,6 +453,20 @@ class TestFit:
                     TrainConfig(batch_size=32, max_epochs=50, optimizer="sgd",
                                 learning_rate=1e12, seed=1))
         assert info.value.epoch >= 0
+
+    @pytest.mark.parametrize("target, regularizer", [
+        (np.inf, Regularizer()), (1.0, Regularizer("l2", 1e308))],
+        ids=["loss", "penalty"])
+    def test_a_non_finite_batch_returns_its_value_before_any_backward(self, target,
+                                                                      regularizer):
+        # fit raises TrainingDiverged on this value; no gradient of it is ever formed
+        net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0), rng=0)
+        net.flat.grad[...] = np.arange(net.flat.grad.size)
+        before = net.flat.grad.copy()
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        value = batch_gradients(net, x, np.full((5, 1), target), LossSpec("mse"), regularizer)
+        assert value == math.inf
+        np.testing.assert_array_equal(net.flat.grad, before)
 
     def test_history_csv(self, tmp_path):
         net, xtr, ytr, xv, yv = self._net_and_data(seed=5)

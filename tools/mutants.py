@@ -133,10 +133,19 @@ MUTANTS = (
     Mutant("record-reader-names-the-field-not-the-key", "src/resae/matrix.py",
            'f"{where}.{key_of[name]}"', 'f"{where}.{name}"',
            ("tests/test_cli.py::TestConfigErrors::test_wrong_json_type_exits_2_naming_key",)),
-    Mutant("penalty-drops-the-coefficient", "src/resae/evaluation.py",
+    Mutant("penalty-drops-the-coefficient", "src/resae/training.py",
            "return Regularizer(self.regularizer, self.coefficient)",
            "return Regularizer(self.regularizer)",
            ("tests/test_evaluation.py::test_penalty_is_the_loss_sections_regularizer",)),
+    Mutant("batch-gradient-drops-the-penalty-gradient", "src/resae/training.py",
+           "        regularizer.add_gradients(net.flat)\n", "",
+           ("tests/test_training.py::TestRegularizer"
+            "::test_l2_matches_finite_differences_through_gradient_check",
+            "tests/test_training.py::test_fit_is_bit_identical_to_plain_per_array_reference")),
+    Mutant("batch-loss-drops-the-penalty-value", "src/resae/training.py",
+           "    value += regularizer.value(net.parameters())\n", "",
+           ("tests/test_training.py::TestRegularizer"
+            "::test_l2_matches_finite_differences_through_gradient_check",)),
     Mutant("model-loader-trusts-the-loss-kind", "src/resae/training.py",
            "if loss.kind != kind:", "if loss.kind not in LOSS_KINDS:",
            ("tests/test_training.py::TestModelDocument"
