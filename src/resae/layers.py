@@ -12,15 +12,17 @@ other steps ignore it, and no step writes into it.
 Conventions: batches are (n, width) float64 matrices; each step caches what
 its backward needs during a train-mode forward, and an inference forward
 keeps nothing for it, so a backward pairs with the last train-mode forward (a
-dense, activation or batch-norm backward with none raises RuntimeError);
-backward writes parameter gradients into preallocated arrays so optimizer
-references stay valid.  A kernel works in place only on arrays it allocated
-in the same call, never on its input, its cache or an array it returned
-before.  A layer's PARAMS names its trainable attributes, and the gradient
-buffer of attribute X is attribute dX; a Network rebinds both to views of
-its one flat parameter vector.  A batch-norm layer's train forward only
-records its batch stats; the owning Network blends every layer's into its
-running stats at once, with the constant momentum BN_MOMENTUM."""
+dense, batch-norm or non-linear activation backward with none raises
+RuntimeError); backward writes parameter gradients into preallocated arrays
+so optimizer references stay valid.  An activation keeps the one array its
+backward reads (see Activation); tanh's is the output it returned, which
+stays intact because a kernel works in place only on arrays it allocated in
+the same call, never on its input, its cache or an array it returned before.
+A layer's PARAMS names its trainable attributes, and the gradient buffer of
+attribute X is attribute dX; a Network rebinds both to views of its one flat
+parameter vector.  A batch-norm layer's train forward only records its batch
+stats; the owning Network blends every layer's into its running stats at
+once, with the constant momentum BN_MOMENTUM."""
 
 from __future__ import annotations
 
@@ -33,40 +35,42 @@ BN_MOMENTUM = 0.9     # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * ba
 BN_EPSILON = 1e-5
 
 
-def activation_forward(kind: str, z: Matrix) -> Matrix:
+def activation_forward(kind: str, z: Matrix) -> tuple[Matrix, Matrix | None]:
+    """The activation of z, and the array that activation_backward reads for it:
+    min(0, z) for ELU, the output for tanh, z for ReLU and none for linear."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0), z
     if kind == "elu":     # ELU with alpha = 1
-        # max(z, 0) + expm1(min(z, 0)) has the bits of np.where(z >= 0, z, ...):
-        # numpy's minimum returns its second argument on a tie, so a z of -0.0 gives
-        # -0.0 + -0.0 and keeps its sign; expm1 of at most 0 never overflows
-        e = np.minimum(0.0, z)
-        np.expm1(e, out=e)
-        out = np.maximum(-0.0, z)
-        out += e
-        return out
+        # max(z, expm1(min(0, z))) has the bits of np.where(z >= 0, z, expm1(z)) on
+        # every input but a signaling NaN, which it may leave unquieted: numpy's
+        # minimum returns its second argument on a tie, so a z of -0.0 gives
+        # expm1(-0.0) = -0.0; expm1(z) >= z below 0, and never overflows there
+        m = np.minimum(0.0, z)
+        e = np.expm1(m)
+        np.maximum(z, e, out=e)
+        return e, m
     if kind == "tanh":
-        return np.tanh(z)
+        t = np.tanh(z)
+        return t, t
     if kind == "linear":
-        return z
+        return z, None
     raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
-def activation_backward(kind: str, z: Matrix, upstream: Matrix) -> Matrix:
-    if z.shape != upstream.shape:
-        raise ValueError(f"activation backward shape mismatch: {z.shape} vs {upstream.shape}")
-    if kind == "relu":
-        return upstream * (z > 0.0)          # derivative at 0 fixed to 0
-    if kind == "elu":     # exp(min(z, 0)) is 1 where z >= 0 (so 1 at 0) and never overflows
-        e = np.minimum(z, 0.0)
-        np.exp(e, out=e)
-        e *= upstream
-        return e
-    if kind == "tanh":
-        t = np.tanh(z)
-        return upstream * (1.0 - t * t)
+def activation_backward(kind: str, kept: Matrix | None, upstream: Matrix) -> Matrix:
+    """The gradient with respect to z, from the array activation_forward kept for z."""
     if kind == "linear":
         return upstream
+    if kept.shape != upstream.shape:
+        raise ValueError(f"activation backward shape mismatch: {kept.shape} vs {upstream.shape}")
+    if kind == "relu":
+        return upstream * (kept > 0.0)       # derivative at 0 fixed to 0
+    if kind == "elu":     # exp(min(0, z)) is 1 where z >= 0 (so 1 at 0) and never overflows
+        e = np.exp(kept)
+        e *= upstream
+        return e
+    if kind == "tanh":    # from its output t: 1 - t^2, with no second tanh
+        return upstream * (1.0 - kept * kept)
     raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
@@ -89,23 +93,27 @@ def dropout_masks(rng: Rng, rate: float, n: int, bounds) -> list[Matrix]:
 
 
 class Activation:
-    """Pointwise activation step; a train-mode forward caches its pre-activation."""
+    """Pointwise activation step.  A train-mode forward keeps in `kept` the one
+    array its backward reads: min(0, z) for ELU, the output for tanh, the
+    pre-activation z for ReLU; linear keeps nothing and its backward returns
+    upstream itself."""
 
     def __init__(self, kind: str):
         if kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {kind!r}")
         self.kind = kind
-        self._z: Matrix | None = None
+        self.kept: Matrix | None = None
 
     def forward(self, z: Matrix, train: bool = False, scale: Matrix | None = None) -> Matrix:
+        out, kept = activation_forward(self.kind, z)
         if train:
-            self._z = z
-        return activation_forward(self.kind, z)
+            self.kept = kept
+        return out
 
     def backward(self, upstream: Matrix) -> Matrix:
-        if self._z is None:
+        if self.kept is None and self.kind != "linear":
             raise RuntimeError("activation backward called before a train-mode forward")
-        return activation_backward(self.kind, self._z, upstream)
+        return activation_backward(self.kind, self.kept, upstream)
 
     def summary(self) -> dict:
         return {"kind": "activation", "fn": self.kind}

@@ -395,8 +395,9 @@ class Network:
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one; the spec must hold every field, and
-        layers and parameter_count must be the spec's own."""
+        ValueError names the first bad one; the spec must hold every field,
+        layers and parameter_count must be the spec's own, each weight's shape
+        and number count its parameter's, and no running variance negative."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
         net = cls(read_record(NetworkSpec, checked_entry(d, "spec", dict, "spec"), "spec",
@@ -413,7 +414,19 @@ class Network:
             entry = checked_json(entry, dict, where)
             shape = checked_json_list(checked_entry(entry, "shape", list, f"{where}.shape"),
                                       int, f"{where}.shape")
-            state[name] = checked_entry(entry, "data", np.ndarray, f"{where}.data").reshape(shape)
+            data = checked_entry(entry, "data", np.ndarray, f"{where}.data")
+            want = net._views.get(name)     # an unknown name is set_state's to reject
+            if want is not None:
+                if tuple(shape) != want.shape:
+                    raise ValueError(f"{where}.shape must be {list(want.shape)}, got {shape}")
+                if data.size != want.size:
+                    raise ValueError(f"{where}.data must hold {want.size} numbers, "
+                                     f"got {data.size}")
+                if name.endswith(".running_var") and (data < 0.0).any():
+                    i = int(np.argmax(data < 0.0))
+                    raise ValueError(f"{where}.data[{i}] must be >= 0, got {float(data[i])!r}")
+                data = data.reshape(want.shape)
+            state[name] = data
         net.set_state(state)
         return net
 

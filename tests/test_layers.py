@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from resae.layers import (
     BN_EPSILON,
@@ -41,31 +44,37 @@ def numeric_grad(fn, x, h=1e-5):
 class TestActivationForward:
     def test_relu_values(self):
         z = np.array([[-2.0, 3.0]])
-        np.testing.assert_array_equal(activation_forward("relu", z), [[0.0, 3.0]])
+        np.testing.assert_array_equal(activation_forward("relu", z)[0], [[0.0, 3.0]])
 
     def test_elu_zero_at_zero(self):
-        assert activation_forward("elu", np.array([[0.0]]))[0, 0] == 0.0
+        assert activation_forward("elu", np.array([[0.0]]))[0][0, 0] == 0.0
 
     def test_elu_negative_formula(self):
-        out = activation_forward("elu", np.array([[-1.0]]))
+        out, _ = activation_forward("elu", np.array([[-1.0]]))
         assert out[0, 0] == pytest.approx(math.expm1(-1.0))   # ~ -0.63212
 
     def test_elu_saturates_at_minus_one(self):
-        assert activation_forward("elu", np.array([[-50.0]]))[0, 0] == -1.0
+        assert activation_forward("elu", np.array([[-50.0]]))[0][0, 0] == -1.0
 
     def test_relu_equals_elu_for_nonnegative(self):
         z = np.linspace(0.0, 8.0, 33).reshape(3, 11)
-        np.testing.assert_array_equal(activation_forward("relu", z),
-                                      activation_forward("elu", z))
+        np.testing.assert_array_equal(activation_forward("relu", z)[0],
+                                      activation_forward("elu", z)[0])
 
     def test_tanh_and_linear(self):
         z = np.array([[0.5, -0.5]])
-        np.testing.assert_allclose(activation_forward("tanh", z), np.tanh(z))
-        assert activation_forward("linear", z) is z
+        np.testing.assert_allclose(activation_forward("tanh", z)[0], np.tanh(z))
+        out, kept = activation_forward("linear", z)
+        assert out is z and kept is None
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             activation_forward("sigmoid", np.zeros((1, 1)))
+
+
+def elu_kept(z):
+    """The array an ELU forward keeps for z, which its backward reads."""
+    return activation_forward("elu", np.array(z))[1]
 
 
 class TestActivationBackward:
@@ -78,11 +87,11 @@ class TestActivationBackward:
         assert out[0, 0] == 0.0
 
     def test_elu_derivative_one_at_zero(self):
-        out = activation_backward("elu", np.array([[0.0]]), np.array([[7.0]]))
+        out = activation_backward("elu", elu_kept([[0.0]]), np.array([[7.0]]))
         assert out[0, 0] == 7.0
 
     def test_elu_derivative_is_continuous_at_zero(self):
-        out = activation_backward("elu", np.array([[-1e-300]]), np.array([[7.0]]))
+        out = activation_backward("elu", elu_kept([[-1e-300]]), np.array([[7.0]]))
         assert out[0, 0] == 7.0
 
     def test_linear_passthrough(self):
@@ -96,9 +105,9 @@ class TestActivationBackward:
         up = rng.normal(size=(5, 4))
 
         def loss():
-            return float((activation_forward(kind, z) * up).sum())
+            return float((activation_forward(kind, z)[0] * up).sum())
 
-        analytic = activation_backward(kind, z, up)
+        analytic = activation_backward(kind, activation_forward(kind, z)[1], up)
         np.testing.assert_allclose(analytic, numeric_grad(loss, z), rtol=1e-5, atol=1e-6)
 
     def test_shape_mismatch(self):
@@ -125,10 +134,45 @@ def test_elu_is_bit_identical_to_where_reference():
         backward_ref = upstream * np.where(z >= 0.0, 1.0, np.exp(z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # no overflow or invalid-value warnings either
-        forward = activation_forward("elu", z)
-        backward = activation_backward("elu", z, upstream)
+        forward, kept = activation_forward("elu", z)
+        backward = activation_backward("elu", kept, upstream)
     assert_same_bits(forward, forward_ref)
     assert_same_bits(backward, backward_ref)
+
+
+EXPONENT, QUIET = np.uint64(0x7FF0_0000_0000_0000), np.uint64(1 << 51)
+# any sign, any mantissa, and an exponent that is often all zeros (±0 and subnormals)
+# or all ones (±inf and NaNs of any payload); and the points where expm1 and exp
+# reach -1, round to 0 or overflow
+FLOAT_BITS = st.one_of(
+    st.sampled_from(np.array([-1e-310, -40.0, -745.0, 709.0, 710.0]).view(np.uint64).tolist()),
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1), st.one_of(st.sampled_from([0, 0x7FF]), st.integers(0, 0x7FF)),
+              st.integers(0, 2 ** 52 - 1)))
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.uint64, st.tuples(st.just(2), st.integers(1, 4), st.integers(1, 6)),
+                  elements=FLOAT_BITS))
+def test_kernels_are_bit_identical_to_where_and_tanh_references_on_any_float(bits):
+    # a signaling NaN (all exponent bits, quiet bit clear, a payload) is made quiet
+    # first: max(z, expm1(min(0, z))) may hand one back unquieted, as libm's expm1
+    # may, where an add or a multiply quiets it; no arithmetic makes one, and an
+    # activation's input is the output of a dense layer or an add
+    nan = ((bits & EXPONENT) == EXPONENT) & ((bits << np.uint64(12)) != 0)
+    z, upstream = np.where(nan, bits | QUIET, bits).view(np.float64)
+    with np.errstate(all="ignore"):
+        elu_forward = np.where(z >= 0.0, z, np.expm1(z))
+        elu_backward = np.where(z >= 0.0, 1.0, np.exp(z)) * upstream
+        t = np.tanh(z)
+        tanh_backward = upstream * (1.0 - t * t)
+        out, kept = activation_forward("elu", z)
+        assert_same_bits(out, elu_forward)
+        assert_same_bits(activation_backward("elu", kept, upstream), elu_backward)
+        out, kept = activation_forward("tanh", z)
+        assert out is kept
+        assert_same_bits(out, t)
+        assert_same_bits(activation_backward("tanh", kept, upstream), tanh_backward)
 
 
 class TestDenseLayer:
@@ -488,6 +532,28 @@ def test_activation_layer_caches_preactivation():
         Activation("relu").backward(up)
 
 
+def test_a_train_pass_keeps_one_array_per_non_linear_activation_and_inference_none():
+    spec = NetworkSpec(nfea=3, nnode=(5, 4, 2), k=1, acts=("elu", "tanh", "relu"),
+                       dropout_rate=0.0)
+    net = build_network(spec, rng=0)
+    x = np.random.default_rng(1).normal(size=(6, 3))
+    activations = [step for step in net.steps if isinstance(step, Activation)]
+    assert {a.kind for a in activations} == {"elu", "tanh", "relu", "linear"}
+    net.forward(x)
+    assert all(a.kept is None for a in activations)
+    net.forward(x, "train")
+    kept = [a.kept for a in activations]
+    for a, array in zip(activations, kept):
+        if a.kind == "linear":
+            assert array is None
+        else:
+            assert isinstance(array, np.ndarray) and array.shape[0] == 6
+    non_linear = [array for a, array in zip(activations, kept) if a.kind != "linear"]
+    assert len({id(array) for array in non_linear}) == len(non_linear)
+    net.forward(x)       # an inference pass leaves the train pass's arrays in place
+    assert all(a.kept is array for a, array in zip(activations, kept))
+
+
 WIDTH = 5
 
 
@@ -524,12 +590,17 @@ def test_no_step_writes_into_its_input_upstream_or_output(name):
     given = (x.tobytes(), upstream.tobytes(), None if scale is None else scale.tobytes())
     out = step.forward(x, not name.endswith("-infer"), scale)
     returned = out.tobytes()
+    kept = getattr(step, "kept", None)      # what an activation's backward reads
+    kept_bytes = None if kept is None else kept.tobytes()
+    if name == "elu":                       # min(0, z), apart from the output
+        assert not np.shares_memory(out, kept) and not np.shares_memory(kept, x)
     if name != "batchnorm-infer":    # a batch-norm backward needs a train-mode forward
         grad = step.backward(upstream)
         if name == "elu":            # the rewritten backward
             assert not np.shares_memory(grad, x) and not np.shares_memory(grad, upstream)
     assert (x.tobytes(), upstream.tobytes(), None if scale is None else scale.tobytes()) == given
     assert out.tobytes() == returned
+    assert (None if kept is None else kept.tobytes()) == kept_bytes
     if name in REWRITTEN:
         for array in (x, scale, *(getattr(step, attr) for attr in REWRITTEN[name])):
             assert array is None or not np.shares_memory(out, array)

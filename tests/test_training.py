@@ -600,8 +600,12 @@ def saved_model_document():
     return json.loads(json.dumps(model.to_dict()))
 
 
+def _weight(doc, name):
+    return doc["network"]["weights"][name]
+
+
 def _set_weight(doc, index, value):
-    doc["network"]["weights"]["L000.dense.W"]["data"][index] = value
+    _weight(doc, "L000.dense.W")["data"][index] = value
 
 
 class TestModelDocument:
@@ -654,18 +658,31 @@ class TestModelDocument:
         (lambda d: d["network"]["layers"][0].update(out=7),
          "^layers must be the layer summary of the spec's network$"),
         (lambda d: d["network"].pop("layers"), "^layers is missing$"),
+        (lambda d: _weight(d, "L000.dense.b").update(shape=[-1, 1]),
+         r"^weights.L000.dense.b.shape must be \[6, 1\], got \[-1, 1\]$"),
+        (lambda d: _weight(d, "L000.dense.b")["data"].pop(),
+         "^weights.L000.dense.b.data must hold 6 numbers, got 5$"),
+        (lambda d: _weight(d, "L003.bn.running_var")["data"].__setitem__(2, -0.5),
+         r"^weights.L003.bn.running_var.data\[2\] must be >= 0, got -0.5$"),
     ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "huge-integer-weight",
             "zero-sd", "no-weights", "no-feature-stats", "null-target-stats",
             "no-target-stats", "classification-target-stats", "sd-length",
             "feature-stats-width", "target-stats-width", "constant-column-too-large",
             "constant-column-negative", "classification-loss-kind", "reconstruction-loss-kind",
             "parameter-count", "string-parameter-count", "no-layer-summary",
-            "other-layer-summary", "missing-layer-summary"])
+            "other-layer-summary", "missing-layer-summary", "inferred-weight-shape",
+            "short-weight-data", "negative-running-variance"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)
         with pytest.raises(ValueError, match=message):
             FittedModel.from_dict(doc)
+
+    def test_zero_running_variance_loads(self):
+        doc = saved_model_document()
+        _weight(doc, "L003.bn.running_var")["data"][2] = 0.0     # BN_EPSILON is added to it
+        model = FittedModel.from_dict(doc)
+        assert np.isfinite(model.predict(np.ones((4, 8)))).all()
 
     @pytest.mark.parametrize("record, field", [("spec", f.name) for f in fields(NetworkSpec)] +
                              [("loss", f.name) for f in fields(LossSpec)])

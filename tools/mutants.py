@@ -40,8 +40,20 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("elu-minimum-argument-order", "src/resae/layers.py",
-           "e = np.minimum(0.0, z)", "e = np.minimum(z, 0.0)",
+           "m = np.minimum(0.0, z)", "m = np.minimum(z, 0.0)",
            ("tests/test_layers.py::test_elu_is_bit_identical_to_where_reference",)),
+    Mutant("elu-keeps-its-input", "src/resae/layers.py",
+           "        return e, m\n", "        return e, z\n",
+           ("tests/test_layers.py::test_elu_is_bit_identical_to_where_reference",)),
+    Mutant("tanh-backward-reapplies-tanh", "src/resae/layers.py",
+           "return upstream * (1.0 - kept * kept)",
+           "return upstream * (1.0 - np.tanh(kept) * np.tanh(kept))",
+           ("tests/test_layers.py"
+            "::test_kernels_are_bit_identical_to_where_and_tanh_references_on_any_float",)),
+    Mutant("running-variance-check-dropped", "src/resae/network.py",
+           'if name.endswith(".running_var") and (data < 0.0).any():', "if False:",
+           ("tests/test_training.py::TestModelDocument"
+            "::test_bad_document_rejected_naming_field",)),
     Mutant("running-stat-blend-literal", "src/resae/network.py",
            "self.running += (1.0 - BN_MOMENTUM) * self._batch_stats",
            "self.running += 0.1 * self._batch_stats",
