@@ -45,9 +45,22 @@ def r2(y: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def accuracy(y: np.ndarray, probabilities: np.ndarray) -> float:
-    """Share of rows whose most probable class is the observed class."""
-    classes = np.asarray(y, dtype=np.int64).ravel()
-    return float((np.asarray(probabilities).argmax(axis=1) == classes).mean())
+    """Share of rows whose most probable class is the observed class.  y holds
+    one whole-number class per row of the (n, C) probabilities, and a
+    ValueError says what is wrong otherwise."""
+    labels = np.asarray(y, dtype=np.float64).ravel()
+    p = np.asarray(probabilities)
+    if p.ndim != 2:
+        raise ValueError(f"accuracy needs (n, C) probabilities, got shape {p.shape}")
+    if labels.shape[0] != p.shape[0]:
+        raise ValueError(f"accuracy needs one label per probability row, got "
+                         f"{labels.shape[0]} labels for {p.shape[0]} rows")
+    whole = np.isfinite(labels) & (labels == np.floor(labels))
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise ValueError(f"accuracy labels must be whole numbers, got {labels[i].item()!r} "
+                         f"at row {i}")
+    return float((p.argmax(axis=1) == labels.astype(np.int64)).mean())
 
 
 def rmse_and_nrmse(y: np.ndarray, y_pred: np.ndarray) -> tuple[float, float | None]:
@@ -62,8 +75,13 @@ def rmse_and_nrmse(y: np.ndarray, y_pred: np.ndarray) -> tuple[float, float | No
 
 
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve by trapezoid; tied scores share one sweep point."""
+    """Area under the ROC curve by trapezoid; tied scores share one sweep point.
+    Each label is 0 or 1 (or a bool); a ValueError names the first other one."""
     labels = np.asarray(labels).ravel()
+    other = (labels != 0) & (labels != 1)
+    if other.any():
+        i = int(np.argmax(other))
+        raise ValueError(f"roc_auc labels must be 0 or 1, got {labels[i].item()!r} at index {i}")
     scores = np.asarray(scores, dtype=np.float64).ravel()
     pos = int((labels == 1).sum())
     neg = int((labels == 0).sum())

@@ -22,7 +22,13 @@ A layer's PARAMS names its trainable attributes, and the gradient buffer of
 attribute X is attribute dX; a Network rebinds both to views of its one flat
 parameter vector.  A batch-norm layer's train forward only records its batch
 stats; the owning Network blends every layer's into its running stats at
-once, with the constant momentum BN_MOMENTUM."""
+once, with the constant momentum BN_MOMENTUM.
+
+The kernels call numpy through the module-level names below, bound once, with
+positional arguments (out= stays a keyword for maximum and minimum, whose
+positional out numpy deprecates), and divide by batch sizes as floats: the
+same operations in the same order as the plain expressions, with less
+dispatch per call."""
 
 from __future__ import annotations
 
@@ -34,23 +40,28 @@ ACTIVATION_KINDS = ("relu", "elu", "tanh", "linear")
 BN_MOMENTUM = 0.9     # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
 BN_EPSILON = 1e-5
 
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_maximum, _minimum, _matmul = np.maximum, np.minimum, np.matmul
+_sqrt, _exp, _expm1, _tanh = np.sqrt, np.exp, np.expm1, np.tanh
+_sum = np.add.reduce        # _sum(a, axis, dtype, out, keepdims)
+
 
 def activation_forward(kind: str, z: Matrix) -> tuple[Matrix, Matrix | None]:
     """The activation of z, and the array that activation_backward reads for it:
     min(0, z) for ELU, the output for tanh, z for ReLU and none for linear."""
     if kind == "relu":
-        return np.maximum(z, 0.0), z
+        return _maximum(z, 0.0), z
     if kind == "elu":     # ELU with alpha = 1
         # max(z, expm1(min(0, z))) has the bits of np.where(z >= 0, z, expm1(z)) on
         # every input but a signaling NaN, which it may leave unquieted: numpy's
         # minimum returns its second argument on a tie, so a z of -0.0 gives
         # expm1(-0.0) = -0.0; expm1(z) >= z below 0, and never overflows there
-        m = np.minimum(0.0, z)
-        e = np.expm1(m)
-        np.maximum(z, e, out=e)
+        m = _minimum(0.0, z)
+        e = _expm1(m)
+        _maximum(z, e, out=e)
         return e, m
     if kind == "tanh":
-        t = np.tanh(z)
+        t = _tanh(z)
         return t, t
     if kind == "linear":
         return z, None
@@ -64,21 +75,23 @@ def activation_backward(kind: str, kept: Matrix | None, upstream: Matrix) -> Mat
     if kept.shape != upstream.shape:
         raise ValueError(f"activation backward shape mismatch: {kept.shape} vs {upstream.shape}")
     if kind == "relu":
-        return upstream * (kept > 0.0)       # derivative at 0 fixed to 0
+        return _multiply(upstream, kept > 0.0)       # derivative at 0 fixed to 0
     if kind == "elu":     # exp(min(0, z)) is 1 where z >= 0 (so 1 at 0) and never overflows
-        e = np.exp(kept)
-        e *= upstream
+        e = _exp(kept)
+        _multiply(e, upstream, e)
         return e
-    if kind == "tanh":    # from its output t: 1 - t^2, with no second tanh
-        return upstream * (1.0 - kept * kept)
+    if kind == "tanh":    # from its output t: upstream * (1 - t^2), with no second tanh
+        g = _multiply(kept, kept)
+        _subtract(1.0, g, g)
+        return _multiply(upstream, g, g)
     raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
 def inverse_sd(var: Matrix, out: Matrix | None = None) -> Matrix:
     """1 / sqrt(var + BN_EPSILON), the scale batch norm normalizes by, in out if given."""
-    out = np.add(var, BN_EPSILON, out=out)
-    np.sqrt(out, out=out)
-    return np.divide(1.0, out, out=out)
+    out = _add(var, BN_EPSILON, out)
+    _sqrt(out, out)
+    return _divide(1.0, out, out)
 
 
 def dropout_masks(rng: Rng, rate: float, n: int, bounds) -> list[Matrix]:
@@ -148,16 +161,16 @@ class DenseLayer:
                              f"{x.shape}; weights are {self.W.shape}")
         if train:
             self._x = x
-        out = x @ self.W.T
-        out += self.b.T
+        out = _matmul(x, self.W.T)
+        _add(out, self.b.T, out)
         return out
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._x is None:
             raise RuntimeError("dense backward called before a train-mode forward")
-        np.matmul(upstream.T, self._x, out=self.dW)
-        np.add.reduce(upstream, axis=0, keepdims=True, out=self.db.T)
-        return upstream @ self.W
+        _matmul(upstream.T, self._x, self.dW)
+        _sum(upstream, 0, None, self.db.T, True)
+        return _matmul(upstream, self.W)
 
     def summary(self) -> dict:
         return {"kind": "dense", "in": self.n_in, "out": self.n_out}
@@ -190,48 +203,50 @@ class BatchNormLayer:
         if x.shape[1] != self.width:
             raise ValueError(f"batchnorm expects width {self.width}, got {x.shape}")
         if not train:   # scale is inverse_sd(running_var)
-            out = x - self.running_mean        # gamma * ((x - running_mean) * inv) + beta
-            out *= scale
-            np.multiply(self.gamma, out, out=out)
-            out += self.beta
+            out = _subtract(x, self.running_mean)    # gamma * ((x - running_mean) * inv) + beta
+            _multiply(out, scale, out)
+            _multiply(self.gamma, out, out)
+            _add(out, self.beta, out)
             return out
         if x.shape[0] < 2:
             raise ValueError(f"batchnorm needs a batch of at least 2 rows in "
                              f"train mode, got {x.shape[0]}")
         # np.mean/np.var's own arithmetic, without their wrappers: column sums
-        # divided by n, then the centred batch squared, summed and divided by n
-        n = x.shape[0]
-        mean = np.add.reduce(x, axis=0, keepdims=True, out=self.batch_mean)
-        mean /= n
-        xhat = x - mean
-        var = np.add.reduce(xhat * xhat, axis=0, keepdims=True, out=self.batch_var)
-        var /= n                                                    # population variance
+        # divided by n, then the centred batch squared, summed and divided by n;
+        # the squares' buffer then takes the output
+        n = float(x.shape[0])
+        mean = _sum(x, 0, None, self.batch_mean, True)
+        _divide(mean, n, mean)
+        xhat = _subtract(x, mean)
+        out = _multiply(xhat, xhat)
+        var = _sum(out, 0, None, self.batch_var, True)
+        _divide(var, n, var)                                        # population variance
         inv = inverse_sd(var)
-        xhat *= inv
+        _multiply(xhat, inv, xhat)
         self._cache = (xhat, inv)
-        out = self.gamma * xhat
-        out += self.beta
+        _multiply(self.gamma, xhat, out)
+        _add(out, self.beta, out)
         return out
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._cache is None:
             raise RuntimeError("batchnorm backward called before a train-mode forward")
         xhat, inv = self._cache
-        n = xhat.shape[0]
-        t = upstream * xhat
-        np.add.reduce(t, axis=0, keepdims=True, out=self.dgamma)
-        np.add.reduce(upstream, axis=0, keepdims=True, out=self.dbeta)
-        dxhat = upstream * self.gamma
+        n = float(xhat.shape[0])
+        t = _multiply(upstream, xhat)
+        _sum(t, 0, None, self.dgamma, True)
+        _sum(upstream, 0, None, self.dbeta, True)
+        dxhat = _multiply(upstream, self.gamma)
         # exact gradient of the train-mode forward (mean and var both depend on x):
         # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
         # evaluated left to right in the buffers t and dxhat
-        col_sum = np.add.reduce(dxhat, axis=0, keepdims=True)
-        np.multiply(dxhat, xhat, out=t)
-        np.multiply(xhat, np.add.reduce(t, axis=0, keepdims=True), out=t)
-        dxhat *= n
-        dxhat -= col_sum
-        dxhat -= t
-        dxhat *= inv / n
+        col_sum = _sum(dxhat, 0, None, None, True)
+        _multiply(dxhat, xhat, t)
+        _multiply(xhat, _sum(t, 0, None, None, True), t)
+        _multiply(dxhat, n, dxhat)
+        _subtract(dxhat, col_sum, dxhat)
+        _subtract(dxhat, t, dxhat)
+        _multiply(dxhat, _divide(inv, n), dxhat)
         return dxhat
 
     def summary(self) -> dict:
@@ -256,12 +271,12 @@ class DropoutLayer:
         if not train or self.rate == 0.0:
             return x
         self._mask = scale
-        return x * scale
+        return _multiply(x, scale)
 
     def backward(self, upstream: Matrix) -> Matrix:
         if self._mask is None:
             return upstream
-        return upstream * self._mask
+        return _multiply(upstream, self._mask)
 
     def summary(self) -> dict:
         return {"kind": "dropout", "rate": self.rate}
@@ -287,7 +302,7 @@ class ShortcutSave:
         return x
 
     def backward(self, upstream: Matrix) -> Matrix:
-        self.grad = self.grad + upstream
+        self.grad = _add(self.grad, upstream)
         return self.grad
 
     def summary(self) -> dict:
@@ -312,7 +327,7 @@ class ResidualAddNode:
         if shallow.shape != deep.shape:
             raise ValueError(f"residual shortcut shape mismatch at {self.label}: "
                              f"encode side {shallow.shape} vs decode side {deep.shape}")
-        return shallow + deep
+        return _add(shallow, deep)
 
     def backward(self, upstream: Matrix) -> Matrix:
         self.save.grad = upstream

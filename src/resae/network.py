@@ -158,6 +158,9 @@ class Network:
     A train pass draws every dropout mask with one request to rng, and an
     inference pass computes every batch-norm layer's inverse sd from
     net.running into one vector; each step is handed its part as its scale.
+    A pass walks each step's forward, or each backward in reverse, as bound
+    here when the network is made, so a class attribute patched later (a
+    tracer, say) reaches only networks made after it.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -263,6 +266,8 @@ class Network:
         steps.append(Activation("linear"))   # a linear head; build_network scales its weights
 
         self.spec, self.steps, self.rng = spec, steps, Rng(0)
+        self._forwards = [step.forward for step in steps]
+        self._backwards = [step.backward for step in reversed(steps)]
         self.flat = Param("flat", *_pack([(layer, attr, "d" + attr) for _, layer in stateful
                                           for attr in layer.PARAMS]))
         stats = [(name, bn, f"running_{stat}") for name, bn, _, _ in norms
@@ -297,8 +302,8 @@ class Network:
             scales = self._inverse_sds
             inverse_sd(np.take(self.running, self._var_index, out=self._inv), out=self._inv)
         cur = x
-        for i, step in enumerate(self.steps):
-            cur = step.forward(cur, train, scales[i])
+        for i, (forward, scale) in enumerate(zip(self._forwards, scales)):
+            cur = forward(cur, train, scale)
             if trace is not None:
                 trace[i] = cur
         if train:   # momentum * running + (1 - momentum) * batch, for every layer at once
@@ -320,10 +325,10 @@ class Network:
         Returns the gradient with respect to the network input.
         """
         g = head_gradient
-        for i in range(len(self.steps) - 1, -1, -1):
-            g = self.steps[i].backward(g)
+        for i, backward in enumerate(self._backwards):
+            g = backward(g)
             if trace is not None:
-                trace[i] = g
+                trace[len(self._backwards) - 1 - i] = g
         if trace is not None:
             for i, step in enumerate(self.steps):
                 if isinstance(step, ResidualAddNode):

@@ -22,6 +22,11 @@ from .network import Network, NetworkSpec, Param, Predictions, build_network
 
 LOSS_KINDS = ("mse", "mse_reconstruction", "cross_entropy")
 
+# numpy reached once, as layers.py does, for the per-batch loss and optimizer steps
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_sqrt, _exp, _log, _zeros = np.sqrt, np.exp, np.log, np.zeros
+_sum, _max = np.add.reduce, np.maximum.reduce      # (a, axis, dtype, out, keepdims)
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when a batch or validation loss stops being finite."""
@@ -101,9 +106,9 @@ class SharedSettings:
 
 
 def softmax(logits: Matrix) -> Matrix:
-    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e = _subtract(logits, _max(logits, 1, None, None, True))
+    _exp(e, e)
+    return _divide(e, _sum(e, 1, None, None, True), e)
 
 
 def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
@@ -111,37 +116,37 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
     """The head's loss value and its gradient with respect to the raw head
     output; batch_gradients adds the weight penalty."""
     n = targets.shape[0]
-    head_grad = np.zeros_like(preds.head)
+    head_grad = _zeros(preds.head.shape)
     k = preds.y.shape[1]
 
     if loss.kind in ("mse", "mse_reconstruction"):
         if preds.y.shape != targets.shape:
             raise ValueError(f"loss shape mismatch: predictions {preds.y.shape} "
                              f"vs targets {targets.shape}")
-        r = preds.y - targets
-        value = float((r * r).sum()) / (2.0 * n)
-        head_grad[:, :k] = r / n
+        r = _subtract(preds.y, targets)
+        value = float(_sum(_multiply(r, r), None)) / (2.0 * n)
+        _divide(r, float(n), head_grad[:, :k])
         if loss.kind == "mse_reconstruction":
             if preds.reconstruction is None or inputs is None:
                 raise ValueError("reconstruction loss needs an option-2 head "
                                  "and the input batch")
             w = loss.reconstruction_weight
-            rr = preds.reconstruction - inputs
-            value += w * float((rr * rr).sum()) / (2.0 * n)
-            head_grad[:, k:] = w * rr / n
+            rr = _subtract(preds.reconstruction, inputs)
+            value += w * float(_sum(_multiply(rr, rr), None)) / (2.0 * n)
+            _divide(_multiply(w, rr, rr), float(n), head_grad[:, k:])
     else:   # cross_entropy, the one kind left in a LossSpec
         classes = np.asarray(targets, dtype=np.int64).ravel()
         if classes.shape[0] != n or classes.min() < 0 or classes.max() >= k:
             raise ValueError(f"cross entropy expects class indices in [0, {k}), "
                              f"got range [{classes.min()}, {classes.max()}]")
         p = softmax(preds.y)
+        rows = np.arange(n)
         # no clipping: an underflowed probability yields an infinite loss,
         # which the training loop surfaces as divergence
         with np.errstate(divide="ignore"):
-            value = float(-np.log(p[np.arange(n), classes]).sum()) / n
-        grad = p.copy()
-        grad[np.arange(n), classes] -= 1.0
-        head_grad[:, :k] = grad / n
+            value = float(_sum(-_log(p[rows, classes]), None)) / n
+        p[rows, classes] -= 1.0      # p becomes the gradient of the summed loss
+        _divide(p, float(n), head_grad[:, :k])
     return value, head_grad
 
 
@@ -174,9 +179,9 @@ class SgdMomentum:
 
     def step(self, lr: float) -> None:
         v, p = self._velocity, self.param
-        v *= self.momentum
-        v += p.grad
-        p.value -= lr * v
+        _multiply(v, self.momentum, v)
+        _add(v, p.grad, v)
+        _subtract(p.value, _multiply(lr, v), p.value)
 
 
 class Adam:
@@ -195,12 +200,19 @@ class Adam:
         self._t += 1
         c1 = 1.0 - self.beta1 ** self._t
         c2 = 1.0 - self.beta2 ** self._t
-        m, v, p = self._m, self._v, self.param
-        m *= self.beta1
-        m += (1.0 - self.beta1) * p.grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (p.grad * p.grad)
-        p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        m, v, g, value = self._m, self._v, self.param.grad, self.param.value
+        _multiply(m, self.beta1, m)
+        _add(m, _multiply(1.0 - self.beta1, g), m)
+        _multiply(v, self.beta2, v)
+        t = _multiply(g, g)
+        _add(v, _multiply(1.0 - self.beta2, t, t), v)
+        # value -= lr * (m / c1) / (sqrt(v / c2) + epsilon), left to right, in u and t
+        u = _divide(m, c1)
+        _multiply(lr, u, u)
+        _divide(v, c2, t)
+        _sqrt(t, t)
+        _add(t, self.epsilon, t)
+        _subtract(value, _divide(u, t, u), value)
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,52 @@ class TestAuc:
         with pytest.raises(ValueError):
             roc_auc(np.ones(4), np.arange(4.0))
 
+    @pytest.mark.parametrize("labels, shown, at", [
+        ([0, 1, 2, 1], "2", 2),              # counted in neither class, it gave 1.0
+        ([0.0, 1.0, 0.5, 1.0], "0.5", 2),
+        ([-1, 0, 1, 1], "-1", 0),
+        ([0.0, 1.0, np.nan, 1.0], "nan", 2)])
+    def test_label_other_than_0_or_1_rejected_naming_the_first(self, labels, shown, at):
+        with pytest.raises(ValueError, match=f"^roc_auc labels must be 0 or 1, got {shown} "
+                                             f"at index {at}$"):
+            roc_auc(np.array(labels), np.array([0.1, 0.4, 0.3, 0.9]))
+
+    def test_boolean_labels_score_as_0_and_1(self):
+        scores = np.array([0.1, 0.4, 0.35, 0.8])
+        assert roc_auc(np.array([False, True, False, True]), scores) == \
+            roc_auc(np.array([0, 1, 0, 1]), scores) == 1.0
+
 
 def test_accuracy_is_the_share_of_rows_whose_most_probable_class_is_observed():
     p = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.2, 0.5, 0.3], [0.4, 0.5, 0.1]])
     assert accuracy(np.array([[0.0], [2.0], [0.0], [1.0]]), p) == 0.75
+
+
+ACCURACY_P = np.array([[0.7, 0.3], [0.2, 0.8], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize("y, probabilities, message", [
+    ([0], ACCURACY_P, "accuracy needs one label per probability row, got 1 labels for 3 rows"),
+    ([0, 1, 0], ACCURACY_P[:1],
+     "accuracy needs one label per probability row, got 3 labels for 1 rows"),
+    ([0, 1], ACCURACY_P[0], r"accuracy needs \(n, C\) probabilities, got shape \(2,\)"),
+    ([0, 1, 0], ACCURACY_P[None], r"accuracy needs \(n, C\) probabilities, got shape \(1, 3, 2\)"),
+    ([0.9, 1.2, 0.0], ACCURACY_P, "accuracy labels must be whole numbers, got 0.9 at row 0"),
+    ([0.0, 1.0, np.inf], ACCURACY_P, "accuracy labels must be whole numbers, got inf at row 2"),
+    ([0.0, np.nan, 0.0], ACCURACY_P, "accuracy labels must be whole numbers, got nan at row 1"),
+], ids=["one-label", "one-row", "1-d", "3-d", "fractional", "infinite", "nan"])
+def test_accuracy_rejects_labels_that_do_not_name_one_class_per_row(y, probabilities, message):
+    # the row-count and label cases once scored 0.667 or 1.0 (an infinite or NaN label
+    # with numpy's invalid-cast warning); the shapes failed inside numpy, unnamed
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        accuracy(np.array(y), probabilities)
+
+
+def test_accuracy_scores_whole_number_float_labels_as_their_classes():
+    as_ints = accuracy(np.array([0, 1, 1]), ACCURACY_P)
+    assert as_ints == 2 / 3
+    assert accuracy(np.array([[0.0], [1.0], [1.0]]), ACCURACY_P) == as_ints   # a Dataset's targets
+    assert accuracy(np.array([-0.0, 1.0, 1.0]), ACCURACY_P) == as_ints
 
 
 @pytest.mark.parametrize("task, k", [("regression", 1), ("regression", 3),

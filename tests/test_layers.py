@@ -594,6 +594,8 @@ def test_no_step_writes_into_its_input_upstream_or_output(name):
     kept_bytes = None if kept is None else kept.tobytes()
     if name == "elu":                       # min(0, z), apart from the output
         assert not np.shares_memory(out, kept) and not np.shares_memory(kept, x)
+    if name == "batchnorm-train":           # the squares' buffer, apart from what backward reads
+        assert not any(np.shares_memory(out, array) for array in (x, *step._cache))
     if name != "batchnorm-infer":    # a batch-norm backward needs a train-mode forward
         grad = step.backward(upstream)
         if name == "elu":            # the rewritten backward

@@ -4,9 +4,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from resae import TrainConfig, compare, generate_simulated, make_spec
+from resae import TrainConfig, build_network, compare, generate_simulated, make_spec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +47,26 @@ def test_a_two_seed_compare_records_one_split_and_one_train_model_span_per_job()
     assert len(report.runs) == 4
     assert [spans.count(name) for name in ("data.split", "training.train_model",
                                            "evaluation.evaluate_model")] == [4, 4, 8]
+
+
+def test_a_traced_train_pass_of_the_paper_spec_records_one_layers_span_per_step_call():
+    # a network binds each step's forward and backward when it is made, so a traced
+    # repetition instruments first and builds its network afterwards, as here; a
+    # network made before that walks the unwrapped methods
+    ds = generate_simulated(n=100, seed=0)
+    spec = make_spec(ds, (32, 16, 8, 4))
+    x = ds.features[:100]
+    made_before = build_network(spec, rng=1)
+    recorder = tracer.Tracer()
+    with tracer.instrument(recorder):
+        net = build_network(spec, rng=1)
+        preds = net.forward(x, "train")
+        net.backward(np.ones_like(preds.head))
+        made_before.forward(x, "train")      # adds no layers.* span
+    spans = [recorder.names[i] for i in recorder.span_name]
+    traced = {qualname.split(".")[0] for layer, qualname, _ in tracer.SPANS if layer == "layers"}
+    steps = [type(step).__name__ for step in net.steps if type(step).__name__ in traced]
+    assert len(steps) == 39          # of the paper spec's 43 steps; ShortcutSave is not traced
+    assert [s for s in spans if s.startswith("layers.")] == (
+        [f"layers.{kind}.forward" for kind in steps] +
+        [f"layers.{kind}.backward" for kind in reversed(steps)])

@@ -40,14 +40,13 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("elu-minimum-argument-order", "src/resae/layers.py",
-           "m = np.minimum(0.0, z)", "m = np.minimum(z, 0.0)",
+           "m = _minimum(0.0, z)", "m = _minimum(z, 0.0)",
            ("tests/test_layers.py::test_elu_is_bit_identical_to_where_reference",)),
     Mutant("elu-keeps-its-input", "src/resae/layers.py",
            "        return e, m\n", "        return e, z\n",
            ("tests/test_layers.py::test_elu_is_bit_identical_to_where_reference",)),
     Mutant("tanh-backward-reapplies-tanh", "src/resae/layers.py",
-           "return upstream * (1.0 - kept * kept)",
-           "return upstream * (1.0 - np.tanh(kept) * np.tanh(kept))",
+           "g = _multiply(kept, kept)", "g = _multiply(_tanh(kept), _tanh(kept))",
            ("tests/test_layers.py"
             "::test_kernels_are_bit_identical_to_where_and_tanh_references_on_any_float",)),
     Mutant("running-variance-check-dropped", "src/resae/network.py",
@@ -60,8 +59,8 @@ MUTANTS = (
            ("tests/test_network.py::TestFlatParameters"
             "::test_train_forwards_blend_running_stats_at_bn_momentum",)),
     Mutant("adam-step-association", "src/resae/training.py",
-           "p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)",
-           "p.value -= (lr * m) / c1 / (np.sqrt(v / c2) + self.epsilon)",
+           "u = _divide(m, c1)\n        _multiply(lr, u, u)\n",
+           "u = _multiply(lr, m)\n        _divide(u, c1, u)\n",
            ("tests/test_training.py::test_flat_step_is_bit_identical_to_per_array_steps",)),
     Mutant("rng-block-one-counter-late", "src/resae/matrix.py",
            "block = np.arange(1, size + 1, dtype=np.uint64)",
@@ -76,12 +75,19 @@ MUTANTS = (
            ("tests/test_matrix.py::TestRng"
             "::test_new_key_at_the_same_counter_draws_that_key_stream",)),
     Mutant("batchnorm-infer-subtracts-into-input", "src/resae/layers.py",
-           "out = x - self.running_mean", "out = np.subtract(x, self.running_mean, out=x)",
+           "out = _subtract(x, self.running_mean)", "out = _subtract(x, self.running_mean, x)",
            ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
     Mutant("elu-backward-multiplies-into-upstream", "src/resae/layers.py",
-           "        e *= upstream\n        return e\n",
-           "        upstream *= e\n        return upstream\n",
+           "        _multiply(e, upstream, e)\n        return e\n",
+           "        _multiply(e, upstream, upstream)\n        return upstream\n",
            ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
+    Mutant("batchnorm-output-written-into-its-cache", "src/resae/layers.py",
+           "        _multiply(self.gamma, xhat, out)\n",
+           "        out = _multiply(self.gamma, xhat, xhat)\n",
+           ("tests/test_layers.py::test_no_step_writes_into_its_input_upstream_or_output",)),
+    Mutant("network-backward-walks-in-forward-order", "src/resae/network.py",
+           "[step.backward for step in reversed(steps)]", "[step.backward for step in steps]",
+           ("tests/test_network.py::TestFlatParameters::test_backward_fills_the_flat_gradient",)),
     Mutant("sweep-hands-every-job-the-template-seed", "src/resae/evaluation.py",
            "Job(j.label, j.spec, replace(j.cfg, seed=seed))", "Job(j.label, j.spec, j.cfg)",
            ("tests/test_evaluation.py::test_each_run_equals_its_job_run_alone",)),
@@ -163,7 +169,7 @@ MUTANTS = (
            ("tests/test_training.py::TestModelDocument"
             "::test_bad_document_rejected_naming_field",)),
     Mutant("accuracy-takes-the-least-probable-class", "src/resae/evaluation.py",
-           "np.asarray(probabilities).argmax(axis=1)", "np.asarray(probabilities).argmin(axis=1)",
+           "p.argmax(axis=1) == labels", "p.argmin(axis=1) == labels",
            ("tests/test_evaluation.py"
             "::test_accuracy_is_the_share_of_rows_whose_most_probable_class_is_observed",
             "tests/test_evaluation.py::TestClassificationMetrics::test_perfect_one_hot")),
