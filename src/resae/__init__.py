@@ -29,7 +29,6 @@ from .training import (
     Adam,
     FittedModel,
     LossSpec,
-    Regularizer,
     SgdMomentum,
     SharedSettings,
     TrainConfig,

@@ -171,8 +171,10 @@ def load_csv(path, targets, task: str, target_bins=None,
     value in a numeric column is an error naming the column and row.
     Classification targets are label-encoded in sorted order; numeric
     targets can instead be binned with `target_bins` (inclusive upper bounds),
-    which a regression rejects.  A file that is not UTF-8 text, or that the
-    csv module cannot read, is a ValueError naming the path.
+    which a regression rejects.  A target that cannot be learned is an error:
+    fewer than two classes, or every regression target constant, over the
+    kept rows.  A file that is not UTF-8 text, or that the csv module cannot
+    read, is a ValueError naming the path.
     """
     if task not in TASKS:
         raise ValueError(f"task must be regression or classification, got {task!r}")
@@ -275,6 +277,9 @@ def load_csv(path, targets, task: str, target_bins=None,
             classes, class_names = bin_to_classes(numeric[name][keep], target_bins)
         else:
             class_names, classes = _categories(compress(columns[name], kept_rows))
+        if (classes == classes[0]).all():
+            raise ValueError(f"targets must hold at least two classes over the kept rows, "
+                             f"{name!r} holds only {class_names[classes[0]]!r}")
         encodings[name] = class_names
         y = classes.astype(np.float64).reshape(-1, 1)
         n_classes = len(class_names)
@@ -283,6 +288,9 @@ def load_csv(path, targets, task: str, target_bins=None,
             if name not in numeric:
                 raise ValueError(f"targets must be numeric columns, {name!r} is not numeric")
         y = np.column_stack([numeric[name][keep] for name in target_columns])
+        if (y == y[0]).all():
+            raise ValueError(f"targets must vary over the kept rows, but each of "
+                             f"{target_columns} is constant")
 
     if not feature_blocks:
         raise ValueError(f"{path}: no feature columns left after removing the targets")

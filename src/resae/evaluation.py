@@ -44,23 +44,30 @@ def r2(y: np.ndarray, y_pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def accuracy(y: np.ndarray, probabilities: np.ndarray) -> float:
-    """Share of rows whose most probable class is the observed class.  y holds
-    one whole-number class per row of the (n, C) probabilities, and a
-    ValueError says what is wrong otherwise."""
+def _class_indices(y: np.ndarray, p: np.ndarray, who: str) -> np.ndarray:
+    """y as one class index per row of the (n, C) probabilities p, read before
+    anything indexes with it: each label must be a whole number in [0, C), and
+    a ValueError names who, the first other label and its row."""
     labels = np.asarray(y, dtype=np.float64).ravel()
-    p = np.asarray(probabilities)
     if p.ndim != 2:
-        raise ValueError(f"accuracy needs (n, C) probabilities, got shape {p.shape}")
+        raise ValueError(f"{who} needs (n, C) probabilities, got shape {p.shape}")
     if labels.shape[0] != p.shape[0]:
-        raise ValueError(f"accuracy needs one label per probability row, got "
+        raise ValueError(f"{who} needs one label per probability row, got "
                          f"{labels.shape[0]} labels for {p.shape[0]} rows")
-    whole = np.isfinite(labels) & (labels == np.floor(labels))
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise ValueError(f"accuracy labels must be whole numbers, got {labels[i].item()!r} "
-                         f"at row {i}")
-    return float((p.argmax(axis=1) == labels.astype(np.int64)).mean())
+    valid = (labels == np.floor(labels)) & (labels >= 0) & (labels < p.shape[1])
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(f"{who} labels must be whole numbers in [0, {p.shape[1]}), "
+                         f"got {np.asarray(y).ravel()[i].item()!r} at row {i}")
+    return labels.astype(np.int64)
+
+
+def accuracy(y: np.ndarray, probabilities: np.ndarray) -> float:
+    """Share of rows whose most probable class is the observed class; y is
+    read by _class_indices."""
+    p = np.asarray(probabilities)
+    labels = _class_indices(y, p, "accuracy")
+    return float((p.argmax(axis=1) == labels).mean())
 
 
 def rmse_and_nrmse(y: np.ndarray, y_pred: np.ndarray) -> tuple[float, float | None]:
@@ -105,10 +112,8 @@ def classification_metrics(y: np.ndarray, probabilities: np.ndarray
     Binary AUC scores the positive class; with more classes it is the macro
     average of one-vs-rest AUCs over the classes present in y.
     """
-    classes = np.asarray(y, dtype=np.int64).ravel()
     p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != classes.shape[0]:
-        raise ValueError(f"probabilities must be (n, C) matching y, got {p.shape}")
+    classes = _class_indices(y, p, "classification_metrics")
     if not (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all():   # also false for a NaN or inf row
         raise ValueError("probability rows must be finite and sum to 1 within 1e-6")
     n = classes.shape[0]

@@ -1,9 +1,9 @@
-"""Losses, regularizers, optimizers, the mini-batch training loop, and
+"""Losses, the weight penalty, optimizers, the mini-batch training loop, and
 numerical gradient verification.
 
 Regression losses use the 1/(2n) squared-error convention throughout, so the
 option-2 composite is (1/2n)||y - yhat||^2 + w * (1/2n)||x - xhat||^2 plus
-the regularizer.  Cross entropy is softmax over the k head logits, averaged
+the L2 penalty.  Cross entropy is softmax over the k head logits, averaged
 over the batch.
 """
 
@@ -54,55 +54,20 @@ class LossSpec:
 
 
 @dataclass(frozen=True)
-class Regularizer:
-    """A weight penalty, checked when made, like LossSpec."""
-
-    kind: str = "none"        # "none" | "l1" | "l2"
-    coefficient: float = 0.0
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.kind not in ("none", "l1", "l2"):
-            raise ValueError(f"unknown regularizer {self.kind!r}")
-        if not self.coefficient >= 0:
-            raise ValueError("regularizer coefficient must be >= 0")
-
-    def value(self, params: list[Param]) -> float:
-        if self.kind == "none" or self.coefficient == 0.0:
-            return 0.0
-        if self.kind == "l2":
-            return self.coefficient * sum(float((p.value * p.value).sum()) for p in params)
-        return self.coefficient * sum(float(np.abs(p.value).sum()) for p in params)
-
-    def add_gradients(self, p: Param) -> None:
-        """Add the penalty's gradient to p.grad; elementwise, so one call on
-        a network's flat vector covers every parameter."""
-        if self.kind == "none" or self.coefficient == 0.0:
-            return
-        if self.kind == "l2":
-            p.grad += 2.0 * self.coefficient * p.value
-        else:
-            p.grad += self.coefficient * np.sign(p.value)
-
-
-@dataclass(frozen=True)
 class SharedSettings:
     """What every job shares besides the dataset, checked when made: the loss
-    section, a weight penalty and the reconstruction weight."""
+    section, an L2 weight penalty l2 * sum(w^2) over every parameter and the
+    reconstruction weight."""
 
-    regularizer: str = "none"   # the penalty's kind: "none" | "l1" | "l2"
-    coefficient: float = 0.0
+    l2: float = 0.0
     reconstruction_weight: float = 1.0
 
     def __post_init__(self):
         check_field_types(self)
-        self.penalty   # a Regularizer checks its kind and coefficient when made
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
         if not self.reconstruction_weight >= 0:
             raise ValueError("reconstruction_weight must be >= 0")
-
-    @property
-    def penalty(self) -> Regularizer:
-        return Regularizer(self.regularizer, self.coefficient)
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -151,16 +116,18 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
 
 
 def batch_gradients(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
-                    regularizer: Regularizer) -> float:
-    """The penalized loss of one train-mode pass of x.  When it is finite, every
-    parameter's grad is left holding its gradient; when it is not, it is returned
-    before any backward pass, and the grad buffers are as they were."""
+                    l2: float) -> float:
+    """The loss of one train-mode pass of x plus l2 * sum(w^2).  When it is finite,
+    every parameter's grad is left holding its gradient; when it is not, it is
+    returned before any backward pass, and the grad buffers are as they were.
+    With l2 at 0 the penalty adds 0.0, which writes a loss of -0.0 as 0.0."""
     preds = net.forward(x, "train")
     value, head_grad = loss_and_head_gradient(loss, preds, targets, inputs=x)
-    value += regularizer.value(net.parameters())
+    value += l2 * sum(float((p.value * p.value).sum()) for p in net.parameters()) if l2 else 0.0
     if math.isfinite(value):
         net.backward(head_grad)
-        regularizer.add_gradients(net.flat)
+        if l2:   # elementwise, so one update of the flat vector covers every parameter
+            net.flat.grad += 2.0 * l2 * net.flat.value
     return value
 
 
@@ -281,15 +248,13 @@ def _mini_batches(n: int, batch_size: int, order: np.ndarray):
 
 def fit(net: Network, x_train: Matrix, y_train: Matrix,
         x_val: Matrix, y_val: Matrix, loss: LossSpec, cfg: TrainConfig,
-        regularizer: Regularizer | None = None,
-        val_metric_fn=None) -> TrainHistory:
+        l2: float = 0.0, val_metric_fn=None) -> TrainHistory:
     """Mini-batch training with per-epoch validation and best-weights restore.
 
     Stops at max_epochs or once the validation loss has not improved for
     early_stop_patience consecutive epochs; the parameters achieving the best
     recorded validation loss are restored before returning.
     """
-    regularizer = regularizer or Regularizer()
     optimizer = cfg.make_optimizer(net.flat)
     shuffle_rng = Rng(cfg.seed).spawn(2)
     n = x_train.shape[0]
@@ -299,7 +264,7 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
         order = shuffle_rng.permutation(n)
         epoch_losses = []
         for b, idx in enumerate(_mini_batches(n, cfg.batch_size, order)):
-            value = batch_gradients(net, x_train[idx], y_train[idx], loss, regularizer)
+            value = batch_gradients(net, x_train[idx], y_train[idx], loss, l2)
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
             optimizer.step(cfg.learning_rate)
@@ -420,7 +385,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
     """Standardize, build, and fit one network on a train/validation split.
 
     The loss is loss_kind's at shared's reconstruction weight, with shared's
-    weight penalty.  Features, and regression targets, are standardized on
+    l2 penalty.  Features, and regression targets, are standardized on
     the training partition.  The history's val_metric is the task's headline
     metric as evaluate_model scores it.
     """
@@ -444,7 +409,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
 
     model.history = fit(model.network, x_tr, y_tr, x_val,
                         target_stats.apply(y_val) if target_stats else y_val,
-                        model.loss, cfg, shared.penalty, val_metric)
+                        model.loss, cfg, shared.l2, val_metric)
     return model
 
 
@@ -453,7 +418,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
-                   regularizer: Regularizer | None = None, eps: float = 1e-5,
+                   l2: float = 0.0, eps: float = 1e-5,
                    n_sample: int = 200, seed: int = 0) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
@@ -463,13 +428,12 @@ def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
     masks are identical across all evaluations; train mode is used throughout,
     so batch-norm gradients are exercised against the batch-statistics forward.
     """
-    regularizer = regularizer or Regularizer()
     rng_state = net.rng.state
     saved = net.get_state()
 
     def evaluate() -> float:
         net.rng.state = rng_state
-        return batch_gradients(net, x, targets, loss, regularizer)
+        return batch_gradients(net, x, targets, loss, l2)
 
     evaluate()
     analytic = net.flat.grad.copy()

@@ -181,9 +181,10 @@ def plain_mse(head, y, x, k, weight):
     return value, np.concatenate(grad, axis=1)
 
 
-def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0):
-    """fit() on a copy of net's state with an MSE loss: the state dict it would end
-    with, or the TrainingDiverged it would raise at the first non-finite loss."""
+def plain_fit(net, x_train, y_train, x_val, y_val, cfg, l2, weight=1.0):
+    """fit() on a copy of net's state with an MSE loss and an l2 penalty: the state
+    dict it would end with, or the TrainingDiverged it would raise at the first
+    non-finite loss."""
     rows, k = net.layer_summary(), y_train.shape[1]
     state = net.get_state()
     names = [p.name for p in net.parameters()]
@@ -203,10 +204,8 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
             xb, yb = x_train[idx], y_train[idx]
             head, caches = plain_forward(rows, state, xb, True, rng)
             value, head_grad = plain_mse(head, yb, xb, k, weight)
-            if regularizer.kind == "l2":
-                value += regularizer.coefficient * sum(float((state[n] ** 2).sum()) for n in names)
-            elif regularizer.kind == "l1":
-                value += regularizer.coefficient * sum(float(np.abs(state[n]).sum()) for n in names)
+            if l2 != 0.0:
+                value += l2 * sum(float((state[n] ** 2).sum()) for n in names)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch, batch, value)
             grads = plain_backward(rows, state, caches, head_grad)
@@ -214,10 +213,8 @@ def plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer, weight=1.0)
             batch += 1
             for name in names:
                 w, g = state[name], grads[name]
-                if regularizer.kind == "l2" and regularizer.coefficient != 0.0:
-                    g = g + 2.0 * regularizer.coefficient * w
-                elif regularizer.kind == "l1" and regularizer.coefficient != 0.0:
-                    g = g + regularizer.coefficient * np.sign(w)
+                if l2 != 0.0:
+                    g = g + 2.0 * l2 * w
                 if cfg.optimizer == "adam":
                     state[name], *moments[name] = adam_reference(
                         w, *moments[name], g, t, cfg.learning_rate)
@@ -251,6 +248,8 @@ def plain_load_csv(path, targets, task: str, target_bins=None,
     value in a numeric column is an error naming the column and row.
     Classification targets are label-encoded in sorted order; numeric
     targets can instead be binned with `target_bins` (inclusive upper bounds).
+    Fewer than two classes, or every regression target constant, over the kept
+    rows is an error.
     """
     if task not in TASKS:
         raise ValueError(f"task must be regression or classification, got {task!r}")
@@ -329,6 +328,9 @@ def plain_load_csv(path, targets, task: str, target_bins=None,
         else:
             labels, classes = np.unique(kept[name], return_inverse=True)
             class_names = labels.tolist()
+        if len(np.unique(classes)) < 2:
+            raise ValueError(f"targets must hold at least two classes over the kept rows, "
+                             f"{name!r} holds only {class_names[classes[0]]!r}")
         encodings[name] = class_names
         y = classes.astype(np.float64).reshape(-1, 1)
         n_classes = len(class_names)
@@ -337,6 +339,9 @@ def plain_load_csv(path, targets, task: str, target_bins=None,
             if name not in numeric:
                 raise ValueError(f"targets must be numeric columns, {name!r} is not numeric")
         y = np.column_stack([numeric[name][keep] for name in target_columns])
+        if all(len(np.unique(column)) == 1 for column in y.T):
+            raise ValueError(f"targets must vary over the kept rows, but each of "
+                             f"{target_columns} is constant")
 
     if not feature_blocks:
         raise ValueError(f"{path}: no feature columns left after removing the targets")

@@ -131,7 +131,7 @@ class TestTrain:
     def test_metrics_equal_the_residual_arm_of_a_one_seed_compare(self, tmp_path):
         # train and every sweep run a job through one path: same seed, same metrics
         cfg = tiny_train_config(tmp_path, n_seeds=3,
-                                loss={"regularizer": "l2", "coefficient": 1e-3})
+                                loss={"l2": 1e-3})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "compare"),
                      "--n-seeds", "1"]) == 0
@@ -302,7 +302,7 @@ class TestGridCommand:
         grid = {"output_options": [1, 2]}
         cfg = tiny_train_config(tmp_path, n_seeds=2, grid=grid,
                                 network={"output_option": template_option},
-                                loss={"regularizer": "l2", "coefficient": 1e-4})
+                                loss={"l2": 1e-4})
         assert main(["grid", "--config", str(cfg)]) == 0
         ranked = json.loads((tmp_path / "run" / "report.json").read_text())["ranked"]
         doc = load_config(str(cfg))
@@ -399,8 +399,8 @@ class TestConfigErrors:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("loss", [
-        {"regularizer": "l3"}, {"reconstruction_weight": -1.0},
-        {"regularizer": "L2", "coefficient": 1e-3}, {"regularizer": "l1", "coefficient": -1e-3},
+        {"l2": -1e-3}, {"reconstruction_weight": -1.0},
+        {"l2": -1e-300}, {"l2": -1.0, "reconstruction_weight": 0.5},
     ])
     @pytest.mark.parametrize("command", ["train", "compare", "grid", "sensitivity"])
     def test_config_error_writes_no_artifacts(self, tmp_path, capsys, command, loss):
@@ -455,6 +455,40 @@ class TestConfigErrors:
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (f"config error: unknown config keys: "
                                            f"['{section}.{key}']\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("loss", [{"regularizer": "l2"}, {"coefficient": 0.5},
+                                      {"regularizer": "l2", "coefficient": 1e-3}],
+                             ids=["regularizer", "coefficient", "both"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_a_penalty_key_before_l2_is_an_unknown_key(self, tmp_path, capsys, command, loss):
+        # l2 replaced both keys; a config that set only coefficient once trained
+        # without a penalty, and read as l2 it would now train with one
+        cfg = tiny_train_config(tmp_path, n_seeds=1, loss=loss)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"config error: unknown config keys: "
+                                           f"{sorted('loss.' + key for key in loss)}\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cells, task, message", [
+        ("{i},3\n", "regression",
+         "dataset.targets must vary over the kept rows, but each of ['y'] is constant"),
+        ("{i},u\n", "classification",
+         "dataset.targets must hold at least two classes over the kept rows, 'y' holds only 'u'"),
+    ], ids=["constant", "one-class"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_a_target_that_cannot_be_learned_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                                      command, cells, task,
+                                                                      message):
+        # a constant target once wrote config.json and dataset.json, then failed in
+        # scoring; a one-class target trained to accuracy 1.0 and exited 0
+        data = tmp_path / "t.csv"
+        data.write_text("a,y\n" + "".join(cells.format(i=i) for i in range(40)))
+        cfg = tiny_train_config(tmp_path, n_seeds=1, dataset={
+            "source": "csv", "path": str(data), "targets": "y", "task": task,
+            "n": 1000, "seed": 7})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("dataset, message", [
@@ -596,9 +630,9 @@ class TestConfigErrors:
         ("train", {"network": {"residual_post_op": None}}, "network.residual_post_op"),
         ("train", {"network": {"dropout_placement": ["all"]}}, "network.dropout_placement"),
         ("grid", {"grid": {"activations": [["elu"]]}, "n_seeds": 1}, "grid.activations[0]"),
-        ("train", {"loss": {"regularizer": 1}}, "loss.regularizer"),
+        ("train", {"loss": {"l2": "0.1"}}, "loss.l2"),
         ("train", {"loss": {"reconstruction_weight": "1"}}, "loss.reconstruction_weight"),
-        ("train", {"loss": {"coefficient": True}}, "loss.coefficient"),
+        ("train", {"loss": {"l2": True}}, "loss.l2"),
         ("train", {"training": {"max_epochs": 8.0}}, "training.max_epochs"),
         ("train", {"training": {"early_stop_patience": 2.5}}, "training.early_stop_patience"),
         ("train", {"training": {"optimizer": 5}}, "training.optimizer"),

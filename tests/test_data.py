@@ -134,6 +134,31 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="delimiter must be"):
             load_csv(p, ["y"], "regression", delimiter=delimiter)
 
+    @pytest.mark.parametrize("text, targets, task, bins, message", [
+        ("a,y\n1,3\n2,3\n?,4\n", ["y"], "regression", None,
+         r"targets must vary over the kept rows, but each of \['y'\] is constant"),
+        ("a,y,z\n1,3,-0.0\n2,3,0.0\n", ["y", "z"], "regression", None,
+         r"targets must vary over the kept rows, but each of \['y', 'z'\] is constant"),
+        ("a,cls\n1,u\n2,u\nNA,v\n", ["cls"], "classification", None,
+         "targets must hold at least two classes over the kept rows, 'cls' holds only 'u'"),
+        ("a,r\n1,5\n2,9\n", ["r"], "classification", [10],
+         "targets must hold at least two classes over the kept rows, 'r' holds only '<= 10'"),
+    ], ids=["constant", "every-column-constant", "one-class", "one-bin"])
+    def test_a_target_that_cannot_be_learned_is_rejected(self, tmp_path, text, targets, task,
+                                                        bins, message):
+        # these once loaded: a constant target then failed scoring after writing
+        # artifacts, and a one-class target trained a k = 1 network to accuracy 1.0
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_csv(p, targets, task, target_bins=bins)
+
+    def test_one_varying_target_column_is_enough(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y,z\n1,3,5\n2,3,6\n")
+        np.testing.assert_array_equal(load_csv(p, ["y", "z"], "regression").targets,
+                                      [[3.0, 5.0], [3.0, 6.0]])
+
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")
@@ -248,6 +273,10 @@ def test_load_csv_keeps_exactly_the_complete_rows_and_encodes_them(table):
         kept = [row for row in rows if marker not in row]
         if not kept:
             with pytest.raises(ValueError, match="no usable rows"):
+                load_csv(path, ["y"], "regression")
+            return
+        if len({float(row[header.index("y")]) for row in kept}) == 1:
+            with pytest.raises(ValueError, match=r"^targets must vary over the kept rows"):
                 load_csv(path, ["y"], "regression")
             return
         ds = load_csv(path, ["y"], "regression")

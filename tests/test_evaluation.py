@@ -25,7 +25,7 @@ from resae.evaluation import (
     score,
     seed_jobs,
 )
-from resae.training import Regularizer, TrainConfig, make_spec
+from resae.training import TrainConfig, make_spec
 
 
 def pairwise_auc_oracle(labels, scores):
@@ -151,15 +151,29 @@ ACCURACY_P = np.array([[0.7, 0.3], [0.2, 0.8], [0.6, 0.4]])
      "accuracy needs one label per probability row, got 3 labels for 1 rows"),
     ([0, 1], ACCURACY_P[0], r"accuracy needs \(n, C\) probabilities, got shape \(2,\)"),
     ([0, 1, 0], ACCURACY_P[None], r"accuracy needs \(n, C\) probabilities, got shape \(1, 3, 2\)"),
-    ([0.9, 1.2, 0.0], ACCURACY_P, "accuracy labels must be whole numbers, got 0.9 at row 0"),
-    ([0.0, 1.0, np.inf], ACCURACY_P, "accuracy labels must be whole numbers, got inf at row 2"),
-    ([0.0, np.nan, 0.0], ACCURACY_P, "accuracy labels must be whole numbers, got nan at row 1"),
-], ids=["one-label", "one-row", "1-d", "3-d", "fractional", "infinite", "nan"])
+    *((y, ACCURACY_P, rf"accuracy labels must be whole numbers in \[0, 2\), got {got} at row {i}")
+      for y, got, i in (([0.9, 1.2, 0.0], "0.9", 0), ([0.0, 1.0, np.inf], "inf", 2),
+                        ([0.0, np.nan, 0.0], "nan", 1), ([0, 1, 2], "2", 2),
+                        ([0, -1, 0], "-1", 1))),
+], ids=["one-label", "one-row", "1-d", "3-d", "fractional", "infinite", "nan", "too-large",
+        "negative"])
 def test_accuracy_rejects_labels_that_do_not_name_one_class_per_row(y, probabilities, message):
     # the row-count and label cases once scored 0.667 or 1.0 (an infinite or NaN label
-    # with numpy's invalid-cast warning); the shapes failed inside numpy, unnamed
+    # with numpy's invalid-cast warning), as did a whole label outside [0, C); the
+    # shapes failed inside numpy, unnamed
     with pytest.raises(ValueError, match=f"^{message}$"):
         accuracy(np.array(y), probabilities)
+
+
+@pytest.mark.parametrize("y, got, row", [([0.5, 1, 2], "0.5", 0), ([0, 1, 2.5], "2.5", 2),
+                                         ([0, 1, -1], "-1", 2), ([0, 1, 5], "5", 2)])
+def test_classification_metrics_checks_labels_before_reading_them(y, got, row):
+    # these once scored accuracy 1.0 (a fraction cast down), read column 2 for -1,
+    # or raised a bare IndexError
+    p = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+    with pytest.raises(ValueError, match=rf"^classification_metrics labels must be whole "
+                                         rf"numbers in \[0, 3\), got {got} at row {row}$"):
+        classification_metrics(np.array(y), p)
 
 
 def test_accuracy_scores_whole_number_float_labels_as_their_classes():
@@ -321,7 +335,7 @@ def test_each_run_equals_its_job_run_alone(harness):
     # each run depends only on its own job (label, spec, train config at its seed)
     # and on what every job shares; a sweep adds nothing of its own
     ds = generate_simulated(n=150, seed=0)
-    shared = SharedSettings("l2", 1e-3, reconstruction_weight=0.5)
+    shared = SharedSettings(1e-3, reconstruction_weight=0.5)
     result = HARNESSES[harness](ds, make_spec(ds, (6, 3)), tiny_cfg(), shared)
     for job, run in _seeded_jobs(result):
         assert run == run_job(ds, job, shared)[0]
@@ -336,7 +350,7 @@ def test_a_sweep_needs_at_least_one_seed():
 def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip():
     ds = generate_simulated(n=150, seed=0)
     job = Job("residual", make_spec(ds, (6, 3), output_option=2), tiny_cfg(seed=4))
-    shared = SharedSettings("l1", 1e-3, reconstruction_weight=0.5)
+    shared = SharedSettings(1e-3, reconstruction_weight=0.5)
     job_back, shared_back = pickle.loads(pickle.dumps((job, shared)))
     assert (job_back, shared_back) == (job, shared)
     (run, model), (run_back, model_back) = run_job(ds, job, shared), run_job(ds, job_back,
@@ -349,19 +363,19 @@ def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip()
 @pytest.mark.parametrize("kwargs, message", [
     ({"reconstruction_weight": -0.5}, "reconstruction_weight must be >= 0"),
     ({"reconstruction_weight": "1"}, "reconstruction_weight must be a number"),
-    ({"regularizer": "l3"}, "unknown regularizer 'l3'"),
-    ({"regularizer": ["l2"]}, "regularizer must be a string"),
-    ({"regularizer": "l1", "coefficient": -1e-3}, "regularizer coefficient must be >= 0"),
-    ({"coefficient": True}, "coefficient must be a number"),
-])
+])   # l2's checks: tests/test_training.py::TestRegularizer
 def test_shared_settings_are_checked_when_made(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SharedSettings(**kwargs)
 
 
-def test_penalty_is_the_loss_sections_regularizer():
-    assert SharedSettings().penalty == Regularizer()
-    assert SharedSettings("l2", 1e-3, reconstruction_weight=0.5).penalty == Regularizer("l2", 1e-3)
+def test_penalty_is_the_loss_sections_l2():
+    # a job trains with the one weight penalty its shared settings hold
+    ds = generate_simulated(n=150, seed=0)
+    job = Job("residual", make_spec(ds, (6, 3)), tiny_cfg(max_epochs=3))
+    plain, penalized = (run_job(ds, job, SharedSettings(l2))[1].history.train_loss
+                        for l2 in (0.0, 0.05))
+    assert penalized != plain
 
 
 class TestGridSearch:

@@ -17,8 +17,8 @@ from resae.training import (
     Adam,
     FittedModel,
     LossSpec,
-    Regularizer,
     SgdMomentum,
+    SharedSettings,
     TrainConfig,
     TrainingDiverged,
     batch_gradients,
@@ -133,54 +133,45 @@ class TestLoss:
 
 
 class TestRegularizer:
-    @pytest.mark.parametrize("kind, coefficient, match", [
-        ("L2", 1e-3, "unknown regularizer 'L2'"), ("ridge", 0.1, "unknown regularizer"),
-        ("l1", -1e-3, "coefficient must be >= 0"), ("l2", float("nan"), "coefficient must be >= 0"),
+    @pytest.mark.parametrize("l2, match", [
+        (-1e-3, "l2 must be >= 0 and finite, got -0.001"),
+        (float("nan"), "l2 must be >= 0 and finite, got nan"),
+        (float("inf"), "l2 must be >= 0 and finite, got inf"),
+        (True, "l2 must be a number, got true"), (None, "l2 must be a number, got null"),
     ])
-    def test_invalid_regularizer_rejected_when_made(self, kind, coefficient, match):
-        with pytest.raises(ValueError, match=match):
-            Regularizer(kind, coefficient)
+    def test_invalid_l2_rejected_when_made(self, l2, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            SharedSettings(l2)
 
-    def test_zero_coefficient_contributes_nothing(self):
-        net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0), rng=0)
-        params = net.parameters()
-        reg = Regularizer("l2", 0.0)
-        assert reg.value(params) == 0.0
-        net.flat.grad[...] = np.arange(net.flat.grad.size)
-        before = net.flat.grad.copy()
-        reg.add_gradients(net.flat)
-        np.testing.assert_array_equal(before, net.flat.grad)
+    def _batch(self, l2, seed):
+        """batch_gradients on one batch of a fresh network at l2: its value, the
+        network's parameters and the loss alone, with its gradient."""
+        net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0,
+                                        use_batchnorm=False), rng=seed)
+        x = np.random.default_rng(seed).normal(size=(5, 3))
+        y = np.random.default_rng(seed + 1).normal(size=(5, 1))
+        bare = batch_gradients(net, x, y, LossSpec("mse"), 0.0), net.flat.grad.copy()
+        return batch_gradients(net, x, y, LossSpec("mse"), l2), net, bare
+
+    def test_zero_l2_contributes_nothing(self):
+        value, net, (bare, bare_grad) = self._batch(0.0, 0)
+        assert value == bare
+        np.testing.assert_array_equal(net.flat.grad, bare_grad)
 
     def test_l2_value_and_gradient(self):
-        net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0,
-                                        use_batchnorm=False), rng=1)
-        params = net.parameters()
         lam = 0.01
-        reg = Regularizer("l2", lam)
-        expected = lam * sum(float((p.value ** 2).sum()) for p in params)
-        assert reg.value(params) == pytest.approx(expected)
-        net.flat.grad[...] = 0.0
-        reg.add_gradients(net.flat)     # each parameter's grad is a view of net.flat.grad
-        for p in params:
-            np.testing.assert_allclose(p.grad, 2 * lam * p.value)
-
-    def test_l1_gradient_is_sign(self):
-        net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0,
-                                        use_batchnorm=False), rng=2)
+        value, net, (bare, bare_grad) = self._batch(lam, 1)
         params = net.parameters()
-        reg = Regularizer("l1", 0.5)
-        net.flat.grad[...] = 0.0
-        reg.add_gradients(net.flat)
-        for p in params:
-            np.testing.assert_allclose(p.grad, 0.5 * np.sign(p.value))
+        assert value == bare + lam * sum(float((p.value * p.value).sum()) for p in params)
+        # each parameter's grad is a view of net.flat.grad
+        np.testing.assert_array_equal(net.flat.grad, bare_grad + 2.0 * lam * net.flat.value)
 
     def test_l2_matches_finite_differences_through_gradient_check(self):
         spec = NetworkSpec(nfea=4, nnode=(5,), k=1, acts="tanh", dropout_rate=0.0)
         net = build_network(spec, rng=3)
         x = np.random.default_rng(0).normal(size=(6, 4))
         y = np.random.default_rng(1).normal(size=(6, 1))
-        err = gradient_check(net, x, y, LossSpec("mse"),
-                             regularizer=Regularizer("l2", 0.05), n_sample=80)
+        err = gradient_check(net, x, y, LossSpec("mse"), l2=0.05, n_sample=80)
         assert err < 1e-5
 
 
@@ -268,12 +259,11 @@ def test_flat_step_is_bit_identical_to_per_array_steps(optimizer):
     NetworkSpec(nfea=1, nnode=(9, 9, 6), k=3, acts=("linear", "relu", "relu"),
                 dropout_rate=0.0, residual="full", residual_post_op="none",
                 use_batchnorm=False),
-    "sgd", Regularizer(), 2, 1, 0)
-@given(network_specs(), st.sampled_from(["adam", "sgd"]),
-       st.sampled_from([Regularizer(), Regularizer("l2", 1e-3), Regularizer("l1", 1e-3)]),
+    "sgd", 0.0, 2, 1, 0)
+@given(network_specs(), st.sampled_from(["adam", "sgd"]), st.sampled_from([0.0, 1e-3]),
        st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_fit_is_bit_identical_to_plain_per_array_reference(
-        spec, optimizer, regularizer, batch_size, epochs, seed):
+        spec, optimizer, l2, batch_size, epochs, seed):
     data = np.random.default_rng(seed)     # the spec draws use_batchnorm either way
     x_train, x_val = data.normal(size=(23, spec.nfea)), data.normal(size=(7, spec.nfea))
     y_train, y_val = data.normal(size=(23, spec.k)), data.normal(size=(7, spec.k))
@@ -283,15 +273,15 @@ def test_fit_is_bit_identical_to_plain_per_array_reference(
     loss = LossSpec("mse_reconstruction", 0.5) if spec.output_option == 2 else LossSpec()
     try:   # a drawn network may diverge; then fit must stop at the same batch
         with np.errstate(over="ignore", invalid="ignore"):
-            want = plain_fit(net, x_train, y_train, x_val, y_val, cfg, regularizer,
+            want = plain_fit(net, x_train, y_train, x_val, y_val, cfg, l2,
                              loss.reconstruction_weight)
     except TrainingDiverged as diverged:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDiverged) as got:
-            fit(net, x_train, y_train, x_val, y_val, loss, cfg, regularizer)
+            fit(net, x_train, y_train, x_val, y_val, loss, cfg, l2)
         assert (got.value.epoch, got.value.batch) == (diverged.epoch, diverged.batch)
         return
-    fit(net, x_train, y_train, x_val, y_val, loss, cfg, regularizer)
+    fit(net, x_train, y_train, x_val, y_val, loss, cfg, l2)
     params = [p.name for p in net.parameters()]
     stats = [name for name in want if name not in params]   # running stats, in net.running order
     assert net.flat.value.tobytes() == np.concatenate([want[n].ravel() for n in params]).tobytes()
@@ -324,7 +314,7 @@ def test_train_config_checks_types_and_ranges_when_made(field, value, message):
 
 
 @pytest.mark.parametrize("make", [lambda: LossSpec("mse", "1.0"), lambda: LossSpec(None),
-                                  lambda: Regularizer("l2", None), lambda: Regularizer(2)])
+                                  lambda: SharedSettings(None), lambda: SharedSettings("0")])
 def test_loss_and_regularizer_check_types_when_made(make):
     with pytest.raises(ValueError, match="must be a"):
         make()
@@ -433,11 +423,10 @@ class TestFit:
 
     def test_zero_coefficient_regularizer_reproduces_plain_run(self):
         results = []
-        for reg in (None, Regularizer("l2", 0.0)):
+        for l2 in ({}, {"l2": 0.0}):
             net, xtr, ytr, xv, yv = self._net_and_data(seed=9)
             history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
-                          TrainConfig(batch_size=32, max_epochs=8, seed=5),
-                          regularizer=reg)
+                          TrainConfig(batch_size=32, max_epochs=8, seed=5), **l2)
             results.append(history.to_rows())
         assert results[0] == results[1]
 
@@ -454,17 +443,15 @@ class TestFit:
                                 learning_rate=1e12, seed=1))
         assert info.value.epoch >= 0
 
-    @pytest.mark.parametrize("target, regularizer", [
-        (np.inf, Regularizer()), (1.0, Regularizer("l2", 1e308))],
-        ids=["loss", "penalty"])
-    def test_a_non_finite_batch_returns_its_value_before_any_backward(self, target,
-                                                                      regularizer):
+    @pytest.mark.parametrize("target, l2", [(np.inf, 0.0), (1.0, 1e308)],
+                             ids=["loss", "penalty"])
+    def test_a_non_finite_batch_returns_its_value_before_any_backward(self, target, l2):
         # fit raises TrainingDiverged on this value; no gradient of it is ever formed
         net = build_network(NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0), rng=0)
         net.flat.grad[...] = np.arange(net.flat.grad.size)
         before = net.flat.grad.copy()
         x = np.random.default_rng(0).normal(size=(5, 3))
-        value = batch_gradients(net, x, np.full((5, 1), target), LossSpec("mse"), regularizer)
+        value = batch_gradients(net, x, np.full((5, 1), target), LossSpec("mse"), l2)
         assert value == math.inf
         np.testing.assert_array_equal(net.flat.grad, before)
 

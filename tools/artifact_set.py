@@ -47,7 +47,7 @@ CONFIGS = {
         "network": {"nnode": [6, 3], "activation": ["tanh", "elu"], "output_option": 2,
                     "dropout_placement": "all", "residual_post_op": "activation"},
         "training": {**TRAINING, "optimizer": "sgd", "learning_rate": 0.01},
-        "loss": {"regularizer": "l2", "coefficient": 1e-4, "reconstruction_weight": 0.5},
+        "loss": {"l2": 1e-4, "reconstruction_weight": 0.5},
         "grid": {"nnodes": [[6, 3], [4, 2]], "activations": ["elu", "relu"]},
     },
     "csv_regression": {

@@ -25,7 +25,9 @@ collector off and after one untimed call, and records the fastest chunk's
 see the same numbers.  The output file gets a "kernels" entry with each
 side's median µs per call, each round's ratio (change over parent), the
 median of those ratios and the rounds the change was faster; the other
-entries already in the file are kept.
+entries already in the file are kept.  Both checkouts must take the weight
+penalty as the number `l2` in `batch_gradients`; a checkout that still takes
+a `Regularizer` there cannot be timed.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ def _train_step(pkg, spec, rows: int, targets: np.ndarray):
     net = pkg.build_network(spec, rng=1)
     optimizer = pkg.Adam(net.flat)
     loss = pkg.LossSpec("cross_entropy" if spec.k > 1 else "mse")
-    x, regularizer = _normal(1, rows, spec.nfea), pkg.Regularizer()
+    x = _normal(1, rows, spec.nfea)
 
     def step():
-        pkg.training.batch_gradients(net, x, targets, loss, regularizer)
+        pkg.training.batch_gradients(net, x, targets, loss, 0.0)
         optimizer.step(1e-3)
     return step
 

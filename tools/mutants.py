@@ -152,16 +152,17 @@ MUTANTS = (
            'f"{where}.{key_of[name]}"', 'f"{where}.{name}"',
            ("tests/test_cli.py::TestConfigErrors::test_wrong_json_type_exits_2_naming_key",)),
     Mutant("penalty-drops-the-coefficient", "src/resae/training.py",
-           "return Regularizer(self.regularizer, self.coefficient)",
-           "return Regularizer(self.regularizer)",
-           ("tests/test_evaluation.py::test_penalty_is_the_loss_sections_regularizer",)),
+           "model.loss, cfg, shared.l2, val_metric)", "model.loss, cfg, 0.0, val_metric)",
+           ("tests/test_evaluation.py::test_penalty_is_the_loss_sections_l2",)),
     Mutant("batch-gradient-drops-the-penalty-gradient", "src/resae/training.py",
-           "        regularizer.add_gradients(net.flat)\n", "",
+           "            net.flat.grad += 2.0 * l2 * net.flat.value\n", "            pass\n",
            ("tests/test_training.py::TestRegularizer"
             "::test_l2_matches_finite_differences_through_gradient_check",
             "tests/test_training.py::test_fit_is_bit_identical_to_plain_per_array_reference")),
     Mutant("batch-loss-drops-the-penalty-value", "src/resae/training.py",
-           "    value += regularizer.value(net.parameters())\n", "",
+           "value += l2 * sum(float((p.value * p.value).sum()) for p in net.parameters()) "
+           "if l2 else 0.0",
+           "value += 0.0",
            ("tests/test_training.py::TestRegularizer"
             "::test_l2_matches_finite_differences_through_gradient_check",)),
     Mutant("model-loader-trusts-the-loss-kind", "src/resae/training.py",
@@ -173,6 +174,13 @@ MUTANTS = (
            ("tests/test_evaluation.py"
             "::test_accuracy_is_the_share_of_rows_whose_most_probable_class_is_observed",
             "tests/test_evaluation.py::TestClassificationMetrics::test_perfect_one_hot")),
+    Mutant("class-labels-unchecked-for-range", "src/resae/evaluation.py",
+           " & (labels >= 0) & (labels < p.shape[1])", "",
+           ("tests/test_evaluation.py"
+            "::test_classification_metrics_checks_labels_before_reading_them",)),
+    Mutant("csv-target-with-one-class-kept", "src/resae/data.py",
+           "if (classes == classes[0]).all():", "if False:",
+           ("tests/test_data.py::TestLoadCsv::test_a_target_that_cannot_be_learned_is_rejected",)),
     Mutant("dropout-draw-cut-by-columns", "src/resae/layers.py",
            "    keep = (rng.uniform(n * bounds[-1][1]) >= rate) / (1.0 - rate)\n"
            "    return [keep[n * lo:n * hi].reshape(n, hi - lo) for lo, hi in bounds]\n",
