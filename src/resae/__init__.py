@@ -28,7 +28,6 @@ from .network import Network, NetworkSpec, Predictions, build_network
 from .training import (
     Adam,
     FittedModel,
-    LossSpec,
     SgdMomentum,
     SharedSettings,
     TrainConfig,

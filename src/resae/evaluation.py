@@ -155,7 +155,9 @@ class Metrics:
 
 
 def score(task: str, observed: np.ndarray, predictions: np.ndarray) -> Metrics:
-    """The task's metrics of FittedModel.outputs against the observed targets."""
+    """The task's metrics of FittedModel.outputs against at least one observed row."""
+    if len(observed) == 0:
+        raise ValueError(f"no observed rows to score the {task} predictions on")
     if task == "classification":
         acc, ce, auc = classification_metrics(observed, predictions)
         return Metrics(accuracy=acc, cross_entropy=ce, auc=auc)

@@ -187,7 +187,10 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        try:    # an int or numpy integer, never a float or string read as one
+            self.seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
         self.state = (_mix64_int(self.seed), 0)
 
     # -- state -------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Losses, the weight penalty, optimizers, the mini-batch training loop, and
 numerical gradient verification.
 
-Regression losses use the 1/(2n) squared-error convention throughout, so the
-option-2 composite is (1/2n)||y - yhat||^2 + w * (1/2n)||x - xhat||^2 plus
-the L2 penalty.  Cross entropy is softmax over the k head logits, averaged
-over the batch.
+The loss kind comes from loss_kind and is never stored; l2 and w come from
+SharedSettings.  Regression losses use the 1/(2n) squared-error convention, so
+the option-2 composite is (1/2n)||y - yhat||^2 + w * (1/2n)||x - xhat||^2 plus
+the L2 penalty.  Cross entropy is softmax over the k head logits, averaged over the batch.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,21 +39,6 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """A loss kind and weight, checked when made, so every loss in use is valid."""
-
-    kind: str = "mse"
-    reconstruction_weight: float = 1.0
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}, expected {LOSS_KINDS}")
-        if not self.reconstruction_weight >= 0:
-            raise ValueError("reconstruction_weight must be >= 0")
-
-
-@dataclass(frozen=True)
 class SharedSettings:
     """What every job shares besides the dataset, checked when made: the loss
     section, an L2 weight penalty l2 * sum(w^2) over every parameter and the
@@ -76,30 +61,31 @@ def softmax(logits: Matrix) -> Matrix:
     return _divide(e, _sum(e, 1, None, None, True), e)
 
 
-def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
-                           inputs: Matrix | None = None) -> tuple[float, Matrix]:
-    """The head's loss value and its gradient with respect to the raw head
-    output; batch_gradients adds the weight penalty."""
+def loss_and_head_gradient(kind: str, preds: Predictions, targets: Matrix,
+                           inputs: Matrix | None = None,
+                           shared: SharedSettings = SharedSettings()) -> tuple[float, Matrix]:
+    """The loss of kind (one of LOSS_KINDS) at shared's reconstruction weight and
+    its gradient with respect to the raw head output; batch_gradients adds l2's."""
     n = targets.shape[0]
     head_grad = _zeros(preds.head.shape)
     k = preds.y.shape[1]
 
-    if loss.kind in ("mse", "mse_reconstruction"):
+    if kind in ("mse", "mse_reconstruction"):
         if preds.y.shape != targets.shape:
             raise ValueError(f"loss shape mismatch: predictions {preds.y.shape} "
                              f"vs targets {targets.shape}")
         r = _subtract(preds.y, targets)
         value = float(_sum(_multiply(r, r), None)) / (2.0 * n)
         _divide(r, float(n), head_grad[:, :k])
-        if loss.kind == "mse_reconstruction":
+        if kind == "mse_reconstruction":
             if preds.reconstruction is None or inputs is None:
                 raise ValueError("reconstruction loss needs an option-2 head "
                                  "and the input batch")
-            w = loss.reconstruction_weight
+            w = shared.reconstruction_weight
             rr = _subtract(preds.reconstruction, inputs)
             value += w * float(_sum(_multiply(rr, rr), None)) / (2.0 * n)
             _divide(_multiply(w, rr, rr), float(n), head_grad[:, k:])
-    else:   # cross_entropy, the one kind left in a LossSpec
+    elif kind == "cross_entropy":
         classes = np.asarray(targets, dtype=np.int64).ravel()
         if classes.shape[0] != n or classes.min() < 0 or classes.max() >= k:
             raise ValueError(f"cross entropy expects class indices in [0, {k}), "
@@ -112,17 +98,20 @@ def loss_and_head_gradient(loss: LossSpec, preds: Predictions, targets: Matrix,
             value = float(_sum(-_log(p[rows, classes]), None)) / n
         p[rows, classes] -= 1.0      # p becomes the gradient of the summed loss
         _divide(p, float(n), head_grad[:, :k])
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}, expected {LOSS_KINDS}")
     return value, head_grad
 
 
-def batch_gradients(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
-                    l2: float) -> float:
-    """The loss of one train-mode pass of x plus l2 * sum(w^2).  When it is finite,
-    every parameter's grad is left holding its gradient; when it is not, it is
-    returned before any backward pass, and the grad buffers are as they were.
+def batch_gradients(net: Network, x: Matrix, targets: Matrix, kind: str,
+                    shared: SharedSettings) -> float:
+    """The loss of one train-mode pass of x plus shared.l2 * sum(w^2).  When it is
+    finite, every parameter's grad is left holding its gradient; when it is not, it
+    is returned before any backward pass, and the grad buffers are as they were.
     With l2 at 0 the penalty adds 0.0, which writes a loss of -0.0 as 0.0."""
     preds = net.forward(x, "train")
-    value, head_grad = loss_and_head_gradient(loss, preds, targets, inputs=x)
+    value, head_grad = loss_and_head_gradient(kind, preds, targets, x, shared)
+    l2 = shared.l2
     value += l2 * sum(float((p.value * p.value).sum()) for p in net.parameters()) if l2 else 0.0
     if math.isfinite(value):
         net.backward(head_grad)
@@ -247,14 +236,20 @@ def _mini_batches(n: int, batch_size: int, order: np.ndarray):
 
 
 def fit(net: Network, x_train: Matrix, y_train: Matrix,
-        x_val: Matrix, y_val: Matrix, loss: LossSpec, cfg: TrainConfig,
-        l2: float = 0.0, val_metric_fn=None) -> TrainHistory:
-    """Mini-batch training with per-epoch validation and best-weights restore.
+        x_val: Matrix, y_val: Matrix, kind: str, cfg: TrainConfig,
+        shared: SharedSettings = SharedSettings(), val_metric_fn=None) -> TrainHistory:
+    """Mini-batch training on kind's loss under shared, with per-epoch validation
+    and best-weights restore; each x and its y hold the same rows, at least one.
 
     Stops at max_epochs or once the validation loss has not improved for
     early_stop_patience consecutive epochs; the parameters achieving the best
     recorded validation loss are restored before returning.
     """
+    for name, x, y in (("train", x_train, y_train), ("val", x_val, y_val)):
+        if x.shape[0] != y.shape[0]:
+            raise ValueError(f"x_{name} has {x.shape[0]} rows but y_{name} has {y.shape[0]}")
+        if x.shape[0] == 0:
+            raise ValueError(f"x_{name} has no rows")
     optimizer = cfg.make_optimizer(net.flat)
     shuffle_rng = Rng(cfg.seed).spawn(2)
     n = x_train.shape[0]
@@ -264,14 +259,14 @@ def fit(net: Network, x_train: Matrix, y_train: Matrix,
         order = shuffle_rng.permutation(n)
         epoch_losses = []
         for b, idx in enumerate(_mini_batches(n, cfg.batch_size, order)):
-            value = batch_gradients(net, x_train[idx], y_train[idx], loss, l2)
+            value = batch_gradients(net, x_train[idx], y_train[idx], kind, shared)
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
             optimizer.step(cfg.learning_rate)
             epoch_losses.append(value)
 
         val_preds = net.forward(x_val, "infer")
-        val_value, _ = loss_and_head_gradient(loss, val_preds, y_val, inputs=x_val)
+        val_value, _ = loss_and_head_gradient(kind, val_preds, y_val, x_val, shared)
         if not math.isfinite(val_value):
             raise TrainingDiverged(epoch, -1, val_value)
         metric = float(val_metric_fn(val_preds)) if val_metric_fn is not None else -val_value
@@ -320,7 +315,6 @@ class FittedModel:
     feature_stats: StandardizeStats
     target_stats: StandardizeStats | None
     task: str
-    loss: LossSpec
     history: TrainHistory | None = None
 
     def outputs(self, y: Matrix) -> Matrix:
@@ -340,7 +334,6 @@ class FittedModel:
             "format": "resae-model",
             "version": 1,
             "task": self.task,
-            "loss": asdict(self.loss),
             "feature_stats": self.feature_stats.to_dict(),
             "target_stats": self.target_stats.to_dict() if self.target_stats else None,
             "network": self.network.to_dict(),
@@ -349,16 +342,15 @@ class FittedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one; the loss, like the network's spec,
-        must hold every field.  target_stats is an object for regression and
-        null for classification; the stats' widths are the network's nfea and
-        k."""
+        ValueError names the first bad one; the spec must hold every field.
+        target_stats is an object for regression and null for classification;
+        the stats' widths are the network's nfea and k.  An earlier version's
+        loss object is ignored: loss_kind derives the kind."""
         if d.get("format") != "resae-model":
             raise ValueError("not a serialized model document")
         task = checked_entry(d, "task", str, "task")
         if task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-        loss = read_record(LossSpec, checked_entry(d, "loss", dict, "loss"), "loss", saved=True)
         if task == "classification" and d.get("target_stats") is not None:
             raise ValueError("target_stats must be null for a classification model")
         network = Network.from_dict(checked_entry(d, "network", dict, "network"))
@@ -372,12 +364,8 @@ class FittedModel:
             if stats is not None and stats.n_columns != width:
                 raise ValueError(f"{name} must have the network's {dim} = {width} columns, "
                                  f"got {stats.n_columns}")
-        kind = loss_kind(task, network.spec)
-        if loss.kind != kind:
-            raise ValueError(f"loss.kind must be {kind!r} for a {task} network with "
-                             f"output_option {network.spec.output_option}, got {loss.kind!r}")
         return cls(network=network, feature_stats=feature_stats, target_stats=target_stats,
-                   task=task, loss=loss)
+                   task=task)
 
 
 def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
@@ -398,10 +386,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
     if dataset.task == "regression":
         y_tr, target_stats = standardize_fit_apply(y_tr)
     model = FittedModel(network=build_network(spec, rng=Rng(cfg.seed).spawn(1)),
-                        feature_stats=feature_stats, target_stats=target_stats,
-                        task=dataset.task,
-                        loss=LossSpec(loss_kind(dataset.task, spec),
-                                      shared.reconstruction_weight))
+                        feature_stats=feature_stats, target_stats=target_stats, task=dataset.task)
     headline = HEADLINE_METRIC[model.task]
 
     def val_metric(preds: Predictions) -> float:
@@ -409,7 +394,7 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
 
     model.history = fit(model.network, x_tr, y_tr, x_val,
                         target_stats.apply(y_val) if target_stats else y_val,
-                        model.loss, cfg, shared.l2, val_metric)
+                        loss_kind(dataset.task, spec), cfg, shared, val_metric)
     return model
 
 
@@ -417,8 +402,8 @@ def train_model(dataset, split, spec: NetworkSpec, cfg: TrainConfig,
 # Gradient verification
 # ---------------------------------------------------------------------------
 
-def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
-                   l2: float = 0.0, eps: float = 1e-5,
+def gradient_check(net: Network, x: Matrix, targets: Matrix, kind: str,
+                   shared: SharedSettings = SharedSettings(), eps: float = 1e-5,
                    n_sample: int = 200, seed: int = 0) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
@@ -427,32 +412,41 @@ def gradient_check(net: Network, x: Matrix, targets: Matrix, loss: LossSpec,
     entries.  The network RNG state is pinned before every pass so dropout
     masks are identical across all evaluations; train mode is used throughout,
     so batch-norm gradients are exercised against the batch-statistics forward.
+    eps must be a finite number > 0.  A non-finite loss at any evaluation, or a
+    non-finite relative error, is a ValueError naming it, never a score.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
     rng_state = net.rng.state
     saved = net.get_state()
 
-    def evaluate() -> float:
+    def evaluate(where: str) -> float:
         net.rng.state = rng_state
-        return batch_gradients(net, x, targets, loss, l2)
+        value = batch_gradients(net, x, targets, kind, shared)
+        if not math.isfinite(value):
+            raise ValueError(f"gradient_check: non-finite loss {value} {where}")
+        return value
 
-    evaluate()
-    analytic = net.flat.grad.copy()
-
-    values = net.flat.value      # every parameter entry, in parameters() order
-    chosen = Rng(seed).subset(values.size, min(n_sample, values.size))
-    worst = 0.0
-    for i in chosen:
-        original = values[i]
-        values[i] = original + eps
-        up = evaluate()
-        values[i] = original - eps
-        down = evaluate()
-        values[i] = original
-        numeric = (up - down) / (2.0 * eps)
-        a = analytic[i]
-        scale = max(abs(a), abs(numeric), 1e-6)
-        worst = max(worst, abs(a - numeric) / scale)
-
-    net.set_state(saved)       # running stats were touched by the probe forwards
-    net.rng.state = rng_state
+    try:
+        evaluate("at the network's parameters")
+        analytic = net.flat.grad.copy()
+        values = net.flat.value      # every parameter entry, in parameters() order
+        chosen = Rng(seed).subset(values.size, min(n_sample, values.size))
+        worst = 0.0
+        for i in chosen:
+            original = values[i]
+            values[i] = original + eps
+            up = evaluate(f"with parameter entry {i} raised by eps")
+            values[i] = original - eps
+            down = evaluate(f"with parameter entry {i} lowered by eps")
+            values[i] = original
+            numeric = (up - down) / (2.0 * eps)
+            a = analytic[i]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+            if not math.isfinite(err):      # max(worst, nan) would keep worst
+                raise ValueError(f"gradient_check: non-finite relative error {err} at entry {i}")
+            worst = max(worst, err)
+    finally:
+        net.set_state(saved)       # running stats were touched by the probe forwards
+        net.rng.state = rng_state
     return worst

@@ -23,9 +23,9 @@ from resae.layers import DenseLayer
 from resae.network import NetworkSpec, build_network
 from resae.training import (
     FittedModel,
-    LossSpec,
     TrainConfig,
     gradient_check,
+    loss_kind,
     make_spec,
     train_model,
 )
@@ -75,8 +75,7 @@ def test_criterion_1_gradient_correctness():
         batch = int(rng.integers(6, 11))
         x = rng.normal(size=(batch, spec.nfea))
         y = rng.normal(size=(batch, spec.k))
-        loss = LossSpec("mse_reconstruction" if spec.output_option == 2 else "mse")
-        err = gradient_check(net, x, y, loss, n_sample=200, seed=i)
+        err = gradient_check(net, x, y, loss_kind("regression", spec), n_sample=200, seed=i)
         worst = max(worst, err)
     elapsed = time.monotonic() - started
     ok = worst < 1e-4 and elapsed < 60.0

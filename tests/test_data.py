@@ -433,6 +433,11 @@ class TestSplit:
         assert all(a.dtype == np.int64 for a in parts)
         assert hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest() == digest
 
+    def test_a_seed_that_is_not_an_integer_is_rejected(self):
+        ds = generate_simulated(n=20, seed=0)
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+            split(ds, seed=1.5)
+
     def test_too_small_rejected(self):
         ds = generate_simulated(n=9, seed=0)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resae.data import generate_simulated
+from resae.data import generate_simulated, split
 from resae.evaluation import (
     HEADLINE_METRIC,
     TASK_METRICS,
@@ -16,6 +16,7 @@ from resae.evaluation import (
     accuracy,
     classification_metrics,
     compare,
+    evaluate_model,
     grid_search,
     r2,
     residual_sensitivity,
@@ -25,7 +26,7 @@ from resae.evaluation import (
     score,
     seed_jobs,
 )
-from resae.training import TrainConfig, make_spec
+from resae.training import TrainConfig, make_spec, train_model
 
 
 def pairwise_auc_oracle(labels, scores):
@@ -362,6 +363,7 @@ def test_job_and_shared_settings_run_bit_identically_after_a_pickle_round_trip()
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"reconstruction_weight": -0.5}, "reconstruction_weight must be >= 0"),
+    ({"reconstruction_weight": float("nan")}, "reconstruction_weight must be >= 0"),
     ({"reconstruction_weight": "1"}, "reconstruction_weight must be a number"),
 ])   # l2's checks: tests/test_training.py::TestRegularizer
 def test_shared_settings_are_checked_when_made(kwargs, message):
@@ -376,6 +378,27 @@ def test_penalty_is_the_loss_sections_l2():
     plain, penalized = (run_job(ds, job, SharedSettings(l2))[1].history.train_loss
                         for l2 in (0.0, 0.05))
     assert penalized != plain
+
+
+def test_reconstruction_weight_is_the_loss_sections():
+    # an option-2 job weighs its reconstruction term as its shared settings say
+    ds = generate_simulated(n=150, seed=0)
+    job = Job("residual", make_spec(ds, (6, 3), output_option=2), tiny_cfg(max_epochs=3))
+    full, half = (run_job(ds, job, SharedSettings(reconstruction_weight=w))[1].history.train_loss
+                  for w in (1.0, 0.5))
+    assert half != full
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_scoring_no_rows_is_rejected_before_any_metric(task):
+    ds = generate_simulated(n=60, seed=0)
+    if task == "classification":
+        ds = replace(ds, targets=(ds.targets > np.median(ds.targets)).astype(np.float64),
+                     task="classification", n_classes=2)
+    model = train_model(ds, split(ds, seed=0), make_spec(ds, (4,)),
+                        tiny_cfg(batch_size=8, max_epochs=2))
+    with pytest.raises(ValueError, match=f"^no observed rows to score the {task} predictions on$"):
+        evaluate_model(model, ds, np.arange(0))
 
 
 class TestGridSearch:

@@ -106,6 +106,16 @@ class TestRng:
         np.testing.assert_array_equal(rng.permutation(np.int64(9)), twin.permutation(9))
         assert rng.state == twin.state and type(rng.state[1]) is int
 
+    @pytest.mark.parametrize("seed", [1.7, 3.0, "3", None])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            Rng(seed)
+
+    def test_a_numpy_integer_seed_draws_the_same_stream(self):
+        rng, twin = Rng(np.int64(3)), Rng(3)
+        np.testing.assert_array_equal(rng.uniform(9), twin.uniform(9))
+        assert rng.state == twin.state and type(rng.seed) is int
+
     def test_writing_into_a_draw_leaves_later_draws_unchanged(self):
         rng, twin = Rng(8), Rng(8)
         for draw in (lambda r: r.uniform(16, 32), lambda r: r.uniform(3, low=1.0, high=2.0),

@@ -11,7 +11,7 @@ from spec_strategies import network_specs
 from resae.layers import BN_MOMENTUM, BatchNormLayer, DenseLayer, DropoutLayer
 from resae.matrix import Rng, read_record
 from resae.network import Network, NetworkSpec, build_network
-from resae.training import LossSpec, TrainConfig, TrainingDiverged, fit
+from resae.training import TrainConfig, TrainingDiverged, fit, loss_kind
 
 
 def random_spec(rng: np.random.Generator, **forced) -> NetworkSpec:
@@ -628,11 +628,10 @@ def test_inference_after_each_state_write_is_the_plain_forward(spec, seed, n):
     assert_plain_inference(Network.from_dict(json.loads(json.dumps(net.to_dict()))))
     for keep in range(len(net.shortcuts) + 1):
         assert_plain_inference(net.truncate_residuals(keep))
-    loss = LossSpec("mse_reconstruction" if spec.output_option == 2 else "mse")
     cfg = TrainConfig(batch_size=max(2, n // 3), max_epochs=3, learning_rate=0.01, seed=seed)
     try:                                             # ends with the best-weights restore
         with np.errstate(over="ignore", invalid="ignore"):
-            fit(net, x, y, x, y, loss, cfg)
+            fit(net, x, y, x, y, loss_kind("regression", spec), cfg)
     except TrainingDiverged:
         return
     assert_plain_inference(net)

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from resae.network import NetworkSpec, Predictions, build_network
 from resae.training import (
     Adam,
     FittedModel,
-    LossSpec,
     SgdMomentum,
     SharedSettings,
     TrainConfig,
@@ -40,13 +40,13 @@ def preds_for(head, k):
 class TestLoss:
     def test_perfect_fit_is_zero(self):
         y = np.array([[1.0], [2.0]])
-        value, grad = loss_and_head_gradient(LossSpec("mse"), preds_for(y.copy(), 1), y)
+        value, grad = loss_and_head_gradient("mse", preds_for(y.copy(), 1), y)
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 1)))
 
     def test_half_squared_error_convention(self):
         value, grad = loss_and_head_gradient(
-            LossSpec("mse"), preds_for(np.array([[2.0]]), 1), np.array([[0.0]]))
+            "mse", preds_for(np.array([[2.0]]), 1), np.array([[0.0]]))
         assert value == pytest.approx(2.0)   # (1/2) * 4
         np.testing.assert_allclose(grad, [[2.0]])
 
@@ -54,9 +54,9 @@ class TestLoss:
         head = np.array([[1.0, 0.5, -0.5]])
         inputs = np.array([[0.0, 0.0]])
         targets = np.array([[0.0]])
-        base, _ = loss_and_head_gradient(LossSpec("mse"), preds_for(head, 1), targets)
+        base, _ = loss_and_head_gradient("mse", preds_for(head, 1), targets)
         both, grad = loss_and_head_gradient(
-            LossSpec("mse_reconstruction"), preds_for(head, 1), targets, inputs=inputs)
+            "mse_reconstruction", preds_for(head, 1), targets, inputs=inputs)
         assert base == pytest.approx(0.5)
         assert both == pytest.approx(0.5 + 0.5 * (0.25 + 0.25))
         assert both >= base   # reconstruction term is non-negative
@@ -66,31 +66,30 @@ class TestLoss:
         head = np.array([[1.0, 2.0, 2.0]])
         inputs = np.zeros((1, 2))
         targets = np.array([[1.0]])
-        half, _ = loss_and_head_gradient(
-            LossSpec("mse_reconstruction", reconstruction_weight=0.5),
-            preds_for(head, 1), targets, inputs=inputs)
+        half, _ = loss_and_head_gradient("mse_reconstruction", preds_for(head, 1), targets,
+                                         inputs, SharedSettings(reconstruction_weight=0.5))
         assert half == pytest.approx(0.5 * (4.0 + 4.0) / 2.0)
 
     def test_option2_without_reconstruction_rejected(self):
         with pytest.raises(ValueError, match="reconstruction"):
-            loss_and_head_gradient(LossSpec("mse_reconstruction"),
+            loss_and_head_gradient("mse_reconstruction",
                                    preds_for(np.zeros((2, 1)), 1), np.zeros((2, 1)))
 
     def test_cross_entropy_values(self):
         logits = np.array([[10.0, -10.0], [-10.0, 10.0]])
         targets = np.array([[0.0], [1.0]])
-        value, _ = loss_and_head_gradient(LossSpec("cross_entropy"),
+        value, _ = loss_and_head_gradient("cross_entropy",
                                           preds_for(logits, 2), targets)
         assert value == pytest.approx(0.0, abs=1e-6)
         uniform = np.zeros((4, 3))
-        value, _ = loss_and_head_gradient(LossSpec("cross_entropy"),
+        value, _ = loss_and_head_gradient("cross_entropy",
                                           preds_for(uniform, 3),
                                           np.array([[0.0], [1.0], [2.0], [0.0]]))
         assert value == pytest.approx(math.log(3.0))
 
     def test_cross_entropy_gradient_is_softmax_minus_onehot(self):
         logits = np.array([[1.0, 2.0, 0.5]])
-        value, grad = loss_and_head_gradient(LossSpec("cross_entropy"),
+        value, grad = loss_and_head_gradient("cross_entropy",
                                              preds_for(logits, 3), np.array([[1.0]]))
         z = np.exp(logits - logits.max())
         p = z / z.sum()
@@ -100,19 +99,14 @@ class TestLoss:
 
     def test_bad_class_index_rejected(self):
         with pytest.raises(ValueError, match="class indices"):
-            loss_and_head_gradient(LossSpec("cross_entropy"),
+            loss_and_head_gradient("cross_entropy",
                                    preds_for(np.zeros((1, 2)), 2), np.array([[5.0]]))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LossSpec("huber")
-
-    def test_invalid_loss_rejected_when_made(self):
-        with pytest.raises(ValueError, match="unknown loss kind 'huber'"):
-            LossSpec("huber")
-        for weight in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="reconstruction_weight must be >= 0"):
-                LossSpec("mse_reconstruction", reconstruction_weight=weight)
+    @pytest.mark.parametrize("kind", ["huber", "MSE", None])
+    def test_unknown_kind_rejected(self, kind):
+        # never scored as cross entropy, which these class-index targets would allow
+        with pytest.raises(ValueError, match=rf"^unknown loss kind {kind!r}, expected \("):
+            loss_and_head_gradient(kind, preds_for(np.zeros((2, 2)), 2), np.array([[0.0], [1.0]]))
 
     def test_losses_are_non_negative(self):
         rng = np.random.default_rng(17)
@@ -121,13 +115,13 @@ class TestLoss:
             head = rng.normal(size=(n, k + m)) * rng.uniform(0.1, 10)
             targets = rng.normal(size=(n, k)) * rng.uniform(0.1, 10)
             inputs = rng.normal(size=(n, m))
-            v, _ = loss_and_head_gradient(LossSpec("mse"), preds_for(head, k), targets)
+            v, _ = loss_and_head_gradient("mse", preds_for(head, k), targets)
             assert v >= 0.0
-            v, _ = loss_and_head_gradient(LossSpec("mse_reconstruction"),
+            v, _ = loss_and_head_gradient("mse_reconstruction",
                                           preds_for(head, k), targets, inputs=inputs)
             assert v >= 0.0
             classes = np.asarray(rng.integers(0, k, size=(n, 1)), dtype=np.float64)
-            v, _ = loss_and_head_gradient(LossSpec("cross_entropy"),
+            v, _ = loss_and_head_gradient("cross_entropy",
                                           preds_for(head, k), classes)
             assert v >= 0.0
 
@@ -150,8 +144,8 @@ class TestRegularizer:
                                         use_batchnorm=False), rng=seed)
         x = np.random.default_rng(seed).normal(size=(5, 3))
         y = np.random.default_rng(seed + 1).normal(size=(5, 1))
-        bare = batch_gradients(net, x, y, LossSpec("mse"), 0.0), net.flat.grad.copy()
-        return batch_gradients(net, x, y, LossSpec("mse"), l2), net, bare
+        bare = batch_gradients(net, x, y, "mse", SharedSettings()), net.flat.grad.copy()
+        return batch_gradients(net, x, y, "mse", SharedSettings(l2)), net, bare
 
     def test_zero_l2_contributes_nothing(self):
         value, net, (bare, bare_grad) = self._batch(0.0, 0)
@@ -171,7 +165,7 @@ class TestRegularizer:
         net = build_network(spec, rng=3)
         x = np.random.default_rng(0).normal(size=(6, 4))
         y = np.random.default_rng(1).normal(size=(6, 1))
-        err = gradient_check(net, x, y, LossSpec("mse"), l2=0.05, n_sample=80)
+        err = gradient_check(net, x, y, "mse", SharedSettings(0.05), n_sample=80)
         assert err < 1e-5
 
 
@@ -270,18 +264,19 @@ def test_fit_is_bit_identical_to_plain_per_array_reference(
     net = build_network(spec, rng=seed)
     cfg = TrainConfig(batch_size=batch_size, max_epochs=epochs, learning_rate=0.01,
                       optimizer=optimizer, seed=seed)
-    loss = LossSpec("mse_reconstruction", 0.5) if spec.output_option == 2 else LossSpec()
+    kind, shared = (("mse_reconstruction", SharedSettings(l2, 0.5)) if spec.output_option == 2
+                    else ("mse", SharedSettings(l2)))
     try:   # a drawn network may diverge; then fit must stop at the same batch
         with np.errstate(over="ignore", invalid="ignore"):
             want = plain_fit(net, x_train, y_train, x_val, y_val, cfg, l2,
-                             loss.reconstruction_weight)
+                             shared.reconstruction_weight)
     except TrainingDiverged as diverged:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDiverged) as got:
-            fit(net, x_train, y_train, x_val, y_val, loss, cfg, l2)
+            fit(net, x_train, y_train, x_val, y_val, kind, cfg, shared)
         assert (got.value.epoch, got.value.batch) == (diverged.epoch, diverged.batch)
         return
-    fit(net, x_train, y_train, x_val, y_val, loss, cfg, l2)
+    fit(net, x_train, y_train, x_val, y_val, kind, cfg, shared)
     params = [p.name for p in net.parameters()]
     stats = [name for name in want if name not in params]   # running stats, in net.running order
     assert net.flat.value.tobytes() == np.concatenate([want[n].ravel() for n in params]).tobytes()
@@ -313,9 +308,10 @@ def test_train_config_checks_types_and_ranges_when_made(field, value, message):
         replace(TrainConfig(), **{field: value})
 
 
-@pytest.mark.parametrize("make", [lambda: LossSpec("mse", "1.0"), lambda: LossSpec(None),
+@pytest.mark.parametrize("make", [lambda: SharedSettings(0.0, "1.0"),
+                                  lambda: SharedSettings(0.0, None),
                                   lambda: SharedSettings(None), lambda: SharedSettings("0")])
-def test_loss_and_regularizer_check_types_when_made(make):
+def test_shared_settings_check_types_when_made(make):
     with pytest.raises(ValueError, match="must be a"):
         make()
 
@@ -337,7 +333,7 @@ class TestFit:
     def test_zero_learning_rate_is_fixed_point(self):
         net, xtr, ytr, xv, yv = self._net_and_data()
         before = {p.name: p.value.copy() for p in net.parameters()}
-        fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
+        fit(net, xtr, ytr, xv, yv, "mse",
             TrainConfig(batch_size=32, max_epochs=5, learning_rate=0.0, seed=1))
         for p in net.parameters():
             np.testing.assert_array_equal(p.value, before[p.name])
@@ -348,7 +344,7 @@ class TestFit:
         spec = NetworkSpec(nfea=2, nnode=(8, 4), k=1, acts="elu", dropout_rate=0.0)
         net = build_network(spec, rng=1)
         xtr, ytr, xv, yv = x[:240], y[:240], x[240:], y[240:]
-        fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
+        fit(net, xtr, ytr, xv, yv, "mse",
             TrainConfig(batch_size=32, max_epochs=200, learning_rate=3e-3, seed=2))
         pred = net.forward(xv, "infer").y
         assert r2(yv, pred) > 0.99
@@ -365,7 +361,7 @@ class TestFit:
                 seen.append(xb[:, 0].astype(int))
             return forward(xb, mode)
         net.forward = recording_forward
-        fit(net, x, 0.5 * x, x[:4], 0.5 * x[:4], LossSpec("mse"),
+        fit(net, x, 0.5 * x, x[:4], 0.5 * x[:4], "mse",
             TrainConfig(batch_size=batch_size, max_epochs=epochs,
                         early_stop_patience=epochs, seed=5))
         rng = Rng(5).spawn(2)
@@ -380,12 +376,12 @@ class TestFit:
         net, xtr, ytr, xv, yv = self._net_and_data(seed=4)
         cfg = TrainConfig(batch_size=32, max_epochs=60, learning_rate=5e-3,
                           early_stop_patience=10, seed=3)
-        history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"), cfg)
+        history = fit(net, xtr, ytr, xv, yv, "mse", cfg)
         assert len(history) <= 60
         assert history.best_epoch == int(np.argmin(history.val_loss))
         # restored parameters reproduce the minimum recorded validation loss
         preds = net.forward(xv, "infer")
-        value, _ = loss_and_head_gradient(LossSpec("mse"), preds, yv)
+        value, _ = loss_and_head_gradient("mse", preds, yv)
         assert value == pytest.approx(min(history.val_loss), rel=1e-9)
 
     def test_early_stop_restores_the_best_epochs_state_bit_for_bit(self):
@@ -393,17 +389,17 @@ class TestFit:
         cfg = TrainConfig(batch_size=32, max_epochs=60, learning_rate=5e-2,
                           early_stop_patience=4, seed=3)
         net, xtr, ytr, xv, yv = self._net_and_data(seed=4)
-        history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"), cfg)
+        history = fit(net, xtr, ytr, xv, yv, "mse", cfg)
         assert history.best_epoch < len(history) - 1
         cut, *_ = self._net_and_data(seed=4)
-        fit(cut, xtr, ytr, xv, yv, LossSpec("mse"),
+        fit(cut, xtr, ytr, xv, yv, "mse",
             replace(cfg, max_epochs=history.best_epoch + 1))
         assert json.dumps(net.to_dict()) == json.dumps(cut.to_dict())
 
     @pytest.mark.parametrize("patience, best_epoch", [(2, 1), (5, 34)])
     def test_an_early_stop_runs_patience_epochs_past_the_best(self, patience, best_epoch):
         net, xtr, ytr, xv, yv = self._net_and_data(seed=4)
-        history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
+        history = fit(net, xtr, ytr, xv, yv, "mse",
                       TrainConfig(batch_size=32, max_epochs=200, learning_rate=5e-2,
                                   early_stop_patience=patience, seed=3))
         assert history.best_epoch == best_epoch
@@ -413,7 +409,7 @@ class TestFit:
         runs = []
         for _ in range(2):
             net, xtr, ytr, xv, yv = self._net_and_data(seed=7)
-            history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
+            history = fit(net, xtr, ytr, xv, yv, "mse",
                           TrainConfig(batch_size=16, max_epochs=12, seed=11))
             runs.append((history.to_rows(), {p.name: p.value.copy()
                                              for p in net.parameters()}))
@@ -423,10 +419,10 @@ class TestFit:
 
     def test_zero_coefficient_regularizer_reproduces_plain_run(self):
         results = []
-        for l2 in ({}, {"l2": 0.0}):
+        for shared in ({}, {"shared": SharedSettings(0.0)}):
             net, xtr, ytr, xv, yv = self._net_and_data(seed=9)
-            history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
-                          TrainConfig(batch_size=32, max_epochs=8, seed=5), **l2)
+            history = fit(net, xtr, ytr, xv, yv, "mse",
+                          TrainConfig(batch_size=32, max_epochs=8, seed=5), **shared)
             results.append(history.to_rows())
         assert results[0] == results[1]
 
@@ -438,7 +434,7 @@ class TestFit:
         net = build_network(spec, rng=2)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDiverged) as info:
-                fit(net, x[:120], y[:120], x[120:], y[120:], LossSpec("mse"),
+                fit(net, x[:120], y[:120], x[120:], y[120:], "mse",
                     TrainConfig(batch_size=32, max_epochs=50, optimizer="sgd",
                                 learning_rate=1e12, seed=1))
         assert info.value.epoch >= 0
@@ -451,13 +447,27 @@ class TestFit:
         net.flat.grad[...] = np.arange(net.flat.grad.size)
         before = net.flat.grad.copy()
         x = np.random.default_rng(0).normal(size=(5, 3))
-        value = batch_gradients(net, x, np.full((5, 1), target), LossSpec("mse"), l2)
+        value = batch_gradients(net, x, np.full((5, 1), target), "mse", SharedSettings(l2))
         assert value == math.inf
         np.testing.assert_array_equal(net.flat.grad, before)
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda x, y, xv, yv: (x[:20], y[:24], xv, yv), "^x_train has 20 rows but y_train has 24$"),
+        (lambda x, y, xv, yv: (x[:24], y[:20], xv, yv), "^x_train has 24 rows but y_train has 20$"),
+        (lambda x, y, xv, yv: (x, y, xv[:5], yv[:6]), "^x_val has 5 rows but y_val has 6$"),
+        (lambda x, y, xv, yv: (x, y, xv[:0], yv[:0]), "^x_val has no rows$"),
+        (lambda x, y, xv, yv: (x[:0], y[:0], xv, yv), "^x_train has no rows$"),
+    ], ids=["extra-targets", "missing-targets", "val-mismatch", "empty-val", "empty-train"])
+    def test_features_and_targets_must_hold_the_same_rows(self, cut, message):
+        net, *data = self._net_and_data()
+        before = net.flat.value.copy()
+        with pytest.raises(ValueError, match=message):
+            fit(net, *cut(*data), "mse", TrainConfig(batch_size=8, max_epochs=2))
+        np.testing.assert_array_equal(net.flat.value, before)
+
     def test_history_csv(self, tmp_path):
         net, xtr, ytr, xv, yv = self._net_and_data(seed=5)
-        history = fit(net, xtr, ytr, xv, yv, LossSpec("mse"),
+        history = fit(net, xtr, ytr, xv, yv, "mse",
                       TrainConfig(batch_size=32, max_epochs=4, seed=1))
         path = tmp_path / "history.csv"
         history.to_csv(path)
@@ -473,7 +483,7 @@ class TestGradientCheck:
         net = build_network(spec, rng=1)
         x = np.random.default_rng(0).normal(size=(8, 4))
         y = np.random.default_rng(1).normal(size=(8, 1))
-        assert gradient_check(net, x, y, LossSpec("mse"), n_sample=200) < 1e-8
+        assert gradient_check(net, x, y, "mse", n_sample=200) < 1e-8
 
     def test_elu_tanh_residual_network(self):
         spec = NetworkSpec(nfea=5, nnode=(7, 4), k=2, acts=("elu", "tanh"),
@@ -481,8 +491,7 @@ class TestGradientCheck:
         net = build_network(spec, rng=2)
         x = np.random.default_rng(2).normal(size=(8, 5))
         y = np.random.default_rng(3).normal(size=(8, 2))
-        assert gradient_check(net, x, y, LossSpec("mse_reconstruction"),
-                              n_sample=200) < 1e-4
+        assert gradient_check(net, x, y, "mse_reconstruction", n_sample=200) < 1e-4
 
     def test_relu_network_away_from_kinks(self):
         spec = NetworkSpec(nfea=4, nnode=(6, 3), k=1, acts="relu",
@@ -491,14 +500,50 @@ class TestGradientCheck:
         net = build_network(spec, rng=6)
         x = np.random.default_rng(5).normal(size=(6, 4)) + 0.3
         y = np.random.default_rng(6).normal(size=(6, 1))
-        assert gradient_check(net, x, y, LossSpec("mse"), n_sample=200, eps=1e-6) < 1e-4
+        assert gradient_check(net, x, y, "mse", n_sample=200, eps=1e-6) < 1e-4
 
     def test_cross_entropy_head(self):
         spec = NetworkSpec(nfea=4, nnode=(6,), k=3, acts="tanh", dropout_rate=0.0)
         net = build_network(spec, rng=3)
         x = np.random.default_rng(7).normal(size=(9, 4))
         y = np.asarray(np.random.default_rng(8).integers(0, 3, size=(9, 1)), dtype=np.float64)
-        assert gradient_check(net, x, y, LossSpec("cross_entropy"), n_sample=150) < 1e-4
+        assert gradient_check(net, x, y, "cross_entropy", n_sample=150) < 1e-4
+
+    def _net_and_batch(self):
+        spec = NetworkSpec(nfea=4, nnode=(5,), k=1, acts="tanh", dropout_rate=0.0)
+        x = np.random.default_rng(0).normal(size=(6, 4))
+        return build_network(spec, rng=3), x, np.random.default_rng(1).normal(size=(6, 1))
+
+    @pytest.mark.parametrize("damage, eps, where", [
+        (lambda net, x: net.flat.value.__setitem__(0, np.nan), 1e-5,
+         "at the network's parameters"),
+        (lambda net, x: x.__setitem__((2, 1), np.nan), 1e-5, "at the network's parameters"),
+        (lambda net, x: None, 1e300, r"with parameter entry \d+ raised by eps"),
+    ], ids=["nan-weight", "nan-input-row", "overflowing-step"])
+    def test_a_non_finite_loss_is_rejected(self, damage, eps, where):
+        # max(worst, nan) keeps worst, so a NaN must not reach it as a perfect score
+        net, x, y = self._net_and_batch()
+        damage(net, x)
+        saved, rng_state = net.get_state(), net.rng.state
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=rf"^gradient_check: non-finite loss \S+ {where}$"):
+            gradient_check(net, x, y, "mse", eps=eps, n_sample=20)
+        assert net.rng.state == rng_state
+        for name, value in net.get_state().items():
+            np.testing.assert_array_equal(value, saved[name])
+
+    def test_a_non_finite_relative_error_is_rejected(self):
+        net, x, y = self._net_and_batch()
+        net.backward = lambda head_grad: net.flat.grad.fill(np.nan)    # finite loss, NaN gradient
+        with pytest.raises(ValueError, match=r"^gradient_check: non-finite relative error nan "
+                                             r"at entry \d+$"):
+            gradient_check(net, x, y, "mse", n_sample=20)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_eps_must_be_a_finite_number_above_zero(self, eps):
+        net, x, y = self._net_and_batch()
+        with pytest.raises(ValueError, match=f"^eps must be a finite number > 0, got {eps}$"):
+            gradient_check(net, x, y, "mse", eps=eps)
 
     def test_zero_head_gradient_gives_zero_parameter_gradients(self):
         spec = NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0)
@@ -604,8 +649,6 @@ class TestModelDocument:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(task="regresion"), r"task must be one of .*'regresion'"),
-        (lambda d: d["loss"].update(kind="mae"),
-         r"^invalid loss config: unknown loss kind 'mae', expected \("),
         (lambda d: _set_weight(d, 3, "0.5"),
          r'weights.L000.dense.W.data\[3\] must be a number, got "0.5"'),
         (lambda d: _set_weight(d, 0, True),
@@ -630,12 +673,6 @@ class TestModelDocument:
          r"feature_stats.constant_columns\[0\] must be a column index in \[0, 8\), got 99"),
         (lambda d: d["feature_stats"].update(constant_columns=[2, -4]),
          r"feature_stats.constant_columns\[1\] must be a column index in \[0, 8\), got -4"),
-        (lambda d: d["loss"].update(kind="cross_entropy"),
-         "^loss.kind must be 'mse' for a regression network with output_option 1, "
-         "got 'cross_entropy'$"),
-        (lambda d: d["loss"].update(kind="mse_reconstruction"),
-         "^loss.kind must be 'mse' for a regression network with output_option 1, "
-         "got 'mse_reconstruction'$"),
         (lambda d: d["network"].update(parameter_count=7),
          r"^parameter_count must be the spec's network's \d+, got 7$"),
         (lambda d: d["network"].update(parameter_count="7"),
@@ -651,14 +688,13 @@ class TestModelDocument:
          "^weights.L000.dense.b.data must hold 6 numbers, got 5$"),
         (lambda d: _weight(d, "L003.bn.running_var")["data"].__setitem__(2, -0.5),
          r"^weights.L003.bn.running_var.data\[2\] must be >= 0, got -0.5$"),
-    ], ids=["task", "loss-kind", "string-weight", "boolean-weight", "huge-integer-weight",
+    ], ids=["task", "string-weight", "boolean-weight", "huge-integer-weight",
             "zero-sd", "no-weights", "no-feature-stats", "null-target-stats",
             "no-target-stats", "classification-target-stats", "sd-length",
             "feature-stats-width", "target-stats-width", "constant-column-too-large",
-            "constant-column-negative", "classification-loss-kind", "reconstruction-loss-kind",
-            "parameter-count", "string-parameter-count", "no-layer-summary",
-            "other-layer-summary", "missing-layer-summary", "inferred-weight-shape",
-            "short-weight-data", "negative-running-variance"])
+            "constant-column-negative", "parameter-count", "string-parameter-count",
+            "no-layer-summary", "other-layer-summary", "missing-layer-summary",
+            "inferred-weight-shape", "short-weight-data", "negative-running-variance"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)
@@ -671,13 +707,24 @@ class TestModelDocument:
         model = FittedModel.from_dict(doc)
         assert np.isfinite(model.predict(np.ones((4, 8)))).all()
 
-    @pytest.mark.parametrize("record, field", [("spec", f.name) for f in fields(NetworkSpec)] +
-                             [("loss", f.name) for f in fields(LossSpec)])
-    def test_saved_record_without_a_field_is_rejected_naming_it(self, record, field):
-        doc = saved_model_document()    # a saved record holds every field, defaults too
-        (doc["network"]["spec"] if record == "spec" else doc["loss"]).pop(field)
-        with pytest.raises(ValueError, match=rf"^{record} is missing fields \['{field}'\]$"):
+    @pytest.mark.parametrize("field", [f.name for f in fields(NetworkSpec)])
+    def test_saved_spec_without_a_field_is_rejected_naming_it(self, field):
+        doc = saved_model_document()    # a saved spec holds every field, defaults too
+        doc["network"]["spec"].pop(field)
+        with pytest.raises(ValueError, match=rf"^spec is missing fields \['{field}'\]$"):
             FittedModel.from_dict(doc)
+
+    def test_a_model_saved_with_a_loss_object_loads_and_predicts_bit_identically(self):
+        # written by the version that saved a loss object; loss_kind now derives the kind
+        saved = json.loads((Path(__file__).parent / "saved_models_with_loss.json").read_text())
+        assert [entry["document"]["loss"]["kind"] for entry in saved] == [
+            "mse_reconstruction", "cross_entropy"]
+        for entry in saved:
+            model = FittedModel.from_dict(entry["document"])
+            predictions = model.predict(np.array(entry["features"]))
+            assert predictions.tobytes() == np.array(entry["predictions"]).tobytes()
+            entry["document"].pop("loss")
+            assert model.to_dict() == entry["document"]
 
     @pytest.mark.parametrize("field, value", [("elu_alpha", 1.0), ("output_activation", "linear")])
     def test_spec_with_a_field_that_is_now_a_constant_is_rejected(self, field, value):

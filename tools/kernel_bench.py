@@ -25,9 +25,10 @@ collector off and after one untimed call, and records the fastest chunk's
 see the same numbers.  The output file gets a "kernels" entry with each
 side's median µs per call, each round's ratio (change over parent), the
 median of those ratios and the rounds the change was faster; the other
-entries already in the file are kept.  Both checkouts must take the weight
-penalty as the number `l2` in `batch_gradients`; a checkout that still takes
-a `Regularizer` there cannot be timed.
+entries already in the file are kept.  Both checkouts must take the loss
+kind as a string and `SharedSettings` whole in `batch_gradients` and
+`loss_and_head_gradient`; a checkout that still wraps the kind in a loss
+record, or takes a `Regularizer` or a bare `l2`, cannot be timed.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ def _normal(seed: int, *shape) -> np.ndarray:
 def _train_step(pkg, spec, rows: int, targets: np.ndarray):
     net = pkg.build_network(spec, rng=1)
     optimizer = pkg.Adam(net.flat)
-    loss = pkg.LossSpec("cross_entropy" if spec.k > 1 else "mse")
+    kind, shared = "cross_entropy" if spec.k > 1 else "mse", pkg.SharedSettings()
     x = _normal(1, rows, spec.nfea)
 
     def step():
-        pkg.training.batch_gradients(net, x, targets, loss, 0.0)
+        pkg.training.batch_gradients(net, x, targets, kind, shared)
         optimizer.step(1e-3)
     return step
 
@@ -152,12 +153,13 @@ def kernels(pkg) -> dict:
 
     y = _normal(8, ROWS, 1)
     mse_preds = pkg.Predictions(y=y, reconstruction=None, head=y)
-    mse, targets = pkg.LossSpec("mse"), _normal(9, ROWS, 1)
-    found["loss.mse"] = lambda: pkg.loss_and_head_gradient(mse, mse_preds, targets)
+    targets = _normal(9, ROWS, 1)
+    found["loss.mse"] = lambda: pkg.loss_and_head_gradient("mse", mse_preds, targets)
     logits = _normal(10, ROWS, 3)
     ce_preds = pkg.Predictions(y=logits, reconstruction=None, head=logits)
-    ce, classes = pkg.LossSpec("cross_entropy"), np.arange(float(ROWS)).reshape(-1, 1) % 3
-    found["loss.cross_entropy"] = lambda: pkg.loss_and_head_gradient(ce, ce_preds, classes)
+    classes = np.arange(float(ROWS)).reshape(-1, 1) % 3
+    found["loss.cross_entropy"] = lambda: pkg.loss_and_head_gradient("cross_entropy", ce_preds,
+                                                                     classes)
     return found
 
 

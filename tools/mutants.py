@@ -152,8 +152,25 @@ MUTANTS = (
            'f"{where}.{key_of[name]}"', 'f"{where}.{name}"',
            ("tests/test_cli.py::TestConfigErrors::test_wrong_json_type_exits_2_naming_key",)),
     Mutant("penalty-drops-the-coefficient", "src/resae/training.py",
-           "model.loss, cfg, shared.l2, val_metric)", "model.loss, cfg, 0.0, val_metric)",
+           "loss_kind(dataset.task, spec), cfg, shared, val_metric)",
+           "loss_kind(dataset.task, spec), cfg, replace(shared, l2=0.0), val_metric)",
            ("tests/test_evaluation.py::test_penalty_is_the_loss_sections_l2",)),
+    Mutant("train-model-reconstructs-at-weight-one", "src/resae/training.py",
+           "loss_kind(dataset.task, spec), cfg, shared, val_metric)",
+           "loss_kind(dataset.task, spec), cfg, replace(shared, reconstruction_weight=1.0), "
+           "val_metric)",
+           ("tests/test_evaluation.py::test_reconstruction_weight_is_the_loss_sections",)),
+    Mutant("unknown-loss-kind-scored-as-cross-entropy", "src/resae/training.py",
+           '    elif kind == "cross_entropy":\n', "    elif True:\n",
+           ("tests/test_training.py::TestLoss::test_unknown_kind_rejected",)),
+    Mutant("gradient-check-keeps-the-worst-past-a-nan", "src/resae/training.py",
+           "if not math.isfinite(err):", "if False:",
+           ("tests/test_training.py::TestGradientCheck"
+            "::test_a_non_finite_relative_error_is_rejected",)),
+    Mutant("gradient-check-scores-a-nan-loss", "src/resae/training.py",
+           "        if not math.isfinite(value):\n            raise ValueError(f\"gradient_check",
+           "        if False:\n            raise ValueError(f\"gradient_check",
+           ("tests/test_training.py::TestGradientCheck::test_a_non_finite_loss_is_rejected",)),
     Mutant("batch-gradient-drops-the-penalty-gradient", "src/resae/training.py",
            "            net.flat.grad += 2.0 * l2 * net.flat.value\n", "            pass\n",
            ("tests/test_training.py::TestRegularizer"
@@ -165,10 +182,6 @@ MUTANTS = (
            "value += 0.0",
            ("tests/test_training.py::TestRegularizer"
             "::test_l2_matches_finite_differences_through_gradient_check",)),
-    Mutant("model-loader-trusts-the-loss-kind", "src/resae/training.py",
-           "if loss.kind != kind:", "if loss.kind not in LOSS_KINDS:",
-           ("tests/test_training.py::TestModelDocument"
-            "::test_bad_document_rejected_naming_field",)),
     Mutant("accuracy-takes-the-least-probable-class", "src/resae/evaluation.py",
            "p.argmax(axis=1) == labels", "p.argmin(axis=1) == labels",
            ("tests/test_evaluation.py"
