@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .matrix import checked_json, checked_json_list, checked_names, read_record
 from .network import NetworkSpec
-from .training import SharedSettings, TrainConfig, dataset_dims
+from .training import SharedSettings, TrainConfig, dataset_dims, loss_kind
 
 
 class ConfigError(ValueError):
@@ -277,6 +277,10 @@ def _set_up(args) -> _Run:
         _read(grid_variants, spec, run.train_cfg, run.grid_axes)
     if args.command == "sensitivity":
         _read(sensitivity_variants, spec, run.train_cfg, prefix="network.")
+    options = run.grid_axes.get("output_options") if args.command == "grid" else None
+    for i, option in enumerate(options or [spec.output_option]):   # each head the jobs train
+        _read(loss_kind, dataset.task, replace(spec, output_option=option),
+              prefix=f"grid.output_options[{i}]: " if options else "network.")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
     return run

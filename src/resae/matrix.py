@@ -158,6 +158,14 @@ def _mix64_int(value: int) -> int:
     return int(_mix64(np.array([value & _MASK64], dtype=np.uint64))[0])
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, or a ValueError naming it: never a float or string read as one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_count(value: int, name: str) -> int:
     """value as an int (a numpy integer too, so the counter stays an int); a
     negative one is a ValueError naming it."""
@@ -187,10 +195,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        try:    # an int or numpy integer, never a float or string read as one
-            self.seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        self.seed = _integer(seed, "seed")
         self.state = (_mix64_int(self.seed), 0)
 
     # -- state -------------------------------------------------------------
@@ -206,8 +211,8 @@ class Rng:
         self._block_start = self._count
 
     def spawn(self, tag: int) -> "Rng":
-        """Independent child stream; deterministic in (seed, tag)."""
-        return Rng(_mix64_int(self._key + (int(tag) + 1) * _GOLDEN))
+        """Independent child stream; deterministic in (seed, tag), an integer."""
+        return Rng(_mix64_int(self._key + (_integer(tag, "tag") + 1) * _GOLDEN))
 
     # -- raw draws ----------------------------------------------------------
 
@@ -269,11 +274,10 @@ class Rng:
 
 @dataclass
 class StandardizeStats:
-    """Per-column mean and (floored) population standard deviation."""
+    """Per-column mean and population sd, floored at SD_FLOOR (a constant column's sd)."""
 
     mean: np.ndarray           # (1, m)
     sd: np.ndarray             # (1, m), every entry >= SD_FLOOR
-    constant_columns: tuple[int, ...] = ()
 
     @property
     def n_columns(self) -> int:
@@ -297,14 +301,13 @@ class StandardizeStats:
         return {
             "mean": [float(v) for v in self.mean.ravel()],
             "sd": [float(v) for v in self.sd.ravel()],
-            "constant_columns": list(self.constant_columns),
         }
 
     @classmethod
     def from_dict(cls, d: dict, name: str = "stats") -> "StandardizeStats":
         """Inverse of to_dict; a ValueError names the first bad field.  sd has
-        one entry per mean, each at least SD_FLOOR as fitted ones are, and
-        constant_columns holds column indices."""
+        one entry per mean, each at least SD_FLOOR as fitted ones are.  The
+        constant_columns that an earlier version wrote are ignored."""
         d = checked_json(d, dict, name)
         mean = checked_entry(d, "mean", np.ndarray, f"{name}.mean")
         sd = checked_entry(d, "sd", np.ndarray, f"{name}.sd")
@@ -315,13 +318,7 @@ class StandardizeStats:
         if small.size:
             raise ValueError(f"{name}.sd[{small[0]}] must be >= {SD_FLOOR}, "
                              f"got {float(sd[small[0]])!r}")
-        constant = tuple(checked_json_list(d.get("constant_columns", []), int,
-                                           f"{name}.constant_columns"))
-        for i, column in enumerate(constant):
-            if not 0 <= column < mean.size:
-                raise ValueError(f"{name}.constant_columns[{i}] must be a column index "
-                                 f"in [0, {mean.size}), got {column}")
-        return cls(mean=mean.reshape(1, -1), sd=sd.reshape(1, -1), constant_columns=constant)
+        return cls(mean=mean.reshape(1, -1), sd=sd.reshape(1, -1))
 
 
 def standardize_fit_apply(x: Matrix) -> tuple[Matrix, StandardizeStats]:
@@ -338,5 +335,5 @@ def standardize_fit_apply(x: Matrix) -> tuple[Matrix, StandardizeStats]:
         warnings.warn(f"standardize: zero-variance columns {constant} "
                       f"floored at sd={SD_FLOOR}", stacklevel=2)
         sd = np.maximum(sd, SD_FLOOR)
-    stats = StandardizeStats(mean=mean, sd=sd, constant_columns=constant)
+    stats = StandardizeStats(mean=mean, sd=sd)
     return stats.apply(x), stats

@@ -390,8 +390,6 @@ class Network:
             "format": "resae-network",
             "version": 1,
             "spec": self.spec.to_dict(),
-            "layers": self.layer_summary(),
-            "parameter_count": self.count_parameters(),
             "weights": {name: {"shape": list(arr.shape),
                                "data": [float(v) for v in arr.ravel()]}
                         for name, arr in sorted(state.items())},
@@ -400,19 +398,13 @@ class Network:
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
         """Inverse of to_dict.  Every field is checked, never coerced, and a
-        ValueError names the first bad one; the spec must hold every field,
-        layers and parameter_count must be the spec's own, each weight's shape
-        and number count its parameter's, and no running variance negative."""
+        ValueError names the first bad one: the spec must hold every field, each
+        weight's shape and number count its parameter's, and no running variance
+        be negative.  An earlier version's layers and parameter_count are ignored."""
         if d.get("format") != "resae-network":
             raise ValueError("not a serialized network document")
         net = cls(read_record(NetworkSpec, checked_entry(d, "spec", dict, "spec"), "spec",
                               saved=True))
-        if checked_entry(d, "layers", list, "layers") != net.layer_summary():
-            raise ValueError("layers must be the layer summary of the spec's network")
-        count = checked_entry(d, "parameter_count", int, "parameter_count")
-        if count != net.count_parameters():
-            raise ValueError(f"parameter_count must be the spec's network's "
-                             f"{net.count_parameters()}, got {count}")
         state = {}
         for name, entry in checked_entry(d, "weights", dict, "weights").items():
             where = f"weights.{name}"
@@ -456,10 +448,10 @@ def _pack(arrays: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_network(spec: NetworkSpec, rng: Rng | int) -> Network:
-    """Network(spec) with its initial weights drawn from rng, which the
-    network keeps for its dropout masks."""
+    """Network(spec) with its initial weights drawn from rng, an Rng or a
+    seed for one, which the network keeps for its dropout masks."""
     net = Network(spec)
-    net.rng = Rng(rng) if isinstance(rng, int) else rng
+    net.rng = rng if isinstance(rng, Rng) else Rng(rng)
     for i, step in enumerate(net.steps):
         if isinstance(step, DenseLayer):   # scaled for the activation that follows it
             step.init_weights(net.rng, net.steps[i + 1].kind)

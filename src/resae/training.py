@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import TASKS
 from .matrix import (Matrix, Rng, StandardizeStats, check_field_types, checked_entry,
-                     read_record, standardize_fit_apply)
+                     checked_json, read_record, standardize_fit_apply)
 from .network import Network, NetworkSpec, Param, Predictions, build_network
 
 LOSS_KINDS = ("mse", "mse_reconstruction", "cross_entropy")
@@ -302,7 +302,10 @@ def make_spec(dataset, nnode, **overrides) -> NetworkSpec:
 
 def loss_kind(task: str, spec: NetworkSpec) -> str:
     """The loss a network trains on: cross entropy for classification, else
-    squared error, with reconstruction for output option 2."""
+    squared error, with reconstruction for output option 2 (regression only)."""
+    if task == "classification" and spec.output_option == 2:
+        raise ValueError(f"output_option must be 1 for task {task!r}, got 2: cross "
+                         "entropy gives the reconstruction outputs no gradient")
     return ("cross_entropy" if task == "classification" else
             "mse_reconstruction" if spec.output_option == 2 else "mse")
 
@@ -412,11 +415,13 @@ def gradient_check(net: Network, x: Matrix, targets: Matrix, kind: str,
     entries.  The network RNG state is pinned before every pass so dropout
     masks are identical across all evaluations; train mode is used throughout,
     so batch-norm gradients are exercised against the batch-statistics forward.
-    eps must be a finite number > 0.  A non-finite loss at any evaluation, or a
-    non-finite relative error, is a ValueError naming it, never a score.
+    eps must be a finite number > 0 and n_sample an integer >= 1; a non-finite
+    loss at any evaluation, or relative error, is a ValueError, never a score.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps}")
+    if checked_json(n_sample, int, "n_sample") < 1:   # no entry checked is no score
+        raise ValueError(f"n_sample must be >= 1, got {n_sample}")
     rng_state = net.rng.state
     saved = net.get_state()
 

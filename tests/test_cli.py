@@ -677,6 +677,46 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "config error: out_dir must be a string, got 5\n"
         assert list(tmp_path.rglob("config.json")) == [cfg]
 
+    @staticmethod
+    def _classification_config(tmp_path, **overrides):
+        data = tmp_path / "c.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i % 11},{i * 7 % 5},{i % 3}\n"
+                                             for i in range(90)))
+        return tiny_train_config(tmp_path, dataset={
+            "source": "csv", "path": str(data), "targets": "y", "task": "classification",
+            "n": 1000, "seed": 7}, n_seeds=1, **overrides)
+
+    @pytest.mark.parametrize("command", ["train", "compare", "sensitivity", "grid"])
+    def test_option_2_on_a_classification_task_exits_2_before_writing(self, tmp_path, capsys,
+                                                                      command):
+        # cross entropy gives the reconstruction outputs no gradient: option 2 would train
+        # nothing more than option 1
+        cfg = self._classification_config(tmp_path, network={"output_option": 2},
+                                          grid={"batch_sizes": [16, 32]})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: network.output_option must be 1 for task 'classification', got 2: "
+            "cross entropy gives the reconstruction outputs no gradient\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_an_option_2_grid_cell_on_a_classification_task_exits_2_before_writing(
+            self, tmp_path, capsys):
+        cfg = self._classification_config(tmp_path, grid={"output_options": [1, 2]})
+        assert main(["grid", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: grid.output_options[1]: output_option must be 1 for task "
+            "'classification', got 2: cross entropy gives the reconstruction outputs no "
+            "gradient\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_classification_grid_of_option_1_runs_on_an_option_2_template(self, tmp_path):
+        # the grid's axis, not the template, is the option its jobs train
+        cfg = self._classification_config(tmp_path, network={"output_option": 2},
+                                          grid={"output_options": [1]})
+        assert main(["grid", "--config", str(cfg)]) == 0
+        ranked = json.loads((tmp_path / "run" / "report.json").read_text())["ranked"]
+        assert [cell["output_option"] for cell in ranked] == [1]
+
 
 @settings(max_examples=60, deadline=None)
 @given(network_specs())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from plain_reference import PlainRng
 
-from resae.matrix import Rng, StandardizeStats, field_types, standardize_fit_apply
+from resae.matrix import SD_FLOOR, Rng, StandardizeStats, field_types, standardize_fit_apply
 from resae.training import TrainConfig
 
 
@@ -116,6 +116,16 @@ class TestRng:
         np.testing.assert_array_equal(rng.uniform(9), twin.uniform(9))
         assert rng.state == twin.state and type(rng.seed) is int
 
+    @pytest.mark.parametrize("tag", [1.7, 1.0, "1", None])
+    def test_a_spawn_tag_that_is_not_an_integer_is_rejected(self, tag):
+        # read as int(tag), 1.7 and "1" would each draw spawn(1)'s stream
+        with pytest.raises(ValueError, match=f"^tag must be an integer, got {tag!r}$"):
+            Rng(0).spawn(tag)
+
+    def test_a_numpy_integer_spawn_tag_draws_the_same_stream(self):
+        np.testing.assert_array_equal(Rng(0).spawn(np.int64(1)).uniform(9),
+                                      Rng(0).spawn(1).uniform(9))
+
     def test_writing_into_a_draw_leaves_later_draws_unchanged(self):
         rng, twin = Rng(8), Rng(8)
         for draw in (lambda r: r.uniform(16, 32), lambda r: r.uniform(3, low=1.0, high=2.0),
@@ -224,10 +234,11 @@ class TestStandardize:
 
     def test_constant_column_floored_with_warning(self):
         x = np.array([[5.0], [5.0], [5.0]])
-        with pytest.warns(UserWarning, match="zero-variance"):
+        with pytest.warns(UserWarning, match=r"^standardize: zero-variance columns \(0,\) "
+                                             r"floored at sd=1e-12$"):
             out, stats = standardize_fit_apply(x)
         np.testing.assert_array_equal(out, np.zeros((3, 1)))
-        assert stats.constant_columns == (0,)
+        assert stats.sd[0, 0] == SD_FLOOR and not hasattr(stats, "constant_columns")
 
     def test_apply_invert_roundtrip(self):
         x = np.random.default_rng(0).normal(loc=3.0, scale=7.0, size=(50, 4))

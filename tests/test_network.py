@@ -160,6 +160,14 @@ class TestBuilder:
         assert build_network(spec, rng=0).layer_summary() == build_network(
             NetworkSpec(nfea=3, nnode=(4, 2), k=1, acts=("elu", "tanh")), rng=0).layer_summary()
 
+    def test_a_numpy_integer_seed_draws_the_int_seeds_weights(self):
+        spec = NetworkSpec(nfea=3, nnode=(4,), k=1)
+        net, twin = build_network(spec, rng=np.int64(3)), build_network(spec, rng=3)
+        assert net.flat.value.tobytes() == twin.flat.value.tobytes()
+        assert net.rng.state == twin.rng.state
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 3\.0$"):
+            build_network(spec, rng=3.0)
+
     def test_spec_made_with_lists_equals_its_tuple_twin(self):
         made = NetworkSpec(nfea=3, nnode=[4, 2], k=1, acts=["elu", "tanh"])
         twin = NetworkSpec(nfea=3, nnode=(4, 2), k=1, acts=("elu", "tanh"))
@@ -312,11 +320,13 @@ class TestSerialization:
 
     def test_document_carries_spec_echo_and_shapes(self):
         spec = NetworkSpec(nfea=3, nnode=(4,), k=1)
-        doc = build_network(spec, rng=0).to_dict()
+        net = build_network(spec, rng=0)
+        doc = net.to_dict()
+        # Network(spec) derives the layer summary and the parameter count, so neither is saved
+        assert sorted(doc) == ["format", "spec", "version", "weights"]
         assert doc["spec"]["nnode"] == [4]
-        assert doc["parameter_count"] == build_network(spec, rng=0).count_parameters()
-        kinds = {row["kind"] for row in doc["layers"]}
-        assert {"dense", "activation", "save", "add"} <= kinds
+        assert {name: entry["shape"] for name, entry in doc["weights"].items()} == {
+            name: list(value.shape) for name, value in net.get_state().items()}
 
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError, match="serialized network"):

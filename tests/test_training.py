@@ -26,6 +26,7 @@ from resae.training import (
     fit,
     gradient_check,
     loss_and_head_gradient,
+    loss_kind,
     make_spec,
     train_model,
 )
@@ -545,6 +546,17 @@ class TestGradientCheck:
         with pytest.raises(ValueError, match=f"^eps must be a finite number > 0, got {eps}$"):
             gradient_check(net, x, y, "mse", eps=eps)
 
+    @pytest.mark.parametrize("n_sample, message", [
+        (0, "n_sample must be >= 1, got 0"), (-5, "n_sample must be >= 1, got -5"),
+        (2.5, "n_sample must be an integer, got 2.5"),
+        (True, "n_sample must be an integer, got true"),
+        (None, "n_sample must be an integer, got null")])
+    def test_n_sample_must_be_an_integer_above_zero(self, n_sample, message):
+        # checking no entry is no score: 0 would report a perfect 0.0
+        net, x, y = self._net_and_batch()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gradient_check(net, x, y, "mse", n_sample=n_sample)
+
     def test_zero_head_gradient_gives_zero_parameter_gradients(self):
         spec = NetworkSpec(nfea=3, nnode=(4,), k=1, dropout_rate=0.0)
         net = build_network(spec, rng=0)
@@ -617,6 +629,23 @@ class TestTrainModelPipeline:
         assert len(model.history.val_metric) == 3
         assert calls == []
 
+    def test_option_2_on_a_classification_task_is_rejected_before_training(self, monkeypatch):
+        # cross entropy would give the head's reconstruction outputs no gradient
+        from resae import training
+        calls = []
+        monkeypatch.setattr(training, "fit", lambda *args: calls.append(args))
+        ds = small_dataset("classification")
+        spec = make_spec(ds, (4,), dropout_rate=0.0, output_option=2)
+        message = (r"^output_option must be 1 for task 'classification', got 2: cross "
+                   r"entropy gives the reconstruction outputs no gradient$")
+        with pytest.raises(ValueError, match=message):
+            loss_kind("classification", spec)
+        with pytest.raises(ValueError, match=message):
+            train_model(ds, split(ds, seed=0), spec, TrainConfig(batch_size=8, max_epochs=2))
+        assert calls == []
+        assert loss_kind("regression", spec) == "mse_reconstruction"
+        assert loss_kind("classification", replace(spec, output_option=1)) == "cross_entropy"
+
     def test_make_spec_reads_widths_without_coercing_them(self):
         ds = generate_simulated(n=20, seed=0)
         assert make_spec(ds, (8, 4)).nnode == make_spec(ds, [8, 4]).nnode == (8, 4)
@@ -669,19 +698,6 @@ class TestModelDocument:
          "feature_stats must have the network's nfea = 8 columns, got 3"),
         (lambda d: d["target_stats"].update(mean=[0.0] * 2, sd=[1.0] * 2),
          "target_stats must have the network's k = 1 columns, got 2"),
-        (lambda d: d["feature_stats"].update(constant_columns=[99, -4]),
-         r"feature_stats.constant_columns\[0\] must be a column index in \[0, 8\), got 99"),
-        (lambda d: d["feature_stats"].update(constant_columns=[2, -4]),
-         r"feature_stats.constant_columns\[1\] must be a column index in \[0, 8\), got -4"),
-        (lambda d: d["network"].update(parameter_count=7),
-         r"^parameter_count must be the spec's network's \d+, got 7$"),
-        (lambda d: d["network"].update(parameter_count="7"),
-         '^parameter_count must be an integer, got "7"$'),
-        (lambda d: d["network"].update(layers=[]),
-         "^layers must be the layer summary of the spec's network$"),
-        (lambda d: d["network"]["layers"][0].update(out=7),
-         "^layers must be the layer summary of the spec's network$"),
-        (lambda d: d["network"].pop("layers"), "^layers is missing$"),
         (lambda d: _weight(d, "L000.dense.b").update(shape=[-1, 1]),
          r"^weights.L000.dense.b.shape must be \[6, 1\], got \[-1, 1\]$"),
         (lambda d: _weight(d, "L000.dense.b")["data"].pop(),
@@ -691,15 +707,28 @@ class TestModelDocument:
     ], ids=["task", "string-weight", "boolean-weight", "huge-integer-weight",
             "zero-sd", "no-weights", "no-feature-stats", "null-target-stats",
             "no-target-stats", "classification-target-stats", "sd-length",
-            "feature-stats-width", "target-stats-width", "constant-column-too-large",
-            "constant-column-negative", "parameter-count", "string-parameter-count",
-            "no-layer-summary", "other-layer-summary", "missing-layer-summary",
-            "inferred-weight-shape", "short-weight-data", "negative-running-variance"])
+            "feature-stats-width", "target-stats-width", "inferred-weight-shape",
+            "short-weight-data", "negative-running-variance"])
     def test_bad_document_rejected_naming_field(self, edit, message):
         doc = saved_model_document()
         edit(doc)
         with pytest.raises(ValueError, match=message):
             FittedModel.from_dict(doc)
+
+    @pytest.mark.parametrize("where, key", [
+        ("network", "layers"), ("network", "parameter_count"),
+        ("feature_stats", "constant_columns"), ("target_stats", "constant_columns")])
+    @pytest.mark.parametrize("value", [[99, -4], "7", None])
+    def test_a_field_that_earlier_versions_wrote_is_ignored(self, where, key, value):
+        # Network(spec) derives the layers and the parameter count, and no reader uses
+        # the constant columns, so an older model.json loads the same whatever they hold
+        doc = saved_model_document()
+        model = FittedModel.from_dict(doc)
+        doc[where][key] = value
+        loaded = FittedModel.from_dict(doc)
+        assert loaded.to_dict() == model.to_dict()
+        x = np.random.default_rng(0).normal(size=(5, 8))
+        assert loaded.predict(x).tobytes() == model.predict(x).tobytes()
 
     def test_zero_running_variance_loads(self):
         doc = saved_model_document()
@@ -715,16 +744,23 @@ class TestModelDocument:
             FittedModel.from_dict(doc)
 
     def test_a_model_saved_with_a_loss_object_loads_and_predicts_bit_identically(self):
-        # written by the version that saved a loss object; loss_kind now derives the kind
+        # written by a version that also saved the loss object, the layer summary, the
+        # parameter count and each stats' constant columns; loading derives or drops each
         saved = json.loads((Path(__file__).parent / "saved_models_with_loss.json").read_text())
         assert [entry["document"]["loss"]["kind"] for entry in saved] == [
             "mse_reconstruction", "cross_entropy"]
         for entry in saved:
-            model = FittedModel.from_dict(entry["document"])
+            doc = entry["document"]
+            model = FittedModel.from_dict(doc)
             predictions = model.predict(np.array(entry["features"]))
             assert predictions.tobytes() == np.array(entry["predictions"]).tobytes()
-            entry["document"].pop("loss")
-            assert model.to_dict() == entry["document"]
+            doc.pop("loss")
+            doc["network"].pop("layers")
+            doc["network"].pop("parameter_count")
+            for stats in (doc["feature_stats"], doc["target_stats"]):
+                if stats is not None:
+                    stats.pop("constant_columns")
+            assert model.to_dict() == doc
 
     @pytest.mark.parametrize("field, value", [("elu_alpha", 1.0), ("output_activation", "linear")])
     def test_spec_with_a_field_that_is_now_a_constant_is_rejected(self, field, value):
@@ -751,6 +787,8 @@ def small_dataset(task: str) -> Dataset:
 def test_drawn_spec_trained_saves_and_reloads_bit_identically(spec, task):
     ds = small_dataset(task)
     spec = replace(spec, **dataset_dims(ds))
+    if task == "classification":    # cross entropy trains no reconstruction outputs
+        spec = replace(spec, output_option=1)
     model = train_model(ds, split(ds, seed=0), spec,
                         TrainConfig(batch_size=8, max_epochs=2, seed=3))
     clone = FittedModel.from_dict(json.loads(json.dumps(model.to_dict())))

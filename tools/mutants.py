@@ -171,6 +171,23 @@ MUTANTS = (
            "        if not math.isfinite(value):\n            raise ValueError(f\"gradient_check",
            "        if False:\n            raise ValueError(f\"gradient_check",
            ("tests/test_training.py::TestGradientCheck::test_a_non_finite_loss_is_rejected",)),
+    Mutant("classification-trains-option-2-on-cross-entropy", "src/resae/training.py",
+           '    if task == "classification" and spec.output_option == 2:\n', "    if False:\n",
+           ("tests/test_training.py::TestTrainModelPipeline"
+            "::test_option_2_on_a_classification_task_is_rejected_before_training",)),
+    Mutant("gradient-check-takes-any-sample-count", "src/resae/training.py",
+           'if checked_json(n_sample, int, "n_sample") < 1:', "if False:",
+           ("tests/test_training.py::TestGradientCheck"
+            "::test_n_sample_must_be_an_integer_above_zero",)),
+    Mutant("spawn-reads-its-tag-with-int", "src/resae/matrix.py",
+           '(_integer(tag, "tag") + 1)', "(int(tag) + 1)",
+           ("tests/test_matrix.py::TestRng"
+            "::test_a_spawn_tag_that_is_not_an_integer_is_rejected",)),
+    Mutant("build-network-seeds-only-python-ints", "src/resae/network.py",
+           "rng if isinstance(rng, Rng) else Rng(rng)",
+           "Rng(rng) if isinstance(rng, int) else rng",
+           ("tests/test_network.py::TestBuilder"
+            "::test_a_numpy_integer_seed_draws_the_int_seeds_weights",)),
     Mutant("batch-gradient-drops-the-penalty-gradient", "src/resae/training.py",
            "            net.flat.grad += 2.0 * l2 * net.flat.value\n", "            pass\n",
            ("tests/test_training.py::TestRegularizer"
